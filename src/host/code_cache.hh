@@ -10,28 +10,28 @@
  * "code cache full -> flush everything" policy remains available via
  * flush(), which returns the whole cache to a single free hole.
  *
+ * Beside each encoded word the cache keeps its decoded HInst, so the
+ * host emulator executes predecoded instructions and never decodes on
+ * its fetch path. install() and setWord() are the only writers and
+ * update both arrays, which keeps chain and unchain patches coherent;
+ * a word with an invalid opcode is rejected when it is written. Both
+ * arrays grow to the allocator's high-water mark, so a cache costs
+ * memory in proportion to the code it has held, not to its capacity.
+ *
  * The cache only manages words; translation bookkeeping (entry maps,
  * chaining, the LRU eviction clock) lives in tol::TranslationRegistry.
  *
- * Thread safety: structural operations (alloc/release/install/flush
- * and the occupancy queries) serialize on an internal mutex; the word
- * store itself is an array of relaxed atomics, so readers (the host
- * emulator's fetch path, invariant checkers) never race writers. The
- * publication edge for freshly-installed regions is the registry's
- * lock: a region's words are fully stored before its translation is
- * added, and every consumer discovers the region through a registry
- * lookup.
+ * Thread safety: none. The cache belongs to the simulation thread;
+ * async translator workers never touch it (see DESIGN.md).
  */
 
 #ifndef DARCO_HOST_CODE_CACHE_HH
 #define DARCO_HOST_CODE_CACHE_HH
 
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/types.hh"
+#include "host/hisa.hh"
 
 namespace darco::host
 {
@@ -43,19 +43,13 @@ class CodeCache
     static constexpr u32 npos = ~0u;
 
     explicit CodeCache(u32 capacity_words = 1u << 20)
-        : capacity_(capacity_words),
-          words_(new std::atomic<u32>[capacity_words]())
+        : capacity_(capacity_words)
     {
         holes_.push_back(Hole{0, capacity_});
     }
 
     /** Can a contiguous block of n words be allocated right now? */
-    bool
-    hasSpace(u32 n) const
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        return largestFreeLocked() >= n;
-    }
+    bool hasSpace(u32 n) const { return largestFree() >= n; }
 
     /**
      * Allocate a contiguous region of n words (first fit).
@@ -64,8 +58,24 @@ class CodeCache
     u32
     alloc(u32 n)
     {
-        std::lock_guard<std::mutex> g(mu_);
-        return allocLocked(n);
+        if (n == 0)
+            return npos;
+        for (std::size_t h = 0; h < holes_.size(); ++h) {
+            if (holes_[h].size < n)
+                continue;
+            u32 base = holes_[h].base;
+            holes_[h].base += n;
+            holes_[h].size -= n;
+            if (holes_[h].size == 0)
+                holes_.erase(holes_.begin() + h);
+            used_ += n;
+            if (base + n > words_.size()) {
+                words_.resize(base + n);
+                insts_.resize(base + n);
+            }
+            return base;
+        }
+        return npos;
     }
 
     /** Return a region to the free list, coalescing neighbours. */
@@ -74,7 +84,6 @@ class CodeCache
     {
         if (n == 0)
             return;
-        std::lock_guard<std::mutex> g(mu_);
         used_ -= n;
         ++releases_;
         // Insert sorted by base.
@@ -96,88 +105,64 @@ class CodeCache
     }
 
     /**
-     * Allocate and copy a translated region.
+     * Allocate and copy a translated region, decoding every word.
      * @return base word index, or npos when the cache cannot fit it.
      */
     u32
     install(const std::vector<u32> &region)
     {
-        std::lock_guard<std::mutex> g(mu_);
-        u32 base = allocLocked(u32(region.size()));
+        u32 base = alloc(u32(region.size()));
         if (base == npos)
             return npos;
         for (std::size_t i = 0; i < region.size(); ++i)
-            words_[base + i].store(region[i], std::memory_order_relaxed);
+            setWord(base + u32(i), region[i]);
         return base;
     }
 
-    u32
-    word(u32 idx) const
-    {
-        return words_[idx].load(std::memory_order_relaxed);
-    }
+    u32 word(u32 idx) const { return words_[idx]; }
 
+    /** The predecoded form of word(idx). */
+    const HInst &inst(u32 idx) const { return insts_[idx]; }
+
+    /** Overwrite one allocated word (chain and unchain patches). */
     void
     setWord(u32 idx, u32 w)
     {
-        words_[idx].store(w, std::memory_order_relaxed);
+        insts_[idx] = hdecode(w);
+        words_[idx] = w;
     }
 
-    u32
-    used() const
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        return used_;
-    }
+    u32 used() const { return used_; }
 
     u32 capacity() const { return capacity_; }
 
     u32
     largestFree() const
     {
-        std::lock_guard<std::mutex> g(mu_);
-        return largestFreeLocked();
+        u32 best = 0;
+        for (const Hole &h : holes_)
+            best = h.size > best ? h.size : best;
+        return best;
     }
 
-    u32
-    freeWords() const
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        return capacity_ - used_;
-    }
+    u32 freeWords() const { return capacity_ - used_; }
 
     /** Number of free-list fragments (fragmentation diagnostics). */
-    std::size_t
-    holeCount() const
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        return holes_.size();
-    }
+    std::size_t holeCount() const { return holes_.size(); }
 
     /** Drop every translation (TOL must reset its maps too). */
     void
     flush()
     {
-        std::lock_guard<std::mutex> g(mu_);
         holes_.clear();
         holes_.push_back(Hole{0, capacity_});
         used_ = 0;
         ++flushCount_;
     }
 
-    u64
-    flushCount() const
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        return flushCount_;
-    }
+    u64 flushCount() const { return flushCount_; }
 
-    u64
-    releaseCount() const
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        return releases_;
-    }
+    u64 releaseCount() const { return releases_; }
 
   private:
     /** One free range; the list is sorted by base and coalesced. */
@@ -187,40 +172,11 @@ class CodeCache
         u32 size;
     };
 
-    u32
-    allocLocked(u32 n)
-    {
-        if (n == 0)
-            return npos;
-        for (std::size_t h = 0; h < holes_.size(); ++h) {
-            if (holes_[h].size < n)
-                continue;
-            u32 base = holes_[h].base;
-            holes_[h].base += n;
-            holes_[h].size -= n;
-            if (holes_[h].size == 0)
-                holes_.erase(holes_.begin() + h);
-            used_ += n;
-            return base;
-        }
-        return npos;
-    }
-
-    u32
-    largestFreeLocked() const
-    {
-        u32 best = 0;
-        for (const Hole &h : holes_)
-            best = h.size > best ? h.size : best;
-        return best;
-    }
-
-    mutable std::mutex mu_; //!< guards the free list and counters
     u32 capacity_;
     u32 used_ = 0;
-    /** Fixed-size atomic word store (no lazy growth: atomics cannot
-     *  be moved by a vector resize while readers are live). */
-    std::unique_ptr<std::atomic<u32>[]> words_;
+    /** Encoded words and their decoded forms, index-aligned. */
+    std::vector<u32> words_;
+    std::vector<HInst> insts_;
     std::vector<Hole> holes_;
     u64 flushCount_ = 0;
     u64 releases_ = 0;

@@ -21,6 +21,30 @@ isPow2(u32 v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
+/** Plain guest-memory load of 1, 2, 4 or 8 bytes. */
+inline u64
+memRead(guest::PagedMemory &m, GAddr a, unsigned size)
+{
+    switch (size) {
+      case 1: return m.read8(a);
+      case 2: return m.read16(a);
+      case 4: return m.read32(a);
+      default: return m.read64(a);
+    }
+}
+
+/** Plain guest-memory store of the low 1, 2, 4 or 8 bytes of v. */
+inline void
+memWrite(guest::PagedMemory &m, GAddr a, u64 v, unsigned size)
+{
+    switch (size) {
+      case 1: m.write8(a, u8(v)); return;
+      case 2: m.write16(a, u16(v)); return;
+      case 4: m.write32(a, u32(v)); return;
+      default: m.write64(a, v); return;
+    }
+}
+
 } // namespace
 
 InstClass
@@ -220,75 +244,41 @@ HostEmu::rollback()
     }
 }
 
-u8
-HostEmu::specRead8(GAddr a)
-{
-    if (speculative_) {
-        auto it = storeBuf_.find(a);
-        if (it != storeBuf_.end())
-            return it->second;
-    }
-    return mem_->read8(a);
-}
-
-void
-HostEmu::specWrite8(GAddr a, u8 v)
-{
-    storeBuf_[a] = v;
-}
-
-u32
+u64
 HostEmu::specRead(GAddr a, unsigned size)
 {
-    if (!speculative_ || storeBuf_.empty()) {
-        switch (size) {
-          case 1: return mem_->read8(a);
-          case 2: return mem_->read16(a);
-          default: return mem_->read32(a);
+    // Every byte a gated store covers lies on a page probePages()
+    // found present, so reading memory first faults exactly where a
+    // byte-by-byte read through the buffer would.
+    u64 v = memRead(*mem_, a, size);
+    // The buffer is empty outside a speculative region. Entries are
+    // in program order, so a newer store's bytes overwrite an older's.
+    for (const SpecStore &s : storeBuf_) {
+        // Disjoint unless one range starts inside the other; the
+        // wrapping differences keep this right at the top of memory.
+        if (GAddr(s.addr - a) >= size && GAddr(a - s.addr) >= s.size)
+            continue;
+        for (unsigned i = 0; i < size; ++i) {
+            GAddr off = a + i - s.addr;
+            if (off < s.size) {
+                u64 mask = 0xffull << (8 * i);
+                v = (v & ~mask) |
+                    (((s.value >> (8 * off)) & 0xff) << (8 * i));
+            }
         }
     }
-    u32 v = 0;
-    for (unsigned i = 0; i < size; ++i)
-        v |= u32(specRead8(a + i)) << (8 * i);
     return v;
 }
 
 void
-HostEmu::specWrite(GAddr a, u32 v, unsigned size)
+HostEmu::specWrite(GAddr a, u64 v, unsigned size)
 {
     if (!speculative_) {
-        switch (size) {
-          case 1: mem_->write8(a, u8(v)); return;
-          case 2: mem_->write16(a, u16(v)); return;
-          default: mem_->write32(a, v); return;
-        }
-    }
-    probePages(a, size);
-    for (unsigned i = 0; i < size; ++i)
-        specWrite8(a + i, u8(v >> (8 * i)));
-}
-
-u64
-HostEmu::specRead64(GAddr a)
-{
-    if (!speculative_ || storeBuf_.empty())
-        return mem_->read64(a);
-    u64 v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= u64(specRead8(a + i)) << (8 * i);
-    return v;
-}
-
-void
-HostEmu::specWrite64(GAddr a, u64 v)
-{
-    if (!speculative_) {
-        mem_->write64(a, v);
+        memWrite(*mem_, a, v, size);
         return;
     }
-    probePages(a, 8);
-    for (unsigned i = 0; i < 8; ++i)
-        specWrite8(a + i, u8(v >> (8 * i)));
+    probePages(a, size);
+    storeBuf_.push_back(SpecStore{a, size, v});
 }
 
 void
@@ -338,7 +328,7 @@ HostEmu::run(u32 host_pc, u64 max_insts)
             if (n >= max_insts)
                 return finish(ExitKind::Budget);
 
-            const HInst i = hdecode(cache_.word(pc));
+            const HInst i = cache_.inst(pc);
             u32 next = pc + 1;
             ++n;
             ++sinceMark_;
@@ -469,7 +459,7 @@ HostEmu::run(u32 host_pc, u64 max_insts)
               case HOp::LBU: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
                 if (tracing) { rec.memAddr = a; rec.memSize = 1; }
-                setReg(i.rd, specRead(a, 1));
+                setReg(i.rd, u32(specRead(a, 1)));
                 break;
               }
               case HOp::LH: {
@@ -481,19 +471,19 @@ HostEmu::run(u32 host_pc, u64 max_insts)
               case HOp::LHU: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
                 if (tracing) { rec.memAddr = a; rec.memSize = 2; }
-                setReg(i.rd, specRead(a, 2));
+                setReg(i.rd, u32(specRead(a, 2)));
                 break;
               }
               case HOp::LW: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
                 if (tracing) { rec.memAddr = a; rec.memSize = 4; }
-                setReg(i.rd, specRead(a, 4));
+                setReg(i.rd, u32(specRead(a, 4)));
                 break;
               }
               case HOp::LWS: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
                 if (tracing) { rec.memAddr = a; rec.memSize = 4; }
-                setReg(i.rd, specRead(a, 4));
+                setReg(i.rd, u32(specRead(a, 4)));
                 if (speculative_)
                     specLoads_.push_back(SpecLoad{a, 4});
                 break;
@@ -501,7 +491,7 @@ HostEmu::run(u32 host_pc, u64 max_insts)
               case HOp::FLD: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
                 if (tracing) { rec.memAddr = a; rec.memSize = 8; }
-                u64 b = specRead64(a);
+                u64 b = specRead(a, 8);
                 double d;
                 __builtin_memcpy(&d, &b, 8);
                 fpr[i.rd] = d;
@@ -510,7 +500,7 @@ HostEmu::run(u32 host_pc, u64 max_insts)
               case HOp::FLDS: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
                 if (tracing) { rec.memAddr = a; rec.memSize = 8; }
-                u64 b = specRead64(a);
+                u64 b = specRead(a, 8);
                 double d;
                 __builtin_memcpy(&d, &b, 8);
                 fpr[i.rd] = d;
@@ -555,7 +545,7 @@ HostEmu::run(u32 host_pc, u64 max_insts)
                 u64 b;
                 double d = fpr[i.rs2];
                 __builtin_memcpy(&b, &d, 8);
-                specWrite64(a, b);
+                specWrite(a, b, 8);
                 break;
               }
 
@@ -580,7 +570,9 @@ HostEmu::run(u32 host_pc, u64 max_insts)
               }
               case HOp::FLDL: {
                 u32 a = gpr[i.rs1] + u32(i.imm);
-                darco_assert(a + 8 <= localMem_.size());
+                // u64 arithmetic: a + 8 must not wrap near 2^32.
+                darco_assert(u64(a) + 8 <= localMem_.size(),
+                             "local mem OOB read");
                 if (tracing) {
                     rec.memAddr = 0xf800'0000u + a;
                     rec.memSize = 8;
@@ -592,7 +584,8 @@ HostEmu::run(u32 host_pc, u64 max_insts)
               }
               case HOp::FSTL: {
                 u32 a = gpr[i.rs1] + u32(i.imm);
-                darco_assert(a + 8 <= localMem_.size());
+                darco_assert(u64(a) + 8 <= localMem_.size(),
+                             "local mem OOB write");
                 if (tracing) {
                     rec.memAddr = 0xf800'0000u + a;
                     rec.memSize = 8;
@@ -699,8 +692,8 @@ HostEmu::run(u32 host_pc, u64 max_insts)
                 break;
 
               case HOp::COMMIT:
-                for (const auto &[a, v] : storeBuf_)
-                    mem_->write8(a, v);
+                for (const SpecStore &s : storeBuf_)
+                    memWrite(*mem_, s.addr, s.value, s.size);
                 storeBuf_.clear();
                 specLoads_.clear();
                 speculative_ = false;

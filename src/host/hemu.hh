@@ -8,12 +8,16 @@
  * table, assert rollback, and the IBTC probe. Every control exit
  * (EXITB, IBTC miss, assert/alias failure, page miss, division fault)
  * returns to TOL with a populated ExitInfo.
+ *
+ * Gated stores live in a program-order store buffer: one entry per
+ * store instruction. A load inside the region reads memory and then
+ * forwards, byte by byte, from the entries that overlap it, oldest
+ * first; COMMIT replays the entries in order.
  */
 
 #ifndef DARCO_HOST_HEMU_HH
 #define DARCO_HOST_HEMU_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/config.hh"
@@ -183,14 +187,10 @@ class HostEmu
     /** Discard speculative state and restore the checkpoint. */
     void rollback();
 
-    /** Buffered (gated) store of one byte. */
-    void specWrite8(GAddr a, u8 v);
-    /** Read through the store buffer. */
-    u8 specRead8(GAddr a);
-    u32 specRead(GAddr a, unsigned size);
-    void specWrite(GAddr a, u32 v, unsigned size);
-    u64 specRead64(GAddr a);
-    void specWrite64(GAddr a, u64 v);
+    /** Guest load of 1, 2, 4 or 8 bytes, through the store buffer. */
+    u64 specRead(GAddr a, unsigned size);
+    /** Guest store of 1, 2, 4 or 8 bytes, gated while speculative. */
+    void specWrite(GAddr a, u64 v, unsigned size);
 
     /** Raise PageMiss if the page backing [a, a+size) is absent. */
     void probePages(GAddr a, unsigned size);
@@ -205,7 +205,14 @@ class HostEmu
     // Speculative region state.
     bool speculative_ = false;
     HostContext ckpt_;
-    std::unordered_map<GAddr, u8> storeBuf_;
+    /** One gated store; value holds its bytes little-endian. */
+    struct SpecStore
+    {
+        GAddr addr;
+        u32 size;
+        u64 value;
+    };
+    std::vector<SpecStore> storeBuf_; //!< program order
     struct SpecLoad
     {
         GAddr addr;

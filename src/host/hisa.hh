@@ -148,6 +148,13 @@ struct HInst
     s32 imm = 0;
 
     const HOpInfo &info() const { return hopInfo(op); }
+
+    bool
+    operator==(const HInst &o) const
+    {
+        return op == o.op && rd == o.rd && rs1 == o.rs1 && rs2 == o.rs2 &&
+               imm == o.imm;
+    }
 };
 
 /** Encode to a 32-bit word. */

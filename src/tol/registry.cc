@@ -22,7 +22,6 @@ TranslationRegistry::TranslationRegistry(host::CodeCache &cache,
 u32
 TranslationRegistry::add(Translation t)
 {
-    std::unique_lock<std::shared_mutex> g(mu_);
     u32 tid = u32(trans_.size());
     entryMap_[t.entry] = tid;
     hostPcMap_[t.hostPc] = tid;
@@ -44,7 +43,6 @@ TranslationRegistry::add(Translation t)
 void
 TranslationRegistry::unmapEntry(u32 tid)
 {
-    std::unique_lock<std::shared_mutex> g(mu_);
     const Translation &t = trans_[tid];
     auto it = entryMap_.find(t.entry);
     if (it != entryMap_.end() && it->second == tid)
@@ -54,7 +52,6 @@ TranslationRegistry::unmapEntry(u32 tid)
 u32
 TranslationRegistry::lookup(GAddr entry) const
 {
-    std::shared_lock<std::shared_mutex> g(mu_);
     auto it = entryMap_.find(entry);
     return it == entryMap_.end() ? npos : it->second;
 }
@@ -62,7 +59,6 @@ TranslationRegistry::lookup(GAddr entry) const
 u32
 TranslationRegistry::atHostBase(u32 host_pc) const
 {
-    std::shared_lock<std::shared_mutex> g(mu_);
     auto it = hostPcMap_.find(host_pc);
     return it == hostPcMap_.end() ? npos : it->second;
 }
@@ -70,7 +66,6 @@ TranslationRegistry::atHostBase(u32 host_pc) const
 u32
 TranslationRegistry::addExit(const GlobalExit &ge)
 {
-    std::unique_lock<std::shared_mutex> g(mu_);
     exits_.push_back(ge);
     return u32(exits_.size()) - 1;
 }
@@ -78,7 +73,6 @@ TranslationRegistry::addExit(const GlobalExit &ge)
 void
 TranslationRegistry::chain(u32 from_tid, u32 exit_idx, u32 to_tid)
 {
-    std::unique_lock<std::shared_mutex> g(mu_);
     Translation &from = trans_[from_tid];
     Translation &to = trans_[to_tid];
     ExitDesc &d = from.exits[exit_idx];
@@ -100,13 +94,6 @@ TranslationRegistry::chain(u32 from_tid, u32 exit_idx, u32 to_tid)
 
 u32
 TranslationRegistry::invalidate(u32 tid)
-{
-    std::unique_lock<std::shared_mutex> g(mu_);
-    return invalidateLocked(tid);
-}
-
-u32
-TranslationRegistry::invalidateLocked(u32 tid)
 {
     Translation &t = trans_[tid];
     if (!t.valid)
@@ -187,9 +174,8 @@ TranslationRegistry::invalidateLocked(u32 tid)
 u32
 TranslationRegistry::evict(u32 tid)
 {
-    std::unique_lock<std::shared_mutex> g(mu_);
     u32 words = trans_[tid].words;
-    u32 unchained = invalidateLocked(tid);
+    u32 unchained = invalidate(tid);
     stats_.counter("cc.evictions").inc();
     stats_.counter("cc.evict_unchains").inc(unchained);
     stats_.counter("cc.bytes_reclaimed").inc(u64(words) * 4);
@@ -204,7 +190,6 @@ TranslationRegistry::evict(u32 tid)
 void
 TranslationRegistry::clear()
 {
-    std::unique_lock<std::shared_mutex> g(mu_);
     trans_.clear();
     entryMap_.clear();
     hostPcMap_.clear();
@@ -219,7 +204,6 @@ TranslationRegistry::clear()
 u32
 TranslationRegistry::pickVictim(u32 pinned0, u32 pinned1)
 {
-    std::unique_lock<std::shared_mutex> g(mu_);
     u32 n = u32(clock_.size());
     if (n == 0)
         return npos;
@@ -250,7 +234,6 @@ TranslationRegistry::pickVictim(u32 pinned0, u32 pinned1)
 std::string
 TranslationRegistry::checkInvariants() const
 {
-    std::shared_lock<std::shared_mutex> g(mu_);
     std::ostringstream os;
     for (u32 tid = 0; tid < trans_.size(); ++tid) {
         const Translation &t = trans_[tid];

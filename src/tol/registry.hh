@@ -23,23 +23,17 @@
  * design choice: Tol decides *when* to evict or flush; the registry
  * knows *how*.
  *
- * Thread safety: every structural operation (add/lookup/chain/
- * invalidate/evict/clear/clock) takes an internal shared_mutex —
- * lookups and invariant checks share, mutations are exclusive. This
- * is the atomic-publish point for the async translator: a region's
- * code-cache words are fully stored before add() makes the entry
- * visible, so any thread that observes the tid through lookup() also
- * observes the finished region. get()/exit() hand out references
- * into growable tables and are therefore reserved for the owning
- * (main/publish) thread; worker threads must restrict themselves to
- * the locked query surface. Lock ordering: registry before code
- * cache (the cache never calls back into the registry).
+ * Thread safety: none. The registry, like the code cache it patches,
+ * belongs to the simulation thread: the dispatch loop, retirement
+ * accounting and the async publish point all run there. Async
+ * translator workers only prepare regions from inputs frozen at
+ * enqueue and never reach the registry; the translator's job queue
+ * is the one structure the two sides share (see DESIGN.md).
  */
 
 #ifndef DARCO_TOL_REGISTRY_HH
 #define DARCO_TOL_REGISTRY_HH
 
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -128,19 +122,12 @@ class TranslationRegistry
 
     /**
      * Attach the event tracer (cc.install/chain/invalidate/evict/
-     * flush instants); null detaches. Mutations happen on the
-     * main/publish thread only, and the tracer's own lock is a leaf,
-     * so emitting under mu_ is safe.
+     * flush instants); null detaches.
      */
     void setTracer(obs::Tracer *t) { trace_ = t; }
 
     /** tid the next add() will return (exit descriptors need it). */
-    u32
-    nextTid() const
-    {
-        std::shared_lock<std::shared_mutex> g(mu_);
-        return u32(trans_.size());
-    }
+    u32 nextTid() const { return u32(trans_.size()); }
 
     /** Register an installed translation (maps entry and host base). */
     u32 add(Translation t);
@@ -154,41 +141,25 @@ class TranslationRegistry
     u32 lookup(GAddr entry) const;
     u32 atHostBase(u32 host_pc) const;
 
-    /** Owning-thread only: references into a growable table. */
+    /** References into a growable table: add() may move them. */
     Translation &get(u32 tid) { return trans_[tid]; }
     const Translation &get(u32 tid) const { return trans_[tid]; }
 
     bool
     valid(u32 tid) const
     {
-        std::shared_lock<std::shared_mutex> g(mu_);
         return tid < trans_.size() && trans_[tid].valid;
     }
 
     /** Currently-installed translations (flushes/evictions excluded). */
-    std::size_t
-    liveCount() const
-    {
-        std::shared_lock<std::shared_mutex> g(mu_);
-        return live_;
-    }
+    std::size_t liveCount() const { return live_; }
     /** All tids handed out this cache generation. */
-    std::size_t
-    totalCount() const
-    {
-        std::shared_lock<std::shared_mutex> g(mu_);
-        return trans_.size();
-    }
+    std::size_t totalCount() const { return trans_.size(); }
 
     // --- global exit table ---------------------------------------------
-    u32
-    exitCount() const
-    {
-        std::shared_lock<std::shared_mutex> g(mu_);
-        return u32(exits_.size());
-    }
+    u32 exitCount() const { return u32(exits_.size()); }
     u32 addExit(const GlobalExit &ge);
-    /** Owning-thread only (reference into a growable table). */
+    /** Reference into a growable table: addExit() may move it. */
     const GlobalExit &exit(u32 id) const { return exits_[id]; }
 
     // --- chaining -------------------------------------------------------
@@ -220,7 +191,6 @@ class TranslationRegistry
     void
     touch(u32 tid)
     {
-        std::unique_lock<std::shared_mutex> g(mu_);
         if (tid < trans_.size())
             trans_[tid].refBit = true;
     }
@@ -242,11 +212,6 @@ class TranslationRegistry
     std::string checkInvariants() const;
 
   private:
-    /** invalidate() body; caller holds mu_ exclusively (lets evict()
-     *  wrap it without recursive locking). */
-    u32 invalidateLocked(u32 tid);
-
-    mutable std::shared_mutex mu_;
     host::CodeCache &cache_;
     host::IbtcTable &ibtc_;
     StatGroup &stats_;

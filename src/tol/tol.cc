@@ -372,17 +372,12 @@ Tol::poolIndex(double v)
 // Decode & BB discovery
 // ---------------------------------------------------------------------
 
-GInst
+const GInst &
 Tol::fetchGuest(GAddr pc)
 {
-    auto it = decodeCache_.find(pc);
-    if (it != decodeCache_.end())
-        return it->second;
     for (;;) {
         try {
-            GInst gi = fetchInst(curMem(), pc);
-            decodeCache_.emplace(pc, gi);
-            return gi;
+            return decode_.fetch(curMem(), pc);
         } catch (const PageMiss &pm) {
             servicePageMiss(pm.page);
         }
@@ -400,7 +395,7 @@ Tol::getBB(GAddr entry)
     bb.entry = entry;
     GAddr pc = entry;
     for (u32 n = 0; n < maxBbInsts_; ++n) {
-        GInst gi = fetchGuest(pc);
+        const GInst &gi = fetchGuest(pc);
         if (gi.rep) {
             // Complex string instruction: handled by IM (the paper's
             // "corner cases moved up to the software layer").
@@ -500,7 +495,7 @@ Tol::handleSyscall()
         cont = env_->syscall(cur_, c.insts);
     } else {
         // Standalone mode: run the core's deterministic OS model.
-        GInst gi = fetchGuest(c.state.pc);
+        const GInst &gi = fetchGuest(c.state.pc);
         auto eff = c.os.execute(c.state, curMem(), gi.length);
         cont = !eff.exited;
         if (eff.exited && cur_ == 0)
@@ -549,7 +544,7 @@ Tol::interpretStep()
     // path attributes its own instruction in handleSyscall).
     u64 bbvBefore = completedInsts_;
     for (;;) {
-        GInst gi = fetchGuest(core.state.pc);
+        const GInst &gi = fetchGuest(core.state.pc);
         ExecOut out;
         for (;;) {
             try {

@@ -41,6 +41,7 @@
 
 #include "common/config.hh"
 #include "common/stats.hh"
+#include "guest/decode_cache.hh"
 #include "guest/memory.hh"
 #include "guest/state.hh"
 #include "host/code_cache.hh"
@@ -301,7 +302,7 @@ class Tol : public host::RetireSink
 
   private:
     // --- decode / BB cache ------------------------------------------------
-    guest::GInst fetchGuest(GAddr pc);
+    const guest::GInst &fetchGuest(GAddr pc);
     BBInfo &getBB(GAddr entry);
 
     // --- execution ---------------------------------------------------------
@@ -459,7 +460,7 @@ class Tol : public host::RetireSink
     u64 completedBBs_ = 0;
     u64 runTarget_ = ~0ull;
 
-    std::unordered_map<GAddr, guest::GInst> decodeCache_;
+    guest::DecodeCache decode_;
     std::unordered_map<GAddr, BBInfo> bbCache_;
 
     struct SBFlags

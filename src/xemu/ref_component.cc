@@ -30,7 +30,7 @@ RefComponent::restore(snapshot::Deserializer &d)
     bbCount_ = d.r64();
     finished_ = d.rbool();
     exitCode_ = d.r32();
-    decodeCache_.clear();
+    decode_.clear();
     lastDirtied_.clear();
 }
 
@@ -58,21 +58,11 @@ RefComponent::load(const Program &prog)
 {
     mem_ = PagedMemory(MissPolicy::AllocateZero);
     state_ = prog.load(mem_);
-    decodeCache_.clear();
+    decode_.clear();
     instCount_ = 0;
     bbCount_ = 0;
     finished_ = false;
     exitCode_ = 0;
-}
-
-const GInst &
-RefComponent::fetch(GAddr pc)
-{
-    auto it = decodeCache_.find(pc);
-    if (it != decodeCache_.end())
-        return it->second;
-    GInst inst = fetchInst(mem_, pc);
-    return decodeCache_.emplace(pc, inst).first->second;
 }
 
 bool
@@ -81,7 +71,7 @@ RefComponent::step()
     if (finished_)
         return false;
 
-    const GInst &inst = fetch(state_.pc);
+    const GInst &inst = decode_.fetch(mem_, state_.pc);
 
     ExecOut out = execInst(inst, state_, mem_);
     while (out.status == ExecStatus::Again)

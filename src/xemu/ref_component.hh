@@ -12,9 +12,8 @@
 #ifndef DARCO_XEMU_REF_COMPONENT_HH
 #define DARCO_XEMU_REF_COMPONENT_HH
 
-#include <unordered_map>
-
 #include "common/stats.hh"
+#include "guest/decode_cache.hh"
 #include "guest/program.hh"
 #include "guest/semantics.hh"
 #include <iosfwd>
@@ -94,12 +93,10 @@ class RefComponent
     void restore(snapshot::Deserializer &d);
 
   private:
-    const guest::GInst &fetch(GAddr pc);
-
     guest::PagedMemory mem_{guest::MissPolicy::AllocateZero};
     guest::CpuState state_;
     GuestOS os_;
-    std::unordered_map<GAddr, guest::GInst> decodeCache_;
+    guest::DecodeCache decode_;
 
     u64 instCount_ = 0;
     u64 bbCount_ = 0;

@@ -16,8 +16,7 @@
  *   concurrent_translator category overlap with guest execution in
  *   the trace-driven core instead of stretching the critical path;
  * - AsyncTranslator unit behavior: virtual-time publish order,
- *   queue-bound accounting, drain;
- * - registry/code-cache thread-safety hammers (the TSan targets).
+ *   queue-bound accounting, drain.
  */
 
 #include <gtest/gtest.h>
@@ -27,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "host/hemu.hh"
 #include "sim/controller.hh"
 #include "timing/core.hh"
 #include "tol/async.hh"
@@ -398,101 +396,4 @@ TEST(AsyncTranslatorUnit, WorkerExceptionSurfacesAtPublish)
     auto due = at.takeDue(1);
     ASSERT_EQ(due.size(), 1u);
     EXPECT_EQ(due[0]->verifyError, "verifier rejected region");
-}
-
-// ---------------------------------------------------------------------
-// Registry / code-cache thread-safety hammers (TSan targets)
-// ---------------------------------------------------------------------
-
-TEST(RegistryConcurrency, LookupsRaceMutations)
-{
-    host::CodeCache cache(1u << 16);
-    host::IbtcTable ibtc(64);
-    StatGroup stats("hammer");
-    tol::TranslationRegistry reg(cache, ibtc, stats);
-
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> readers;
-    for (int t = 0; t < 4; ++t) {
-        readers.emplace_back([&reg, &stop, t] {
-            u64 sink = 0;
-            unsigned iter = 0;
-            while (!stop.load(std::memory_order_relaxed)) {
-                sink += reg.lookup(GAddr(0x1000 + (t % 8) * 0x40));
-                sink += reg.liveCount() + reg.totalCount();
-                sink += reg.valid(u32(sink % 97));
-                sink += reg.atHostBase(u32(sink % 1024));
-                if (++iter % 16 == 0) {
-                    sink += reg.checkInvariants().size();
-                    // shared_mutex gives no writer-progress guarantee
-                    // against back-to-back readers; briefly pause so
-                    // the mutating thread gets exclusive windows.
-                    std::this_thread::sleep_for(
-                        std::chrono::microseconds(50));
-                }
-            }
-            EXPECT_GE(sink, 0u);
-        });
-    }
-
-    // Main thread: install/invalidate churn, as the publish path does.
-    std::vector<u32> words(24, 0xdeadbeefu);
-    for (int round = 0; round < 200; ++round) {
-        std::vector<u32> tids;
-        for (int i = 0; i < 8; ++i) {
-            u32 base = cache.install(words);
-            ASSERT_NE(base, host::CodeCache::npos);
-            tol::Translation tr;
-            tr.entry = GAddr(0x1000 + i * 0x40);
-            tr.mode = tol::RegionMode::BB;
-            tr.hostPc = base;
-            tr.words = u32(words.size());
-            tids.push_back(reg.add(std::move(tr)));
-            reg.touch(tids.back());
-        }
-        for (u32 tid : tids)
-            reg.invalidate(tid);
-        if (round % 50 == 0) {
-            cache.flush();
-            reg.clear();
-        }
-    }
-    stop.store(true);
-    for (auto &t : readers)
-        t.join();
-    EXPECT_TRUE(reg.checkInvariants().empty());
-}
-
-TEST(CodeCacheConcurrency, WordReadersRaceInstalls)
-{
-    host::CodeCache cache(4096);
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> readers;
-    for (int t = 0; t < 4; ++t) {
-        readers.emplace_back([&cache, &stop] {
-            u64 sink = 0;
-            u32 idx = 1;
-            while (!stop.load(std::memory_order_relaxed)) {
-                idx = (idx * 2654435761u) % cache.capacity();
-                sink += cache.word(idx);
-            }
-            EXPECT_GE(sink, 0u);
-        });
-    }
-
-    std::vector<u32> region(64);
-    for (int round = 0; round < 2000; ++round) {
-        for (std::size_t i = 0; i < region.size(); ++i)
-            region[i] = u32(round * 131 + i);
-        u32 base = cache.install(region);
-        if (base == host::CodeCache::npos) {
-            cache.flush();
-            continue;
-        }
-        if (round % 3 == 0)
-            cache.release(base, u32(region.size()));
-    }
-    stop.store(true);
-    for (auto &t : readers)
-        t.join();
 }

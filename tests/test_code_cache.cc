@@ -1,17 +1,24 @@
 /**
  * @file
  * Unit tests for the region-allocating code cache (first-fit free
- * list, coalescing release, flush) and the IBTC host-range
- * invalidation that region eviction relies on.
+ * list, coalescing release, flush), the coherence of its predecoded
+ * instructions with its words across chain/unchain patches and reuse,
+ * and the IBTC host-range invalidation that region eviction relies on.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
+#include "common/stats.hh"
+#include "guest/memory.hh"
 #include "host/code_cache.hh"
 #include "host/hemu.hh"
+#include "tol/registry.hh"
 
 using namespace darco;
 using darco::host::CodeCache;
+using darco::host::HAsm;
+using darco::host::HOp;
 using darco::host::IbtcTable;
 
 TEST(CodeCache, AllocFirstFit)
@@ -120,4 +127,101 @@ TEST(IbtcTable, InvalidateHostRange)
     EXPECT_TRUE(t.lookup(0x1000, hp));
     EXPECT_FALSE(t.lookup(0x2000, hp));
     EXPECT_TRUE(t.lookup(0x2004, hp));
+}
+
+namespace
+{
+
+/** Every word in [base, base+n) matches its predecoded instruction. */
+void
+expectCoherent(const CodeCache &cc, u32 base, u32 n)
+{
+    for (u32 i = base; i < base + n; ++i)
+        EXPECT_TRUE(cc.inst(i) == host::hdecode(cc.word(i))) << "word " << i;
+}
+
+/** `r<rd> = imm; exitb exit_id` as an installed translation. */
+u32
+addRegion(CodeCache &cc, tol::TranslationRegistry &reg, GAddr entry,
+          u8 rd, s32 imm, u32 exit_id)
+{
+    HAsm a;
+    a.emit(HOp::ADDI, rd, 0, 0, imm);
+    a.emit(HOp::EXITB, 0, 0, 0, s32(exit_id));
+    u32 base = cc.install(a.words());
+    EXPECT_NE(base, CodeCache::npos);
+    tol::Translation t;
+    t.entry = entry;
+    t.hostPc = base;
+    t.words = a.size();
+    t.exitIdBase = exit_id;
+    tol::ExitDesc d;
+    d.siteWord = base + 1;
+    t.exits.push_back(d);
+    u32 tid = reg.nextTid();
+    EXPECT_EQ(reg.addExit(tol::GlobalExit{tid, 0, false, 0}), exit_id);
+    EXPECT_EQ(reg.add(std::move(t)), tid);
+    return tid;
+}
+
+} // namespace
+
+TEST(CodeCache, InstallRejectsBadOpcode)
+{
+    CodeCache cc(64);
+    EXPECT_THROW(cc.install({0xff00'0000u}), PanicError);
+}
+
+TEST(CodeCache, PredecodeFollowsChainUnchainReuseAndFlush)
+{
+    CodeCache cc(256);
+    IbtcTable ibtc(64);
+    StatGroup stats("cc");
+    tol::TranslationRegistry reg(cc, ibtc, stats);
+    guest::PagedMemory mem;
+    host::HostEmu emu(cc, mem);
+
+    u32 a = addRegion(cc, reg, 0x1000, 15, 1, 0);
+    u32 b = addRegion(cc, reg, 0x2000, 16, 2, 1);
+    u32 a_pc = reg.get(a).hostPc, b_pc = reg.get(b).hostPc;
+    ASSERT_EQ(b_pc, a_pc + 2);
+    expectCoherent(cc, a_pc, 4);
+
+    // Chain a's exit into b: the EXITB site becomes a J.
+    reg.chain(a, 0, b);
+    EXPECT_EQ(cc.inst(a_pc + 1).op, HOp::J);
+    expectCoherent(cc, a_pc, 4);
+    auto e = emu.run(a_pc);
+    ASSERT_EQ(e.kind, host::ExitKind::Exit);
+    EXPECT_EQ(e.exitId, 1u) << "followed the chain into b";
+    EXPECT_EQ(emu.ctx().gpr[16], 2u);
+
+    // Invalidating b unchains a: the same site is an EXITB again.
+    reg.invalidate(b);
+    EXPECT_EQ(cc.inst(a_pc + 1).op, HOp::EXITB);
+    expectCoherent(cc, a_pc, 2);
+    emu.ctx().gpr[16] = 0;
+    e = emu.run(a_pc);
+    ASSERT_EQ(e.kind, host::ExitKind::Exit);
+    EXPECT_EQ(e.exitId, 0u) << "left through the restored EXITB";
+    EXPECT_EQ(emu.ctx().gpr[16], 0u);
+    EXPECT_TRUE(reg.checkInvariants().empty());
+
+    // b's released words are reused by the next install.
+    u32 c = addRegion(cc, reg, 0x3000, 17, 3, 2);
+    EXPECT_EQ(reg.get(c).hostPc, b_pc);
+    expectCoherent(cc, b_pc, 2);
+    e = emu.run(b_pc);
+    EXPECT_EQ(e.exitId, 2u);
+    EXPECT_EQ(emu.ctx().gpr[17], 3u);
+
+    // After a flush the next install lands on word 0 again.
+    cc.flush();
+    reg.clear();
+    u32 d = addRegion(cc, reg, 0x4000, 18, 4, 0);
+    EXPECT_EQ(reg.get(d).hostPc, 0u);
+    expectCoherent(cc, 0, 4);
+    e = emu.run(0);
+    EXPECT_EQ(e.exitId, 0u);
+    EXPECT_EQ(emu.ctx().gpr[18], 4u);
 }

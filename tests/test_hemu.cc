@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.hh"
 #include "guest/semantics.hh"
@@ -482,4 +483,138 @@ TEST(HostEmu, TrigExpansionConstantsMatchGsin)
     r.run(r.install(a));
     EXPECT_EQ(r.emu.ctx().fpr[11], guest::gsin(x))
         << "expansion must be bit-exact";
+}
+
+TEST(HostEmu, LocalFpAccessNearTopOfAddressSpaceIsRejected)
+{
+    // a + 8 wraps to 4 in u32 arithmetic; the bounds check must not.
+    for (HOp op : {HOp::FLDL, HOp::FSTL}) {
+        HostRig r;
+        HAsm a;
+        a.loadImm(15, 0xfffffffcu);
+        if (op == HOp::FLDL)
+            a.emit(HOp::FLDL, 8, 15, 0, 0);
+        else
+            a.emit(HOp::FSTL, 0, 15, 8, 0);
+        a.emit(HOp::EXITB, 0, 0, 0, 0);
+        u32 pc = r.install(a);
+        EXPECT_THROW(r.run(pc), PanicError) << hopInfo(op).name;
+    }
+}
+
+namespace
+{
+
+constexpr GAddr mixBase = 0x3000;
+
+/** A recognisable byte pattern over the pages the store mix touches. */
+void
+fillPattern(guest::PagedMemory &mem)
+{
+    for (GAddr p = mixBase; p < mixBase + 2 * pageSizeBytes; ++p)
+        mem.write8(p, u8(p * 7 + 3));
+}
+
+/**
+ * Mixed-width, overlapping stores, each read back before the next
+ * overlapping one: SB into a pending SW, SW partly over FST, a SW
+ * across a page boundary, two stores to one byte, and loads only
+ * partly covered by earlier stores. With `region` the mix runs inside
+ * CKPT/COMMIT; with `fail` an assert fails before the COMMIT.
+ */
+HAsm
+storeMix(bool region, bool fail)
+{
+    HAsm a;
+    if (region)
+        a.emit(HOp::CKPT);
+    a.loadImm(15, mixBase);
+    a.loadImm(16, 0x11223344u);
+    a.loadImm(17, 0xaabbccddu);
+    a.emit(HOp::FLDC, 8, 0, 0, 0);
+    // SB into a pending SW.
+    a.emit(HOp::SW, 0, 15, 16, 0);
+    a.emit(HOp::SB, 0, 15, 17, 1);
+    a.emit(HOp::LW, 18, 15, 0, 0);
+    a.emit(HOp::LHU, 19, 15, 0, 1);
+    a.emit(HOp::LW, 20, 15, 0, 2); // half buffered, half memory
+    // SW partly over FST.
+    a.emit(HOp::FST, 0, 15, 8, 8);
+    a.emit(HOp::SW, 0, 15, 16, 14);
+    a.emit(HOp::FLD, 9, 15, 0, 8);
+    a.emit(HOp::LW, 21, 15, 0, 12);
+    a.emit(HOp::LW, 22, 15, 0, 16);
+    // A SW across the page boundary.
+    a.loadImm(23, mixBase + pageSizeBytes - 2);
+    a.emit(HOp::SW, 0, 23, 17, 0);
+    a.emit(HOp::LW, 24, 23, 0, 0);
+    a.emit(HOp::LHU, 25, 23, 0, 2);
+    a.emit(HOp::LW, 26, 23, 0, -1);
+    // Two stores to one byte; the later one wins.
+    a.emit(HOp::SB, 0, 15, 16, 0x40);
+    a.emit(HOp::SB, 0, 15, 17, 0x40);
+    a.emit(HOp::LBU, 27, 15, 0, 0x40);
+    a.emit(HOp::LW, 28, 15, 0, 0x3e);
+    if (fail)
+        a.emit(HOp::ASSERTNZ, 0, 0, 0, 9);
+    if (region)
+        a.emit(HOp::COMMIT);
+    a.emit(HOp::EXITB, 0, 0, 0, 0);
+    return a;
+}
+
+/** Run the store mix on a fresh rig. */
+void
+runStoreMix(HostRig &r, bool region, bool fail, ExitKind want)
+{
+    fillPattern(r.mem);
+    u64 bits = 0x0102030405060708ull;
+    double d;
+    std::memcpy(&d, &bits, 8);
+    r.emu.fpPool().push_back(d);
+    auto e = r.run(r.install(storeMix(region, fail)));
+    ASSERT_EQ(e.kind, want);
+}
+
+void
+expectSameMemory(guest::PagedMemory &a, guest::PagedMemory &b)
+{
+    for (GAddr p = mixBase; p < mixBase + 2 * pageSizeBytes; ++p)
+        ASSERT_EQ(a.read8(p), b.read8(p)) << std::hex << p;
+}
+
+} // namespace
+
+TEST(HostEmu, StoreBufferMatchesUngatedExecution)
+{
+    HostRig plain, gated;
+    runStoreMix(plain, false, false, ExitKind::Exit);
+    runStoreMix(gated, true, false, ExitKind::Exit);
+    for (unsigned i = 0; i < numHRegs; ++i)
+        EXPECT_EQ(gated.emu.ctx().gpr[i], plain.emu.ctx().gpr[i]) << i;
+    for (unsigned i = 0; i < numHFRegs; ++i) {
+        u64 g, p;
+        std::memcpy(&g, &gated.emu.ctx().fpr[i], 8);
+        std::memcpy(&p, &plain.emu.ctx().fpr[i], 8);
+        EXPECT_EQ(g, p) << i;
+    }
+    expectSameMemory(gated.mem, plain.mem);
+
+    // Spot-check the forwarding itself, not just the agreement.
+    const auto &g = gated.emu.ctx().gpr;
+    EXPECT_EQ(g[18], 0x1122dd44u);
+    EXPECT_EQ(g[19], 0x22ddu);
+    EXPECT_EQ(g[27], 0xddu);
+    EXPECT_EQ(gated.mem.read32(mixBase + pageSizeBytes - 2), 0xaabbccddu);
+}
+
+TEST(HostEmu, StoreBufferRollbackLeavesMemoryUntouched)
+{
+    HostRig untouched, failed;
+    fillPattern(untouched.mem);
+    runStoreMix(failed, true, true, ExitKind::AssertFail);
+    expectSameMemory(failed.mem, untouched.mem);
+    for (unsigned i = 0; i < numHRegs; ++i)
+        EXPECT_EQ(failed.emu.ctx().gpr[i], 0u) << i;
+    EXPECT_EQ(failed.emu.rollbacks(), 1u);
 }

@@ -1,7 +1,8 @@
 /**
  * @file
  * GISA instruction-semantics tests: flag computation, ALU results,
- * addressing, string ops, FP determinism, restartability.
+ * addressing, string ops, FP determinism, restartability, fetch and
+ * the decode cache.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "guest/decode_cache.hh"
 #include "guest/semantics.hh"
 
 using namespace darco;
@@ -572,4 +574,45 @@ TEST(Semantics, FetchInstUndecodableFaults)
     PagedMemory mem;
     mem.write8(0x1000, 0xf5); // invalid opcode
     EXPECT_THROW(fetchInst(mem, 0x1000), GuestFault);
+}
+
+TEST(DecodeCache, PageMissCachesNothingAndClearForgets)
+{
+    // An instruction straddling into a page the memory does not hold
+    // yet: the fetch misses, then decodes once the page arrives.
+    GInst i;
+    i.op = GOp::MOV_RI;
+    i.rd = RAX;
+    i.imm = 0x01020304;
+    u8 buf[16];
+    std::size_t n = encode(i, buf);
+    GAddr pc = 2 * pageSizeBytes - 2;
+    PagedMemory image;
+    image.writeBlock(pc, buf, n);
+    PagedMemory mem(MissPolicy::Signal);
+    mem.installPage(pageSizeBytes, image.page(pageSizeBytes));
+
+    DecodeCache dc;
+    try {
+        dc.fetch(mem, pc);
+        FAIL() << "expected a page miss";
+    } catch (const PageMiss &pm) {
+        EXPECT_EQ(pm.page, 2 * pageSizeBytes);
+    }
+    mem.installPage(2 * pageSizeBytes, image.page(2 * pageSizeBytes));
+    const GInst &out = dc.fetch(mem, pc);
+    EXPECT_EQ(out.op, GOp::MOV_RI);
+    EXPECT_EQ(out.imm, 0x01020304);
+    EXPECT_EQ(out.length, n);
+
+    // Cached: later fetches return the same decode without reading
+    // memory, until clear().
+    i.imm = 7;
+    encode(i, buf);
+    mem.writeBlock(pc, buf, n);
+    dc.fetch(mem, 2 * pageSizeBytes + 16); // switch pages and back
+    EXPECT_EQ(&dc.fetch(mem, pc), &out);
+    EXPECT_EQ(out.imm, 0x01020304);
+    dc.clear();
+    EXPECT_EQ(dc.fetch(mem, pc).imm, 7);
 }
