@@ -319,16 +319,6 @@ writeCheckpointBytes(const std::string &dir, const std::string &path,
 namespace
 {
 
-/** Serialize + tmp/rename-store a controller checkpoint. */
-bool
-storeCheckpointFile(const std::string &dir, const std::string &path,
-                    sim::Controller &ctl)
-{
-    std::ostringstream os;
-    ctl.saveCheckpoint(os);
-    return writeCheckpointBytes(dir, path, os.str());
-}
-
 /** Fill the timing/power result fields from a measured window. */
 void
 fillTimingResult(JobResult &r, const Job &job,
@@ -392,65 +382,58 @@ runJob(const Job &job, const RunOptions &opts)
         bool use_store = opts.store && job.skip > 0;
         bool use_ckpt =
             !use_store && !opts.checkpointDir.empty() && job.skip > 0;
-        if (use_store) {
-            // Content-addressed fetch-or-compute: any worker that
-            // already paid for this prefix (same execution-relevant
-            // identity) published the image; everyone else
-            // fast-forwards from it.
-            std::string key = jobKeyString(job);
+        if (use_store || use_ckpt) {
+            // Fetch-or-compute the prefix image, either from the
+            // content-addressed store (any worker that already paid
+            // for this prefix — same execution-relevant identity —
+            // published it) or from the checkpoint directory.
+            std::string key = use_store ? jobKeyString(job) : "";
+            std::string path =
+                use_ckpt ? checkpointPath(opts.checkpointDir, job) : "";
             std::string image;
-            bool restored = false;
-            if (opts.store->fetch(key, &image)) {
+            bool fetched = false;
+            if (use_store) {
+                fetched = opts.store->fetch(key, &image);
+            } else if (std::ifstream in{path, std::ios::binary}) {
+                std::ostringstream buf;
+                buf << in.rdbuf();
+                image = buf.str();
+                fetched = true;
+            }
+            if (fetched) {
                 try {
                     std::istringstream is(image);
                     ctl.restoreCheckpoint(is);
-                    restored = true;
+                    r.checkpointHit = true;
                 } catch (const snapshot::SnapshotError &) {
-                    // A bad entry is a miss: recompute and republish.
+                    // A bad entry (torn write, stale version) is a
+                    // miss, not a job failure: fall through to the
+                    // cold path, which overwrites it.
                     makeCtl();
                 }
             }
-            if (restored) {
-                r.checkpointHit = true;
-                done = job.skip;
-            } else {
+            if (!r.checkpointHit) {
                 ctl.load(job.program);
                 ctl.run(job.skip);
-                done = job.skip;
                 std::ostringstream os;
                 ctl.saveCheckpoint(os);
-                opts.store->store(key, os.str());
-                r.checkpointStored = true;
-            }
-        } else if (use_ckpt) {
-            std::string path =
-                checkpointPath(opts.checkpointDir, job);
-            bool restored = false;
-            {
-                std::ifstream in(path, std::ios::binary);
-                if (in) {
-                    try {
-                        ctl.restoreCheckpoint(in);
-                        restored = true;
-                    } catch (const snapshot::SnapshotError &) {
-                        // A bad cache entry (torn write, stale
-                        // version) is a miss, not a job failure:
-                        // fall through to the cold path, which
-                        // overwrites it.
-                        makeCtl();
-                    }
+                image = os.str();
+                if (use_store) {
+                    opts.store->store(key, image);
+                    r.checkpointStored = true;
+                } else {
+                    r.checkpointStored = writeCheckpointBytes(
+                        opts.checkpointDir, path, image);
                 }
+                // Measure a restored controller, as a hit does:
+                // restore drops chain and IBTC state, so measuring the
+                // live one would make the timing columns depend on
+                // the cache state.
+                makeCtl();
+                std::istringstream is(image);
+                ctl.restoreCheckpoint(is);
             }
-            if (restored) {
-                r.checkpointHit = true;
-                done = job.skip;
-            } else {
-                ctl.load(job.program);
-                ctl.run(job.skip);
-                done = job.skip;
-                r.checkpointStored = storeCheckpointFile(
-                    opts.checkpointDir, path, ctl);
-            }
+            done = job.skip;
         } else {
             ctl.load(job.program);
             if (job.skip > 0) {

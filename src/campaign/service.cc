@@ -411,6 +411,20 @@ struct Coordinator::Impl
                             net::sendFrame(
                                 sock,
                                 wire::encode(wire::msg::shutdown));
+                            // Let the worker close first (bounded).
+                            // Closing first resets the connection of
+                            // a worker still sleeping off a `wait`
+                            // reply: its next send then fails and it
+                            // never reads the queued shutdown.
+                            Clock::time_point until =
+                                Clock::now() +
+                                std::chrono::milliseconds(
+                                    opts.waitDelayMs + 1000);
+                            std::string ignored;
+                            while (Clock::now() < until &&
+                                   net::recvFrame(sock, ignored, 100) !=
+                                       net::RecvStatus::Eof) {
+                            }
                         } catch (const net::NetError &) {
                         }
                         break;

@@ -3,9 +3,50 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "snapshot/io.hh"
 
 namespace darco::tol
 {
+
+void
+writeRecipe(snapshot::Serializer &s, const SBRecipe &rc)
+{
+    s.wbool(rc.trip.has_value());
+    s.w8(rc.trip ? rc.trip->reg : 0);
+    s.w32(rc.trip ? rc.trip->factor : 0);
+    s.wbool(rc.end.has_value());
+    s.w8(rc.end ? u8(rc.end->kind) : 0);
+    s.w32(rc.end ? rc.end->target : 0);
+    s.w64(rc.steps.size());
+    for (const auto &[bbe, code] : rc.steps) {
+        s.w32(bbe);
+        s.w8(code);
+    }
+}
+
+SBRecipe
+readRecipe(snapshot::Deserializer &d)
+{
+    SBRecipe rc;
+    bool has_trip = d.rbool();
+    u8 trip_reg = d.r8();
+    u32 trip_factor = d.r32();
+    if (has_trip)
+        rc.trip = TripCheck{trip_reg, trip_factor};
+    bool has_end = d.rbool();
+    u8 end_kind = d.r8();
+    GAddr end_target = d.r32();
+    if (has_end)
+        rc.end = Frontend::EndSpec{ExitKind(end_kind), end_target};
+    u64 nsteps = d.r64();
+    if (nsteps == 0)
+        throw snapshot::SnapshotError("superblock recipe has no steps");
+    for (u64 k = 0; k < nsteps; ++k) {
+        GAddr bbe = d.r32();
+        rc.steps.emplace_back(bbe, d.r8());
+    }
+    return rc;
+}
 
 AsyncTranslator::AsyncTranslator(u32 threads, u32 queue_cap,
                                  PrepareFn prepare)

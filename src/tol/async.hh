@@ -56,46 +56,57 @@
 #include "tol/ir.hh"
 #include "tol/regalloc.hh"
 
+namespace darco::snapshot
+{
+class Serializer;
+class Deserializer;
+} // namespace darco::snapshot
+
 namespace darco::tol
 {
 
 /**
  * Construction recipe of a superblock: the exact BB sequence and
- * branch dispositions it was built from. Checkpoint restore replays
- * from the recipe so the rebuilt region is structurally identical to
- * the saved one — re-deriving the path from profile counters would
- * use their *end-state* values and pick different speculation/
- * unrolling decisions than the original promotion-time build,
- * changing the restored run's host instruction stream (and thus its
- * timing) persistently. An in-flight async SB job carries its recipe
- * and commits it at publish.
+ * branch dispositions it was built from, plus the unroll trip check
+ * and fall-off exit. Every superblock path is expanded from its recipe
+ * (Tol::pathFromRecipe) — for a fresh build, an async job, a
+ * checkpoint-restore replay and a restored in-flight job alike — so
+ * the rebuilt region is structurally identical to the saved one.
+ * Re-deriving the path from profile counters would use their
+ * *end-state* values and pick different speculation/unrolling
+ * decisions than the original promotion-time build, changing the
+ * restored run's host instruction stream (and thus its timing)
+ * persistently. A job commits its recipe at publish.
  */
 struct SBRecipe
 {
-    bool hasTrip = false;
-    u8 tripReg = 0;
-    u32 tripFactor = 0;
-    bool hasEnd = false;
-    u8 endKind = 0;
-    GAddr endTarget = 0;
+    std::optional<TripCheck> trip;
+    std::optional<Frontend::EndSpec> end;
     /** (BB entry, terminator BranchDisp; stepWholeBB = all of the
      *  BB's instructions, region then ends via the end spec). */
     std::vector<std::pair<GAddr, u8>> steps;
 };
 constexpr u8 stepWholeBB = 0xff;
 
+/** The one checkpoint encoding of a recipe (recipe map and in-flight
+ *  jobs alike). */
+void writeRecipe(snapshot::Serializer &s, const SBRecipe &rc);
+/** Inverse of writeRecipe; counts are bounded by the section, so a
+ *  lying step count ends in SnapshotError, never an allocation. */
+SBRecipe readRecipe(snapshot::Deserializer &d);
+
 /**
- * One translation request in flight.
+ * One translation request: the single form every translation takes,
+ * inline or async, fresh or replayed from a checkpoint.
  *
- * Inputs are frozen on the main thread at enqueue; the worker fills
- * the outputs; the main thread consumes them at the virtual publish
- * point. Nothing here aliases live runtime state, so a job can be
- * prepared on any thread at any wall-clock moment.
+ * Inputs are frozen on the main thread when the job is built; prepare
+ * fills the outputs (on a worker, or inline); the main thread consumes
+ * them at publish. Nothing here aliases live runtime state, so a job
+ * can be prepared on any thread at any wall-clock moment.
  */
 struct TranslationJob
 {
-    enum class Kind : u8 { BB, SB };
-    Kind kind = Kind::BB;
+    RegionMode mode = RegionMode::BB;
     u64 seq = 0;         //!< enqueue order (publish tie-breaker)
     u64 enqueuedAt = 0;  //!< virtual time (retired guest insts)
     u64 completesAt = 0; //!< virtual publish point
@@ -104,13 +115,12 @@ struct TranslationJob
 
     // Inputs.
     std::vector<PathElem> path;
-    std::optional<TripCheck> trip;
-    std::optional<Frontend::EndSpec> end;
-    bool profile = false; //!< BB: attach promotion instrumentation
+    /** Frontend trip/end inputs. SB: the construction record,
+     *  committed to the recipe map at publish; BB: only `end`. */
+    SBRecipe recipe;
     bool specOk = true;   //!< SB: memory speculation allowed
-    SBRecipe recipe;      //!< SB: committed to the recipe map at publish
 
-    // Outputs (written by the worker, read after takeDue()).
+    // Outputs (written by prepare, read at publish).
     Region region;
     Allocation alloc;
     u64 passWork = 0;

@@ -196,7 +196,6 @@ Profiler::restore(snapshot::Deserializer &d)
         iv.insts = d.r64();
         iv.overhead = d.r64();
         u64 ncounts = d.r64();
-        iv.counts.reserve(ncounts);
         for (u64 k = 0; k < ncounts; ++k) {
             GAddr entry = d.r32();
             iv.counts.emplace_back(entry, d.r64());

@@ -39,8 +39,7 @@ Tol::Tol(PagedMemory &mem, const Config &cfg, StatGroup &stats)
       emu_(cache_, mem, cfg),
       profiler_(emu_, profBase),
       registry_(cache_, emu_.ibtc(), stats),
-      cost_(cfg, stats),
-      frontend_(FrontendOptions{conf::getBool(cfg, "tol.fuse_flags")})
+      cost_(cfg, stats)
 {
     emu_.setRetireSink(this);
 
@@ -93,7 +92,7 @@ Tol::Tol(PagedMemory &mem, const Config &cfg, StatGroup &stats)
     if (async_threads > 0 && bbmEnabled_) {
         async_ = std::make_unique<AsyncTranslator>(
             async_threads, u32(conf::getUint(cfg, "tol.async.queue")),
-            [this](TranslationJob &j) { prepareJob(j); });
+            [this](TranslationJob &j) { prepare(j); });
     }
     u64 bbv_interval = conf::getUint(cfg, "tol.bbv_interval");
     bbvOn_ = bbv_interval != 0;
@@ -528,15 +527,10 @@ Tol::interpretStep()
         registry_.lookup(entry) == TranslationRegistry::npos &&
         !(async_ && async_->pendingFor(entry))) {
         u32 c = profiler_.bumpIm(entry);
-        if (c >= bbThreshold_) {
-            // Async: hand the hot BB to a background translator and
-            // keep interpreting it — IM covers the virtual completion
-            // window. A full queue falls back to the inline path.
-            if (!async_ || !enqueueBBAsync(bb)) {
-                translateBB(bb);
-                return; // next dispatch enters the fresh translation
-            }
-        }
+        // Async: the hot BB goes to a background translator and IM
+        // keeps interpreting it through the virtual completion window.
+        if (c >= bbThreshold_ && translate(makeJob(bb)))
+            return; // next dispatch enters the fresh translation
     }
 
     // Interpret one dynamic basic block. Everything retired before
@@ -608,8 +602,13 @@ Tol::interpretStep()
 }
 
 // ---------------------------------------------------------------------
-// Translation installation, eviction & flush
+// Translation pipeline: job -> prepare -> publish
 // ---------------------------------------------------------------------
+//
+// Every translation — inline or async, fresh or replayed from a
+// checkpoint — is a TranslationJob built from its BBInfo or SBRecipe,
+// prepared by the pure prepare() (inline or on a worker) and installed
+// by publish() on the simulation thread.
 
 void
 Tol::evictFor(u32 need, u32 pinned_tid)
@@ -666,40 +665,192 @@ prepareRegionWork(Region &region, RegionMode mode, bool opt, bool sched,
 
 } // namespace
 
-u32
-Tol::install(Region &region, RegionMode mode, bool profile,
-             GAddr prof_bb, u32 pinned_tid)
+std::unique_ptr<TranslationJob>
+Tol::makeJob(const BBInfo &bb) const
 {
-    u64 pass_work = 0;
-    u32 spec_loads = 0;
-    bool spec_ok = mode == RegionMode::SB && sched_
-                       ? specMem_ && !sbFlags_[region.entryPc].noSpec
-                       : false;
-    prepareRegionWork(region, mode, opt_, sched_, spec_ok, pass_work,
-                      spec_loads);
+    auto job = std::make_unique<TranslationJob>();
+    job->mode = RegionMode::BB;
+    job->entry = bb.entry;
+    job->path = bb.elems;
+    if (!bb.endsWithCti)
+        job->recipe.end = Frontend::EndSpec{tol::ExitKind::Interp, bb.endPc};
+    job->estCost = cost_.estBBCost(bb.elems.size());
+    return job;
+}
 
-    std::string err = verifyRegion(region);
-    darco_assert(err.empty(), "optimized region invalid: ", err);
+std::unique_ptr<TranslationJob>
+Tol::makeJob(GAddr entry, SBRecipe recipe)
+{
+    auto job = std::make_unique<TranslationJob>();
+    job->mode = RegionMode::SB;
+    job->entry = entry;
+    job->path = pathFromRecipe(recipe);
+    job->recipe = std::move(recipe);
+    job->specOk = sched_ && specMem_ && !sbFlags_[entry].noSpec;
+    job->estCost = cost_.estSBCost(job->path.size());
+    return job;
+}
 
-    Allocation alloc = allocateRegisters(region);
-    return installPrepared(region, alloc, mode, profile, prof_bb,
-                           pinned_tid, pass_work, spec_loads, false);
+bool
+Tol::translate(std::unique_ptr<TranslationJob> job)
+{
+    if (async_) {
+        if (!async_->full()) {
+            const bool sb = job->mode == RegionMode::SB;
+            job->enqueuedAt = completedInsts_;
+            job->completesAt =
+                completedInsts_ + asyncLatency(job->estCost);
+            const GAddr entry = job->entry;
+            const u64 eAt = job->enqueuedAt, cAt = job->completesAt;
+            const u64 est = job->estCost;
+            async_->enqueue(std::move(job));
+            stats_.counter(sb ? "tol.async.enqueued_sb"
+                              : "tol.async.enqueued_bb")
+                .inc();
+            if (trace_) {
+                // Emitted at the (deterministic) enqueue point: the
+                // virtual completion is already fixed, and the track
+                // is a pure function of the enqueue sequence — never
+                // of host threads.
+                u16 track = u16(1 + (obsAsyncSeq_++ % asyncVthreads_));
+                trace_->complete("async", sb ? "async.sb" : "async.bb",
+                                 eAt, cAt - eAt, track,
+                                 {{"entry", entry}, {"est_cost", est}});
+            }
+            return false;
+        }
+        stats_.counter("tol.async.queue_full").inc();
+        stats_.counter("tol.async.sync_fallbacks").inc();
+        if (trace_)
+            trace_->instant("async", "async.queue_full", 0,
+                            {{"entry", job->entry}});
+    }
+    prepare(*job);
+    publish(*job, false);
+    return true;
+}
+
+void
+Tol::prepare(TranslationJob &job) const
+{
+    // Inline or on a worker thread: only the job and immutable
+    // configuration may be touched. A job-local Frontend keeps build
+    // state private.
+    Frontend fe(FrontendOptions{fuseFlags_});
+    job.region = fe.build(job.entry, job.mode, job.path, job.recipe.trip,
+                          job.recipe.end);
+    prepareRegionWork(job.region, job.mode, opt_, sched_, job.specOk,
+                      job.passWork, job.specLoads);
+    job.verifyError = verifyRegion(job.region);
+    if (job.verifyError.empty())
+        job.alloc = allocateRegisters(job.region);
+}
+
+void
+Tol::publish(TranslationJob &job, bool conc)
+{
+    darco_assert(job.verifyError.empty(),
+                 "prepared region invalid: ", job.verifyError);
+    const GAddr entry = job.entry;
+    const bool sb = job.mode == RegionMode::SB;
+    u32 prev = registry_.lookup(entry);
+    // An async BB must not shadow a translation its entry gained in
+    // the window (inline fallback under backpressure); an async SB
+    // must not resurrect an older build over a recreation's fresh SB.
+    if (conc && prev != TranslationRegistry::npos &&
+        (!sb || registry_.get(prev).mode == RegionMode::SB)) {
+        stats_.counter("tol.async.dropped_stale").inc();
+        if (trace_)
+            trace_->instant("async", "async.dropped_stale", 0,
+                            {{"entry", entry}});
+        return;
+    }
+
+    if (!sb) {
+        installPrepared(job, TranslationRegistry::npos, conc);
+    } else {
+        sbRecipes_[entry] = job.recipe;
+        const bool unrolled = job.recipe.trip.has_value();
+        // Replace the BB translation for this entry (paper: "the
+        // previous entry in the code cache ... is invalidated"). For
+        // unrolled loops the BB translation is kept alive but
+        // unmapped: it becomes the paper's "original loop" that
+        // follows the unrolled version, executing the residual
+        // iterations when the runtime trip check fails (instead of
+        // falling back to IM).
+        u32 bb_tid = TranslationRegistry::npos;
+        if (prev != TranslationRegistry::npos) {
+            // Only a genuine BB translation can serve as the residual
+            // "original loop"; a previous superblock (recreation
+            // path) must be invalidated as usual.
+            if (unrolled && registry_.get(prev).mode == RegionMode::BB) {
+                bb_tid = prev;
+                registry_.unmapEntry(prev);
+                sbFlags_[entry].residualBb = bb_tid;
+            } else {
+                registry_.invalidate(prev);
+            }
+        }
+        // Recreations reuse the BB retained by the first promotion.
+        if (unrolled && bb_tid == TranslationRegistry::npos) {
+            u32 kept = sbFlags_[entry].residualBb;
+            if (kept != ~0u && registry_.valid(kept))
+                bb_tid = kept;
+        }
+
+        u32 sb_tid = installPrepared(job, bb_tid, conc);
+
+        // The install may have fallen back to a full flush, which
+        // kills the retained BB (eviction cannot: it is pinned).
+        // Re-read the flag, which flushAll resets.
+        if (unrolled && sbFlags_[entry].residualBb == ~0u)
+            bb_tid = TranslationRegistry::npos;
+
+        if (unrolled && bb_tid != TranslationRegistry::npos) {
+            // Pre-chain the trip-check exit (exit #0) into the
+            // retained BB translation.
+            Translation &t = registry_.get(sb_tid);
+            darco_assert(!t.exits.empty() &&
+                             t.exits[0].kind == tol::ExitKind::Interp &&
+                             t.exits[0].target == entry,
+                         "unrolled SB exit layout unexpected");
+            if (t.exits[0].siteWord != ~0u) {
+                registry_.chain(sb_tid, 0, bb_tid);
+                stats_.counter("tol.residual_chains").inc();
+            }
+        }
+        stats_.histogram("tol.sb_path_len", {2, 4, 8, 16, 32, 64, 128})
+            .sample(job.path.size());
+    }
+    noteInstall(job);
+
+    if (conc) {
+        stats_.counter(sb ? "tol.async.published_sb"
+                          : "tol.async.published_bb")
+            .inc();
+        if (trace_)
+            trace_->instant("async", "async.publish", 0,
+                            {{"entry", entry}, {"sb", sb ? 1 : 0}});
+    }
 }
 
 u32
-Tol::installPrepared(Region &region, const Allocation &alloc,
-                     RegionMode mode, bool profile, GAddr prof_bb,
-                     u32 pinned_tid, u64 pass_work, u32 spec_loads,
-                     bool conc)
+Tol::installPrepared(TranslationJob &job, u32 pinned_tid, bool conc)
 {
+    Region &region = job.region;
+    const Allocation &alloc = job.alloc;
+    const RegionMode mode = job.mode;
+    // BB translations carry the BBM->SBM promotion instrumentation.
+    const bool profile = mode == RegionMode::BB && sbmEnabled_;
     // BBV overhead dimension: everything this installation charges
     // (codegen, evictions, the translation itself) is software-layer
-    // activity of the open profiling interval. Suppressed during
-    // checkpoint-restore replay, whose charges are overwritten by the
-    // restored cost/stats sections anyway.
+    // activity of the open profiling interval. Checkpoint-restore
+    // replay charges nothing of its own — the restored cost and stats
+    // sections overwrite both anyway — so it skips the hook and the
+    // translation charge alike.
     u64 bbvCost0 = bbvOn_ && !inRestore_ ? cost_.totalAll() : 0;
     if (mode == RegionMode::SB && sched_)
-        stats_.counter("tol.spec_loads").inc(spec_loads);
+        stats_.counter("tol.spec_loads").inc(job.specLoads);
     stats_.counter("tol.spills").inc(alloc.spillCount);
 
     // Two attempts: when the code cache cannot fit the region even
@@ -713,7 +864,7 @@ Tol::installPrepared(Region &region, const Allocation &alloc,
         co.flipCondExits = flipCondExits_;
         co.dropGuard = dropGuard_;
         if (profile) {
-            Profiler::Slots pa = profiler_.slots(prof_bb);
+            Profiler::Slots pa = profiler_.slots(job.entry);
             co.execCounterAddr = pa.exec;
             co.promoteExitId = co.exitIdBase + u32(region.exits.size());
             co.sbThreshold = sbThreshold_;
@@ -775,8 +926,8 @@ Tol::installPrepared(Region &region, const Allocation &alloc,
         // Capture the machine-level half of this region's proof
         // obligation: the frozen pre-chaining words and the exit-id
         // layout codegen committed to. The construction inputs (path,
-        // trip, end) are attached by noteInstall at the call site that
-        // owns them, after the publish fully completes.
+        // trip, end) are attached by noteInstall once publish has
+        // fully completed.
         if (verifyMode_ != VerifyMode::Off) {
             verify::VerifyUnit u;
             u.entry = region.entryPc;
@@ -795,24 +946,24 @@ Tol::installPrepared(Region &region, const Allocation &alloc,
 
         u64 guest_insts =
             region.exits[region.finalExit].instsRetired;
-        if (mode == RegionMode::BB) {
-            if (conc)
+        const bool bb = mode == RegionMode::BB;
+        if (!inRestore_) {
+            if (bb && conc)
                 cost_.chargeBBTranslationConc(guest_insts, need);
-            else
+            else if (bb)
                 cost_.chargeBBTranslation(guest_insts, need);
-            stats_.counter("tol.translations_bb").inc();
-        } else {
-            if (conc)
-                cost_.chargeSBTranslationConc(guest_insts, pass_work,
+            else if (conc)
+                cost_.chargeSBTranslationConc(guest_insts, job.passWork,
                                               need);
             else
-                cost_.chargeSBTranslation(guest_insts, pass_work, need);
-            stats_.counter("tol.translations_sb").inc();
+                cost_.chargeSBTranslation(guest_insts, job.passWork,
+                                          need);
         }
+        stats_.counter(bb ? "tol.translations_bb" : "tol.translations_sb")
+            .inc();
         if (bbvOn_ && !inRestore_)
             profiler_.recordBbvOverhead(cost_.totalAll() - bbvCost0);
         if (trace_) {
-            const bool bb = mode == RegionMode::BB;
             trace_->complete("trans",
                              bb ? "translate.bb" : "translate.sb",
                              completedInsts_, 0, 0,
@@ -825,9 +976,9 @@ Tol::installPrepared(Region &region, const Allocation &alloc,
             trace_->instant("trans", "stage.frontend", 0,
                             {{"tid", tid}, {"guest_insts", guest_insts}});
             trace_->instant("trans", "stage.opt", 0,
-                            {{"tid", tid}, {"pass_work", pass_work}});
+                            {{"tid", tid}, {"pass_work", job.passWork}});
             trace_->instant("trans", "stage.schedule", 0,
-                            {{"tid", tid}, {"spec_loads", spec_loads}});
+                            {{"tid", tid}, {"spec_loads", job.specLoads}});
             trace_->instant("trans", "stage.regalloc", 0,
                             {{"tid", tid}, {"spills", alloc.spillCount}});
         }
@@ -865,35 +1016,14 @@ Tol::maybeChain(u32 from_tid, u32 exit_idx)
 }
 
 // ---------------------------------------------------------------------
-// BB translation (BBM)
-// ---------------------------------------------------------------------
-
-void
-Tol::translateBB(BBInfo &bb)
-{
-    std::optional<Frontend::EndSpec> end;
-    if (!bb.endsWithCti)
-        end = Frontend::EndSpec{tol::ExitKind::Interp, bb.endPc};
-    Region region = frontend_.build(bb.entry, RegionMode::BB, bb.elems,
-                                    std::nullopt, end);
-    install(region, RegionMode::BB, sbmEnabled_, bb.entry);
-    noteInstall(bb.elems, std::nullopt, end);
-}
-
-// ---------------------------------------------------------------------
 // Superblock construction (SBM)
 // ---------------------------------------------------------------------
 
-std::vector<PathElem>
-Tol::collectSBPath(GAddr start, bool use_asserts,
-                   std::optional<TripCheck> &trip,
-                   std::optional<Frontend::EndSpec> &end,
-                   std::vector<std::pair<GAddr, u8>> &steps)
+SBRecipe
+Tol::collectSBPath(GAddr start)
 {
-    std::vector<PathElem> path;
-    trip.reset();
-    end.reset();
-    steps.clear();
+    SBRecipe rc;
+    const bool use_asserts = useAsserts_ && !sbFlags_[start].noAsserts;
 
     // Single-BB counted-loop unrolling: "dec r; jccne back-to-entry".
     BBInfo &first = getBB(start);
@@ -911,21 +1041,15 @@ Tol::collectSBPath(GAddr start, bool use_asserts,
             double bias =
                 tk + fl ? double(tk) / double(tk + fl) : 0.0;
             if (tk + fl >= minEdgeTotal_ && bias >= biasThreshold_) {
-                trip = TripCheck{prev.inst.rd, unrollFactor_};
+                rc.trip = TripCheck{prev.inst.rd, unrollFactor_};
                 for (u32 u = 0; u < unrollFactor_; ++u) {
-                    for (std::size_t k = 0; k + 1 < first.elems.size();
-                         ++k) {
-                        path.push_back(first.elems[k]);
-                    }
-                    PathElem back = first.elems.back();
-                    back.disp = u + 1 < unrollFactor_
-                                    ? BranchDisp::ElideTaken
-                                    : BranchDisp::Final;
-                    steps.emplace_back(start, u8(back.disp));
-                    path.push_back(back);
+                    BranchDisp disp = u + 1 < unrollFactor_
+                                          ? BranchDisp::ElideTaken
+                                          : BranchDisp::Final;
+                    rc.steps.emplace_back(start, u8(disp));
                 }
                 stats_.counter("tol.unrolled_loops").inc();
-                return path;
+                return rc;
             }
         }
     }
@@ -939,35 +1063,30 @@ Tol::collectSBPath(GAddr start, bool use_asserts,
         auto bit = bbCache_.find(cur);
         darco_assert(bit != bbCache_.end(),
                      "SB path walked into an unknown BB");
-        BBInfo &bb = bit->second;
+        const BBInfo &bb = bit->second;
 
         if (!bb.endsWithCti) {
             // REP or size-capped boundary: body then continue in IM.
-            for (const PathElem &e : bb.elems)
-                path.push_back(e);
-            end = Frontend::EndSpec{tol::ExitKind::Interp, bb.endPc};
-            steps.emplace_back(cur, stepWholeBB);
-            return path;
+            rc.end = Frontend::EndSpec{tol::ExitKind::Interp, bb.endPc};
+            rc.steps.emplace_back(cur, stepWholeBB);
+            return rc;
         }
 
-        for (std::size_t k = 0; k + 1 < bb.elems.size(); ++k)
-            path.push_back(bb.elems[k]);
-        PathElem last = bb.elems.back();
+        const PathElem &last = bb.elems.back();
         ++bbs;
         insts += u32(bb.elems.size());
 
         const GInst &li = last.inst;
         bool stop = bbs >= maxSbBbs_ || insts >= maxSbInsts_;
+        BranchDisp disp = BranchDisp::Final;
+        GAddr next = 0;
 
         if (!stop &&
             (li.op == GOp::JMP_REL8 || li.op == GOp::JMP_REL32)) {
             GAddr target = li.target(last.pc);
             if (bbCache_.count(target)) {
-                last.disp = BranchDisp::ElideTaken;
-                steps.emplace_back(cur, u8(last.disp));
-                path.push_back(last);
-                cur = target;
-                continue;
+                disp = BranchDisp::ElideTaken;
+                next = target;
             }
         } else if (!stop && (li.op == GOp::JCC_REL8 ||
                              li.op == GOp::JCC_REL32)) {
@@ -977,204 +1096,49 @@ Tol::collectSBPath(GAddr start, bool use_asserts,
             if (total >= minEdgeTotal_) {
                 bool taken_dir = tk >= fl;
                 double bias = double(std::max(tk, fl)) / double(total);
-                GAddr next = taken_dir ? li.target(last.pc)
-                                       : last.pc + li.length;
+                GAddr follow = taken_dir ? li.target(last.pc)
+                                         : last.pc + li.length;
                 if (bias >= biasThreshold_ &&
                     cum * bias >= cumThreshold_ &&
-                    bbCache_.count(next)) {
+                    bbCache_.count(follow)) {
                     cum *= bias;
                     if (use_asserts) {
-                        last.disp = taken_dir
-                                        ? BranchDisp::AssertTaken
-                                        : BranchDisp::AssertNotTaken;
+                        disp = taken_dir ? BranchDisp::AssertTaken
+                                         : BranchDisp::AssertNotTaken;
                     } else {
-                        last.disp = taken_dir
-                                        ? BranchDisp::ExitNotTaken
-                                        : BranchDisp::ExitTaken;
+                        disp = taken_dir ? BranchDisp::ExitNotTaken
+                                         : BranchDisp::ExitTaken;
                     }
-                    steps.emplace_back(cur, u8(last.disp));
-                    path.push_back(last);
-                    cur = next;
-                    continue;
+                    next = follow;
                 }
             }
         }
 
-        // Terminate the superblock with this CTI.
-        last.disp = BranchDisp::Final;
-        steps.emplace_back(cur, u8(last.disp));
-        path.push_back(last);
-        return path;
+        // Final terminates the superblock with this CTI.
+        rc.steps.emplace_back(cur, u8(disp));
+        if (disp == BranchDisp::Final)
+            return rc;
+        cur = next;
     }
-}
-
-void
-Tol::buildSuperblock(GAddr entry)
-{
-    if (!sbmEnabled_)
-        return;
-    SBFlags flags = sbFlags_[entry];
-    std::optional<TripCheck> trip;
-    std::optional<Frontend::EndSpec> end;
-    std::vector<std::pair<GAddr, u8>> steps;
-    std::vector<PathElem> path = collectSBPath(
-        entry, useAsserts_ && !flags.noAsserts, trip, end, steps);
-    if (path.empty())
-        return;
-
-    // Record the recipe so checkpoint restore can rebuild this exact
-    // region (recreations overwrite it with their new shape).
-    SBRecipe rc;
-    rc.hasTrip = trip.has_value();
-    if (trip) {
-        rc.tripReg = trip->reg;
-        rc.tripFactor = trip->factor;
-    }
-    rc.hasEnd = end.has_value();
-    if (end) {
-        rc.endKind = u8(end->kind);
-        rc.endTarget = end->target;
-    }
-    rc.steps = std::move(steps);
-    sbRecipes_[entry] = std::move(rc);
-
-    installSuperblock(entry, path, trip, end);
-}
-
-void
-Tol::replaySuperblock(GAddr entry)
-{
-    if (!sbmEnabled_)
-        return;
-    auto it = sbRecipes_.find(entry);
-    if (it == sbRecipes_.end()) {
-        // Defensive: every saved SB should carry a recipe (snapshot
-        // v2+); fall back to a fresh build from restored counters.
-        buildSuperblock(entry);
-        return;
-    }
-    std::optional<TripCheck> trip;
-    std::optional<Frontend::EndSpec> end;
-    std::vector<PathElem> path = pathFromRecipe(it->second, trip, end);
-    if (path.empty())
-        return;
-    installSuperblock(entry, path, trip, end);
 }
 
 std::vector<PathElem>
-Tol::pathFromRecipe(const SBRecipe &rc, std::optional<TripCheck> &trip,
-                    std::optional<Frontend::EndSpec> &end)
+Tol::pathFromRecipe(const SBRecipe &rc)
 {
-    trip.reset();
-    end.reset();
-    if (rc.hasTrip)
-        trip = TripCheck{rc.tripReg, rc.tripFactor};
-    if (rc.hasEnd)
-        end = Frontend::EndSpec{tol::ExitKind(rc.endKind),
-                                rc.endTarget};
-
     std::vector<PathElem> path;
     for (const auto &[bbe, code] : rc.steps) {
-        BBInfo &bb = getBB(bbe);
+        const BBInfo &bb = getBB(bbe);
         if (code == stepWholeBB) {
-            for (const PathElem &e : bb.elems)
-                path.push_back(e);
-        } else {
-            darco_assert(!bb.elems.empty() && bb.endsWithCti,
-                         "SB recipe step does not match decoded BB");
-            for (std::size_t k = 0; k + 1 < bb.elems.size(); ++k)
-                path.push_back(bb.elems[k]);
-            PathElem last = bb.elems.back();
-            last.disp = BranchDisp(code);
-            path.push_back(last);
+            path.insert(path.end(), bb.elems.begin(), bb.elems.end());
+            continue;
         }
+        darco_assert(!bb.elems.empty() && bb.endsWithCti,
+                     "SB recipe step does not match decoded BB");
+        path.insert(path.end(), bb.elems.begin(), bb.elems.end() - 1);
+        path.push_back(bb.elems.back());
+        path.back().disp = BranchDisp(code);
     }
     return path;
-}
-
-void
-Tol::installSuperblock(GAddr entry, std::vector<PathElem> &path,
-                       const std::optional<TripCheck> &trip,
-                       const std::optional<Frontend::EndSpec> &end)
-{
-    Region region =
-        frontend_.build(entry, RegionMode::SB, path, trip, end);
-
-    u64 pass_work = 0;
-    u32 spec_loads = 0;
-    bool spec_ok = false;
-    if (sched_)
-        spec_ok = specMem_ && !sbFlags_[entry].noSpec;
-    prepareRegionWork(region, RegionMode::SB, opt_, sched_, spec_ok,
-                      pass_work, spec_loads);
-    std::string err = verifyRegion(region);
-    darco_assert(err.empty(), "optimized region invalid: ", err);
-    Allocation alloc = allocateRegisters(region);
-
-    finishSuperblockInstall(entry, region, alloc, trip, pass_work,
-                            spec_loads, path.size(), false);
-    noteInstall(path, trip, end);
-}
-
-void
-Tol::finishSuperblockInstall(GAddr entry, Region &region,
-                             const Allocation &alloc,
-                             const std::optional<TripCheck> &trip,
-                             u64 pass_work, u32 spec_loads,
-                             std::size_t path_len, bool conc)
-{
-    // Replace the BB translation for this entry (paper: "the previous
-    // entry in the code cache ... is invalidated"). For unrolled
-    // loops the BB translation is kept alive but unmapped: it becomes
-    // the paper's "original loop" that follows the unrolled version,
-    // executing the residual iterations when the runtime trip check
-    // fails (instead of falling back to IM).
-    u32 bb_tid = TranslationRegistry::npos;
-    u32 prev = registry_.lookup(entry);
-    if (prev != TranslationRegistry::npos) {
-        // Only a genuine BB translation can serve as the residual
-        // "original loop"; a previous superblock (recreation path)
-        // must be invalidated as usual.
-        if (trip && registry_.get(prev).mode == RegionMode::BB) {
-            bb_tid = prev;
-            registry_.unmapEntry(prev);
-            sbFlags_[entry].residualBb = bb_tid;
-        } else {
-            registry_.invalidate(prev);
-        }
-    }
-    // Recreations reuse the BB retained by the first promotion.
-    if (trip && bb_tid == TranslationRegistry::npos) {
-        u32 kept = sbFlags_[entry].residualBb;
-        if (kept != ~0u && registry_.valid(kept))
-            bb_tid = kept;
-    }
-
-    u32 sb_tid =
-        installPrepared(region, alloc, RegionMode::SB, false, entry,
-                        bb_tid, pass_work, spec_loads, conc);
-
-    // The install may have fallen back to a full flush, which kills
-    // the retained BB (eviction cannot: it is pinned). Re-read the
-    // flag, which flushAll resets.
-    if (trip && sbFlags_[entry].residualBb == ~0u)
-        bb_tid = TranslationRegistry::npos;
-
-    if (trip && bb_tid != TranslationRegistry::npos) {
-        // Pre-chain the trip-check exit (exit #0) into the retained
-        // BB translation.
-        Translation &sb = registry_.get(sb_tid);
-        darco_assert(!sb.exits.empty() &&
-                         sb.exits[0].kind == tol::ExitKind::Interp &&
-                         sb.exits[0].target == entry,
-                     "unrolled SB exit layout unexpected");
-        if (sb.exits[0].siteWord != ~0u) {
-            registry_.chain(sb_tid, 0, bb_tid);
-            stats_.counter("tol.residual_chains").inc();
-        }
-    }
-    stats_.histogram("tol.sb_path_len", {2, 4, 8, 16, 32, 64, 128})
-        .sample(path_len);
 }
 
 // ---------------------------------------------------------------------
@@ -1191,174 +1155,10 @@ Tol::asyncLatency(u64 est_cost) const
 }
 
 void
-Tol::prepareJob(TranslationJob &job) const
-{
-    // Worker-thread context: only the job and immutable configuration
-    // may be touched. A job-local Frontend keeps build state private.
-    Frontend fe(FrontendOptions{fuseFlags_});
-    RegionMode mode = job.kind == TranslationJob::Kind::BB
-                          ? RegionMode::BB
-                          : RegionMode::SB;
-    job.region = fe.build(job.entry, mode, job.path, job.trip, job.end);
-    prepareRegionWork(job.region, mode, opt_, sched_, job.specOk,
-                      job.passWork, job.specLoads);
-    job.verifyError = verifyRegion(job.region);
-    if (job.verifyError.empty())
-        job.alloc = allocateRegisters(job.region);
-}
-
-bool
-Tol::enqueueBBAsync(const BBInfo &bb)
-{
-    if (async_->full()) {
-        stats_.counter("tol.async.queue_full").inc();
-        stats_.counter("tol.async.sync_fallbacks").inc();
-        if (trace_)
-            trace_->instant("async", "async.queue_full", 0,
-                            {{"entry", bb.entry}});
-        return false;
-    }
-    auto job = std::make_unique<TranslationJob>();
-    job->kind = TranslationJob::Kind::BB;
-    job->entry = bb.entry;
-    job->path = bb.elems;
-    if (!bb.endsWithCti)
-        job->end = Frontend::EndSpec{tol::ExitKind::Interp, bb.endPc};
-    job->profile = sbmEnabled_;
-    job->estCost = cost_.estBBCost(bb.elems.size());
-    job->enqueuedAt = completedInsts_;
-    job->completesAt = completedInsts_ + asyncLatency(job->estCost);
-    const u64 eAt = job->enqueuedAt, cAt = job->completesAt;
-    const u64 est = job->estCost;
-    async_->enqueue(std::move(job));
-    stats_.counter("tol.async.enqueued_bb").inc();
-    if (trace_) {
-        // Emitted at the (deterministic) enqueue point: the virtual
-        // completion is already fixed, and the track is a pure
-        // function of the enqueue sequence — never of host threads.
-        u16 track = u16(1 + (obsAsyncSeq_++ % asyncVthreads_));
-        trace_->complete("async", "async.bb", eAt, cAt - eAt, track,
-                         {{"entry", bb.entry}, {"est_cost", est}});
-    }
-    return true;
-}
-
-bool
-Tol::enqueueSBAsync(GAddr entry)
-{
-    if (!sbmEnabled_)
-        return true; // nothing to build
-    // Evict + re-promote can re-fire the promotion for an entry whose
-    // superblock is already in flight; one build is enough.
-    if (async_->pendingFor(entry))
-        return true;
-    if (async_->full()) {
-        stats_.counter("tol.async.queue_full").inc();
-        stats_.counter("tol.async.sync_fallbacks").inc();
-        if (trace_)
-            trace_->instant("async", "async.queue_full", 0,
-                            {{"entry", entry}});
-        return false;
-    }
-    // The path is collected *now*, at the deterministic promotion
-    // point, from the same profile state the synchronous build would
-    // see; only the install moves into the future.
-    SBFlags flags = sbFlags_[entry];
-    std::optional<TripCheck> trip;
-    std::optional<Frontend::EndSpec> end;
-    std::vector<std::pair<GAddr, u8>> steps;
-    std::vector<PathElem> path = collectSBPath(
-        entry, useAsserts_ && !flags.noAsserts, trip, end, steps);
-    if (path.empty())
-        return true;
-
-    auto job = std::make_unique<TranslationJob>();
-    job->kind = TranslationJob::Kind::SB;
-    job->entry = entry;
-    job->path = std::move(path);
-    job->trip = trip;
-    job->end = end;
-    job->specOk = sched_ && specMem_ && !flags.noSpec;
-    job->recipe.hasTrip = trip.has_value();
-    if (trip) {
-        job->recipe.tripReg = trip->reg;
-        job->recipe.tripFactor = trip->factor;
-    }
-    job->recipe.hasEnd = end.has_value();
-    if (end) {
-        job->recipe.endKind = u8(end->kind);
-        job->recipe.endTarget = end->target;
-    }
-    job->recipe.steps = std::move(steps);
-    job->estCost = cost_.estSBCost(job->path.size());
-    job->enqueuedAt = completedInsts_;
-    job->completesAt = completedInsts_ + asyncLatency(job->estCost);
-    const u64 eAt = job->enqueuedAt, cAt = job->completesAt;
-    const u64 est = job->estCost;
-    async_->enqueue(std::move(job));
-    stats_.counter("tol.async.enqueued_sb").inc();
-    if (trace_) {
-        u16 track = u16(1 + (obsAsyncSeq_++ % asyncVthreads_));
-        trace_->complete("async", "async.sb", eAt, cAt - eAt, track,
-                         {{"entry", entry}, {"est_cost", est}});
-    }
-    return true;
-}
-
-void
 Tol::pumpAsyncPublishes()
 {
-    auto due = async_->takeDue(completedInsts_);
-    for (auto &job : due)
-        publishJob(*job);
-}
-
-void
-Tol::publishJob(TranslationJob &job)
-{
-    darco_assert(job.verifyError.empty(),
-                 "async-prepared region invalid: ", job.verifyError);
-    if (job.kind == TranslationJob::Kind::BB) {
-        // The entry may have gained a translation inside the window
-        // (inline fallback under backpressure); never shadow it.
-        if (registry_.lookup(job.entry) != TranslationRegistry::npos) {
-            stats_.counter("tol.async.dropped_stale").inc();
-            if (trace_)
-                trace_->instant("async", "async.dropped_stale", 0,
-                                {{"entry", job.entry}});
-            return;
-        }
-        installPrepared(job.region, job.alloc, RegionMode::BB,
-                        job.profile, job.entry,
-                        TranslationRegistry::npos, job.passWork,
-                        job.specLoads, true);
-        noteInstall(job.path, std::nullopt, job.end);
-        stats_.counter("tol.async.published_bb").inc();
-        if (trace_)
-            trace_->instant("async", "async.publish", 0,
-                            {{"entry", job.entry}, {"sb", 0}});
-    } else {
-        // A recreation in the window would have installed a fresh SB;
-        // do not resurrect the older build over it.
-        u32 prev = registry_.lookup(job.entry);
-        if (prev != TranslationRegistry::npos &&
-            registry_.get(prev).mode == RegionMode::SB) {
-            stats_.counter("tol.async.dropped_stale").inc();
-            if (trace_)
-                trace_->instant("async", "async.dropped_stale", 0,
-                                {{"entry", job.entry}});
-            return;
-        }
-        sbRecipes_[job.entry] = job.recipe;
-        finishSuperblockInstall(job.entry, job.region, job.alloc,
-                                job.trip, job.passWork, job.specLoads,
-                                job.path.size(), true);
-        noteInstall(job.path, job.trip, job.end);
-        stats_.counter("tol.async.published_sb").inc();
-        if (trace_)
-            trace_->instant("async", "async.publish", 0,
-                            {{"entry", job.entry}, {"sb", 1}});
-    }
+    for (auto &job : async_->takeDue(completedInsts_))
+        publish(*job, true);
 }
 
 // ---------------------------------------------------------------------
@@ -1397,12 +1197,14 @@ Tol::executeTranslation(u32 tid, u32 host_pc, bool resuming)
             if (ge.promote) {
                 emu_.storeGuestState(core.state);
                 core.state.pc = ge.promoteTarget;
-                // Async: queue the SB build (path collected now, at
-                // the deterministic promotion point) and keep running
-                // the stale BB translation until the publish; a full
-                // queue falls back to the inline build.
-                if (!async_ || !enqueueSBAsync(ge.promoteTarget))
-                    buildSuperblock(ge.promoteTarget);
+                // The path is collected now, at the deterministic
+                // promotion point; async runs keep executing the stale
+                // BB translation until the publish. Evict + re-promote
+                // can re-fire the promotion for an entry whose
+                // superblock is already in flight: one build is enough.
+                if (!(async_ && async_->pendingFor(ge.promoteTarget)))
+                    translate(makeJob(ge.promoteTarget,
+                                      collectSBPath(ge.promoteTarget)));
                 return;
             }
             const ExitDesc &d =
@@ -1484,7 +1286,9 @@ Tol::executeTranslation(u32 tid, u32 host_pc, bool resuming)
                 }
                 GAddr entry = t.entry;
                 registry_.invalidate(rtid);
-                buildSuperblock(entry);
+                auto job = makeJob(entry, collectSBPath(entry));
+                prepare(*job);
+                publish(*job, false);
             }
             // IM is the safety net for forward progress (paper V-B1).
             core.forceInterp = true;
@@ -1646,21 +1450,24 @@ Tol::quiesce()
 // ---------------------------------------------------------------------
 
 void
-Tol::noteInstall(const std::vector<PathElem> &path,
-                 const std::optional<TripCheck> &trip,
-                 const std::optional<Frontend::EndSpec> &end)
+Tol::noteInstall(const TranslationJob &job)
 {
     if (verifyMode_ == VerifyMode::Off || !lastInstall_)
         return;
     verify::VerifyUnit u = std::move(*lastInstall_);
     lastInstall_.reset();
-    u.path = path;
-    u.trip = trip;
-    u.end = end;
-    if (verifyMode_ == VerifyMode::Final) {
+    u.path = job.path;
+    u.trip = job.recipe.trip;
+    u.end = job.recipe.end;
+    if (verifyMode_ == VerifyMode::Final)
         verifyUnits_.push_back(std::move(u));
-        return;
-    }
+    else
+        prove(u);
+}
+
+void
+Tol::prove(const verify::VerifyUnit &u)
+{
     verify::VerifyResult r;
     try {
         r = verify::verifyUnit(u, verifyOpts_);
@@ -1686,23 +1493,8 @@ Tol::verifyFinal()
     quiesce();
     std::vector<verify::VerifyUnit> units;
     units.swap(verifyUnits_);
-    for (const verify::VerifyUnit &u : units) {
-        verify::VerifyResult r;
-        try {
-            r = verify::verifyUnit(u, verifyOpts_);
-        } catch (const std::exception &e) {
-            r.verdict = verify::Verdict::Unknown;
-            r.entry = u.entry;
-            r.mode = u.mode;
-            r.tid = u.tid;
-            r.detail = std::string("verifier exception: ") + e.what();
-        }
-        if (trace_)
-            trace_->instant("verify", "verify.proof", 0,
-                            {{"entry", u.entry},
-                             {"verdict", u64(r.verdict)}});
-        verifyReport_.add(std::move(r));
-    }
+    for (const verify::VerifyUnit &u : units)
+        prove(u);
 }
 
 void
@@ -1776,17 +1568,7 @@ Tol::save(snapshot::Serializer &s) const
     s.w64(recipes.size());
     for (const auto &[entry, rc] : recipes) {
         s.w32(entry);
-        s.wbool(rc->hasTrip);
-        s.w8(rc->tripReg);
-        s.w32(rc->tripFactor);
-        s.wbool(rc->hasEnd);
-        s.w8(rc->endKind);
-        s.w32(rc->endTarget);
-        s.w64(rc->steps.size());
-        for (const auto &[bbe, code] : rc->steps) {
-            s.w32(bbe);
-            s.w8(code);
-        }
+        writeRecipe(s, *rc);
     }
 
     // Live translations in installation (tid) order: enough metadata
@@ -1819,24 +1601,12 @@ Tol::save(snapshot::Serializer &s) const
     }
     s.w64(jobs.size());
     for (const TranslationJob *j : jobs) {
-        s.w8(u8(j->kind));
+        s.w8(u8(j->mode));
         s.w32(j->entry);
         s.w64(j->enqueuedAt);
         s.w64(j->completesAt);
-        if (j->kind == TranslationJob::Kind::SB) {
-            const SBRecipe &rc = j->recipe;
-            s.wbool(rc.hasTrip);
-            s.w8(rc.tripReg);
-            s.w32(rc.tripFactor);
-            s.wbool(rc.hasEnd);
-            s.w8(rc.endKind);
-            s.w32(rc.endTarget);
-            s.w64(rc.steps.size());
-            for (const auto &[bbe, code] : rc.steps) {
-                s.w32(bbe);
-                s.w8(code);
-            }
-        }
+        if (j->mode == RegionMode::SB)
+            writeRecipe(s, j->recipe);
     }
 
     cost_.save(s);
@@ -1902,27 +1672,14 @@ Tol::restore(snapshot::Deserializer &d)
     u64 nrecipes = d.r64();
     for (u64 i = 0; i < nrecipes; ++i) {
         GAddr entry = d.r32();
-        SBRecipe rc;
-        rc.hasTrip = d.rbool();
-        rc.tripReg = d.r8();
-        rc.tripFactor = d.r32();
-        rc.hasEnd = d.rbool();
-        rc.endKind = d.r8();
-        rc.endTarget = d.r32();
-        u64 nsteps = d.r64();
-        rc.steps.reserve(nsteps);
-        for (u64 k = 0; k < nsteps; ++k) {
-            GAddr bbe = d.r32();
-            rc.steps.emplace_back(bbe, d.r8());
-        }
-        sbRecipes_[entry] = std::move(rc);
+        sbRecipes_[entry] = readRecipe(d);
     }
 
-    // Re-materialize host code: replay installation in tid order.
-    // The BB/SB builders run against the restored memory image and
-    // profile counters, so regenerated code is deterministic; the
-    // translation/cost charges this produces are overwritten by the
-    // cost and stats sections restored afterwards.
+    // Re-materialize host code: replay installation in tid order,
+    // each translation a job built from its BBInfo or recipe against
+    // the restored memory image, so regenerated code is deterministic.
+    // Replay publishes charge no cost; the stats they bump are
+    // overwritten by the stats section restored afterwards.
     u64 ntrans = d.r64();
     for (u64 i = 0; i < ntrans; ++i) {
         GAddr entry = d.r32();
@@ -1930,19 +1687,26 @@ Tol::restore(snapshot::Deserializer &d)
         (void)d.rbool(); // mapped flag: re-established by the replay
         u32 assert_fails = d.r32();
         u32 alias_fails = d.r32();
+        std::unique_ptr<TranslationJob> job;
         if (mode == RegionMode::BB) {
-            BBInfo &bb = getBB(entry);
-            if (bb.translatable &&
-                registry_.lookup(entry) == TranslationRegistry::npos)
-                translateBB(bb);
+            const BBInfo &bb = getBB(entry);
+            if (!bb.translatable ||
+                registry_.lookup(entry) != TranslationRegistry::npos)
+                continue;
+            job = makeJob(bb);
         } else {
-            replaySuperblock(entry);
-            u32 tid = registry_.lookup(entry);
-            if (tid != TranslationRegistry::npos &&
-                registry_.get(tid).mode == RegionMode::SB) {
-                registry_.get(tid).assertFails = assert_fails;
-                registry_.get(tid).aliasFails = alias_fails;
-            }
+            auto it = sbRecipes_.find(entry);
+            if (it == sbRecipes_.end())
+                throw snapshot::SnapshotError(
+                    "live superblock has no recipe");
+            job = makeJob(entry, it->second);
+        }
+        prepare(*job);
+        publish(*job, false);
+        if (job->mode == RegionMode::SB) {
+            Translation &t = registry_.get(registry_.lookup(entry));
+            t.assertFails = assert_fails;
+            t.aliasFails = alias_fails;
         }
     }
 
@@ -1956,44 +1720,15 @@ Tol::restore(snapshot::Deserializer &d)
             "async pipeline is disabled");
     }
     for (u64 i = 0; i < npend; ++i) {
-        auto kind = TranslationJob::Kind(d.r8());
-        auto job = std::make_unique<TranslationJob>();
-        job->kind = kind;
-        job->entry = d.r32();
-        job->enqueuedAt = d.r64();
-        job->completesAt = d.r64();
-        if (kind == TranslationJob::Kind::BB) {
-            BBInfo &bb = getBB(job->entry);
-            job->path = bb.elems;
-            if (!bb.endsWithCti)
-                job->end =
-                    Frontend::EndSpec{tol::ExitKind::Interp, bb.endPc};
-            job->profile = sbmEnabled_;
-            job->estCost = cost_.estBBCost(bb.elems.size());
-        } else {
-            SBRecipe rc;
-            rc.hasTrip = d.rbool();
-            rc.tripReg = d.r8();
-            rc.tripFactor = d.r32();
-            rc.hasEnd = d.rbool();
-            rc.endKind = d.r8();
-            rc.endTarget = d.r32();
-            u64 nsteps = d.r64();
-            rc.steps.reserve(nsteps);
-            for (u64 k = 0; k < nsteps; ++k) {
-                GAddr bbe = d.r32();
-                rc.steps.emplace_back(bbe, d.r8());
-            }
-            std::optional<TripCheck> trip;
-            std::optional<Frontend::EndSpec> end;
-            job->path = pathFromRecipe(rc, trip, end);
-            job->trip = trip;
-            job->end = end;
-            job->specOk =
-                sched_ && specMem_ && !sbFlags_[job->entry].noSpec;
-            job->estCost = cost_.estSBCost(job->path.size());
-            job->recipe = std::move(rc);
-        }
+        u8 mode = d.r8();
+        GAddr entry = d.r32();
+        u64 enqueued_at = d.r64();
+        u64 completes_at = d.r64();
+        auto job = mode == u8(RegionMode::BB)
+                       ? makeJob(getBB(entry))
+                       : makeJob(entry, readRecipe(d));
+        job->enqueuedAt = enqueued_at;
+        job->completesAt = completes_at;
         async_->enqueue(std::move(job));
     }
 

@@ -321,62 +321,41 @@ class Tol : public host::RetireSink
      *  (no-op, and no RNG draw, with a single core). */
     void pickNextCore();
 
-    // --- translation -----------------------------------------------------
-    // (SBRecipe — the superblock construction record checkpoint
-    // restore and async SB jobs replay from — lives in tol/async.hh.)
-
-    void translateBB(BBInfo &bb);
-    void buildSuperblock(GAddr entry);
-    /** Rebuild an SB from its recipe (checkpoint-restore replay). */
-    void replaySuperblock(GAddr entry);
-    /** Shared tail: frontend build + invalidate/retain + install. */
-    void installSuperblock(GAddr entry, std::vector<PathElem> &path,
-                           const std::optional<TripCheck> &trip,
-                           const std::optional<Frontend::EndSpec> &end);
-    std::vector<PathElem> collectSBPath(GAddr start, bool use_asserts,
-                                        std::optional<TripCheck> &trip,
-                                        std::optional<Frontend::EndSpec>
-                                            &end,
-                                        std::vector<std::pair<GAddr, u8>>
-                                            &steps);
-    /** Reconstruct an SB build's inputs from its recipe. */
-    std::vector<PathElem> pathFromRecipe(const SBRecipe &rc,
-                                         std::optional<TripCheck> &trip,
-                                         std::optional<Frontend::EndSpec>
-                                             &end);
-    u32 install(Region &region, RegionMode mode, bool profile,
-                GAddr prof_bb,
-                u32 pinned_tid = TranslationRegistry::npos);
+    // --- translation pipeline: job -> prepare -> publish ------------------
+    /** A BB job from its decoded block. */
+    std::unique_ptr<TranslationJob> makeJob(const BBInfo &bb) const;
+    /** An SB job from its recipe (path expanded by pathFromRecipe). */
+    std::unique_ptr<TranslationJob> makeJob(GAddr entry, SBRecipe recipe);
     /**
-     * Install tail shared by the synchronous path and the async
-     * publish: codegen, capacity policy, registry/cost bookkeeping.
-     * `conc` charges the translation to the concurrent-translator
-     * overhead category instead of the critical-path one.
+     * A translation request: enqueue the job when the async queue has
+     * room, otherwise prepare and publish it now.
+     * @return true when published now (inline).
      */
-    u32 installPrepared(Region &region, const Allocation &alloc,
-                        RegionMode mode, bool profile, GAddr prof_bb,
-                        u32 pinned_tid, u64 pass_work, u32 spec_loads,
-                        bool conc);
-    /** Superblock install tail (previous-translation replacement,
-     *  residual-BB retention/chaining), shared with async publish. */
-    void finishSuperblockInstall(GAddr entry, Region &region,
-                                 const Allocation &alloc,
-                                 const std::optional<TripCheck> &trip,
-                                 u64 pass_work, u32 spec_loads,
-                                 std::size_t path_len, bool conc);
+    bool translate(std::unique_ptr<TranslationJob> job);
+    /** The pure part of a translation: frontend build, passes,
+     *  schedule, verifyRegion, regalloc. Runs inline or on an async
+     *  worker; touches only the job and immutable configuration. */
+    void prepare(TranslationJob &job) const;
+    /**
+     * Install a prepared job: SB replace/residual-BB handling, the
+     * code-cache install, the recipe commit and the proof obligation.
+     * `conc` marks an async publish: it drops stale jobs, charges the
+     * concurrent-translator overhead category instead of the
+     * critical-path one and counts tol.async.published_*.
+     */
+    void publish(TranslationJob &job, bool conc);
+    /** Codegen, capacity policy, registry/cost bookkeeping. */
+    u32 installPrepared(TranslationJob &job, u32 pinned_tid, bool conc);
+    /** Walk the profile from `start` into a superblock recipe. */
+    SBRecipe collectSBPath(GAddr start);
+    /** The one expansion of a recipe into a superblock path. */
+    std::vector<PathElem> pathFromRecipe(const SBRecipe &rc);
 
     // --- async pipeline ---------------------------------------------------
-    /** Worker-thread callback: the pure part of a translation. */
-    void prepareJob(TranslationJob &job) const;
     /** Virtual-time latency of a modeled translation. */
     u64 asyncLatency(u64 est_cost) const;
-    /** @return false when the queue is full (caller translates
-     *  inline); true when enqueued or already pending. */
-    bool enqueueBBAsync(const BBInfo &bb);
-    bool enqueueSBAsync(GAddr entry);
     /** Publish every job due at the current virtual time. */
     void pumpAsyncPublishes();
-    void publishJob(TranslationJob &job);
     /** Evict cold regions until `need` contiguous words fit. */
     void evictFor(u32 need, u32 pinned_tid);
     void flushAll();
@@ -386,15 +365,16 @@ class Tol : public host::RetireSink
 
     // --- verification -----------------------------------------------------
     /**
-     * Attach the construction inputs to the VerifyUnit installPrepared
-     * captured and hand it to the verifier (install mode) or the
-     * accumulator (final mode). Called on the main thread, after the
-     * install — including the superblock residual chaining — is fully
-     * published, so the proof never observes a half-installed region.
+     * Attach the job's construction inputs to the VerifyUnit
+     * installPrepared captured and hand it to the verifier (install
+     * mode) or the accumulator (final mode). Called by publish on the
+     * main thread, after the install — including the superblock
+     * residual chaining — is fully published, so the proof never
+     * observes a half-installed region.
      */
-    void noteInstall(const std::vector<PathElem> &path,
-                     const std::optional<TripCheck> &trip,
-                     const std::optional<Frontend::EndSpec> &end);
+    void noteInstall(const TranslationJob &job);
+    /** Prove one unit and record the verdict. */
+    void prove(const verify::VerifyUnit &u);
 
     // --- observability -----------------------------------------------------
     /** Open/extend/close the current mode span (0=IM 1=BBM 2=SBM). */
@@ -442,7 +422,6 @@ class Tol : public host::RetireSink
     Profiler profiler_;
     TranslationRegistry registry_;
     CostModel cost_;
-    Frontend frontend_;
     Env *env_ = nullptr;
 
     std::vector<CoreCtx> cores_;
@@ -454,7 +433,7 @@ class Tol : public host::RetireSink
     guest::PagedMemory &curMem() { return *cores_[cur_].mem; }
 
     bool initCharged_ = false;
-    bool inRestore_ = false; //!< suppress BBV hooks during replay
+    bool inRestore_ = false; //!< replay: no BBV hooks, no charges
 
     u64 completedInsts_ = 0; //!< shared virtual clock (all cores)
     u64 completedBBs_ = 0;

@@ -75,6 +75,30 @@ expectSameResults(const CampaignResult &a, const CampaignResult &b)
     }
 }
 
+/**
+ * Cold and warm checkpoint-cache runs measure the same restored
+ * state: beyond the architectural results, every non-provenance
+ * column and the full stats map must match.
+ */
+void
+expectSameMeasurement(const CampaignResult &a, const CampaignResult &b)
+{
+    expectSameResults(a, b);
+    ASSERT_EQ(a.results.size(), b.results.size());
+    for (std::size_t i = 0; i < a.results.size(); ++i) {
+        const JobResult &x = a.results[i];
+        const JobResult &y = b.results[i];
+        const std::string job = x.workload + "/" + x.configName;
+        EXPECT_EQ(x.cycles, y.cycles) << job;
+        EXPECT_EQ(x.ipc, y.ipc) << job;
+        EXPECT_EQ(x.energyJ, y.energyJ) << job;
+        EXPECT_EQ(x.avgPowerW, y.avgPowerW) << job;
+        EXPECT_EQ(x.sampledInsts, y.sampledInsts) << job;
+        EXPECT_EQ(x.effectiveConfig, y.effectiveConfig) << job;
+        EXPECT_EQ(x.stats, y.stats) << job;
+    }
+}
+
 /** Scratch dir unique to the running test. */
 std::string
 scratchDir()
@@ -175,7 +199,7 @@ TEST(Campaign, CheckpointCacheStoresThenHits)
     CampaignResult warm = runCampaign(jobs, opts);
     EXPECT_EQ(warm.checkpointHits, 2u);
     EXPECT_EQ(warm.checkpointMisses, 0u);
-    expectSameResults(cold, warm);
+    expectSameMeasurement(cold, warm);
 
     // And both agree with a run that never checkpoints.
     RunOptions plain;
@@ -216,7 +240,7 @@ TEST(Campaign, CorruptCheckpointFallsBackToColdRun)
     // The overwritten entry must now be a genuine hit.
     CampaignResult again = runCampaign(jobs, opts);
     EXPECT_TRUE(again.results[0].checkpointHit);
-    expectSameResults(res, again);
+    expectSameMeasurement(res, again);
 
     std::filesystem::remove_all(dir);
 }

@@ -237,6 +237,10 @@ TEST(MultiCore, SnapshotRoundTrip)
     img.seekg(0);
     resumed.restoreCheckpoint(img);
     EXPECT_GE(resumed.tol().completedInsts(), mid);
+    // Re-saving right after the restore yields the identical image.
+    std::stringstream again;
+    resumed.saveCheckpoint(again);
+    EXPECT_TRUE(again.str() == img.str());
     resumed.run();
     ASSERT_TRUE(resumed.finished());
 

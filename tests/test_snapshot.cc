@@ -13,8 +13,11 @@
 #include <cstring>
 #include <sstream>
 
+#include "host/hemu.hh"
 #include "sim/controller.hh"
 #include "snapshot/io.hh"
+#include "tol/async.hh"
+#include "tol/profiler.hh"
 #include "verify/verifier.hh"
 #include "workloads/synth.hh"
 #include "xemu/ref_component.hh"
@@ -101,6 +104,11 @@ roundTrip(const std::string &variant)
     img.seekg(0);
     resumed.restoreCheckpoint(img);
     EXPECT_GE(resumed.tol().completedInsts(), mid);
+    // Re-saving right after the restore yields the identical image:
+    // the replay created no state the saved run lacked.
+    std::stringstream again;
+    resumed.saveCheckpoint(again);
+    EXPECT_TRUE(again.str() == img.str());
     resumed.run();
     ASSERT_TRUE(resumed.finished());
 
@@ -222,6 +230,12 @@ TEST(SnapshotRoundTrip, AsyncTranslationsInFlight)
     img.seekg(0);
     resumed.restoreCheckpoint(img);
     EXPECT_EQ(resumed.tol().asyncPending(), part.tol().asyncPending());
+    // Replayed publishes charge nothing: re-saving right away must not
+    // add a counter (e.g. an inline-translation overhead category) the
+    // async run never had.
+    std::stringstream again;
+    resumed.saveCheckpoint(again);
+    EXPECT_TRUE(again.str() == img.str());
     resumed.run();
     ASSERT_TRUE(resumed.finished());
 
@@ -399,12 +413,29 @@ le16(u16 v)
 }
 
 std::string
+le32(u32 v)
+{
+    std::string out;
+    for (int i = 0; i < 4; ++i)
+        out += char((v >> (8 * i)) & 0xff);
+    return out;
+}
+
+std::string
 le64(u64 v)
 {
     std::string out;
     for (int i = 0; i < 8; ++i)
         out += char((v >> (8 * i)) & 0xff);
     return out;
+}
+
+/** One framed section holding `payload`, then the end marker. */
+std::string
+section(const std::string &name, const std::string &payload)
+{
+    return le16(u16(name.size())) + name + le64(payload.size()) +
+           payload + le16(0);
 }
 
 } // namespace
@@ -476,6 +507,45 @@ TEST(SnapshotHostile, SerializerRefusesOversizedSectionName)
     s.beginSection(max);
     s.endSection();
     s.finish();
+}
+
+// A count read from the image must never size an allocation: with a
+// step or BBV count of 2^50 the reader runs into the section bound and
+// throws SnapshotError instead of reserving (bad_alloc, or an ASan
+// allocation-size-too-big abort). A recipe with no steps describes no
+// superblock and is refused too.
+TEST(SnapshotHostile, RecipeStepCountIsValidated)
+{
+    for (u64 nsteps : {1ull << 50, 0ull}) {
+        std::string payload;
+        payload += std::string(2, '\0') + le32(0); // no trip
+        payload += std::string(2, '\0') + le32(0); // no end
+        payload += le64(nsteps);
+        payload += le32(0x1000) + std::string(1, '\0'); // one step
+        std::istringstream ss(containerWith(section("tol", payload)));
+        snapshot::Deserializer d(ss);
+        EXPECT_EQ(d.nextSection(), "tol");
+        EXPECT_THROW(tol::readRecipe(d), SnapshotError) << nsteps;
+    }
+}
+
+TEST(SnapshotHostile, BbvCountBeyondSectionIsRejected)
+{
+    std::string payload;
+    payload += le64(0) + le64(0) + le32(0x4000); // no IM/slot state
+    payload += le64(2048) + le64(0);             // interval, total
+    payload += le64(1);                          // one closed interval
+    payload += le64(0) + le64(0);                // its insts, overhead
+    payload += le64(1ull << 50);                 // lying BBV count
+    payload += le32(0x1000) + le64(1);           // one entry
+    std::istringstream ss(containerWith(section("prof", payload)));
+    snapshot::Deserializer d(ss);
+    EXPECT_EQ(d.nextSection(), "prof");
+    host::CodeCache cache(1 << 10);
+    guest::PagedMemory mem;
+    host::HostEmu emu(cache, mem);
+    tol::Profiler prof(emu);
+    EXPECT_THROW(prof.restore(d), SnapshotError);
 }
 
 TEST(SnapshotHostile, StringLengthBeyondSectionIsRejected)

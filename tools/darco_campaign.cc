@@ -12,12 +12,28 @@
  *   darco_campaign --sample-mode simpoint --interval 100000 --max-k 8
  *   darco_campaign --list
  *
- * Worker mode attaches this process to a running darco_campaignd
- * coordinator instead of expanding a local matrix; all jobs (and the
- * campaign-level run options) come over the wire:
+ * Serve mode expands the same matrix but, instead of running jobs
+ * in-process, serves them over TCP to worker processes, streaming the
+ * CSV rows to stdout as results arrive (strictly in submission order —
+ * the final report is byte-identical to a local run, provenance
+ * columns aside). Worker mode attaches a process to such a
+ * coordinator; all jobs (and the campaign-level run options) come over
+ * the wire:
  *
+ *   darco_campaign --serve --port 39117 --csv report.csv
  *   darco_campaign --worker HOST:PORT [--worker-id NAME]
- *                  [--checkpoint-dir D]
+ *                  [--checkpoint-dir D]          # on each machine
+ *
+ * Service knobs (serve mode; see src/campaign/service.hh):
+ *
+ *   --manifest PATH   journal completed jobs; a restarted coordinator
+ *                     resumes, re-emitting recorded rows and running
+ *                     only the remainder
+ *   --store-dir D     content-addressed checkpoint store served to
+ *                     workers (fetch-or-compute keyed by job identity)
+ *   --lease-ms N      per-job lease before reassignment
+ *   --dead-after-ms N silence threshold declaring a worker dead
+ *   --window N        in-flight dispatch window (backpressure bound)
  *
  * Every job runs the detailed timing + power models (cycles, IPC,
  * energy, average power columns); --no-timing turns them off. With
@@ -36,6 +52,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,6 +97,9 @@ struct Options
     u64 sampleWarmup = 25'000;
     std::string worker;   //!< HOST:PORT of a coordinator; "" = local
     std::string workerId; //!< advisory name in worker mode
+    bool serve = false;   //!< coordinate remote workers instead
+    bool serviceFlags = false; //!< any --serve-only flag given
+    campaign::ServiceOptions svc;
 };
 
 void
@@ -115,6 +135,18 @@ usage(const char *argv0)
         "  --trace-out D       per-job Chrome trace + interval-metrics\n"
         "                      files in D (full-mode jobs)\n"
         "  --stats-json PATH   write every job's full stats dump here\n"
+        "  --serve             serve the matrix to remote workers and\n"
+        "                      stream rows as they complete; with:\n"
+        "    --bind ADDR         listen address (default 127.0.0.1)\n"
+        "    --port N            listen port (default: ephemeral;\n"
+        "                        printed on startup)\n"
+        "    --manifest PATH     journal completed jobs for resume\n"
+        "    --store-dir D       content-addressed checkpoint store\n"
+        "    --lease-ms N        per-job lease (default 300000)\n"
+        "    --dead-after-ms N   worker-death silence threshold\n"
+        "                        (default 10000)\n"
+        "    --window N          in-flight dispatch window "
+        "(default 64)\n"
         "  --worker HOST:PORT  run as a campaign-service worker for\n"
         "                      the coordinator at HOST:PORT\n"
         "  --worker-id NAME    advisory worker name (worker mode)\n"
@@ -249,6 +281,37 @@ parseArgs(int argc, char **argv, Options &o)
             const char *v = next();
             if (!v || !number(v, o.sampleWarmup))
                 return false;
+        } else if (a == "--serve") {
+            o.serve = true;
+        } else if (a == "--bind" || a == "--port" || a == "--manifest" ||
+                   a == "--store-dir" || a == "--lease-ms" ||
+                   a == "--dead-after-ms" || a == "--window") {
+            const char *v = next();
+            if (!v)
+                return false;
+            o.serviceFlags = true;
+            campaign::ServiceOptions &svc = o.svc;
+            if (a == "--bind") {
+                svc.bind = v;
+            } else if (a == "--port") {
+                if (!number(v, n) || n > 65535)
+                    return false;
+                svc.port = u16(n);
+            } else if (a == "--manifest") {
+                svc.manifestPath = v;
+            } else if (a == "--store-dir") {
+                svc.storeDir = v;
+            } else if (a == "--lease-ms") {
+                if (!number(v, svc.leaseMs) || svc.leaseMs == 0)
+                    return false;
+            } else if (a == "--dead-after-ms") {
+                if (!number(v, svc.deadAfterMs) || svc.deadAfterMs == 0)
+                    return false;
+            } else {
+                if (!number(v, n) || n == 0)
+                    return false;
+                svc.window = unsigned(n);
+            }
         } else if (a == "--worker") {
             const char *v = next();
             if (!v)
@@ -276,7 +339,10 @@ parseArgs(int argc, char **argv, Options &o)
             return false;
         }
     }
-    return true;
+    // Service flags configure --serve only; serving and working are
+    // different processes.
+    return (o.serve || !o.serviceFlags) &&
+           !(o.serve && !o.worker.empty());
 }
 
 bool
@@ -394,11 +460,36 @@ main(int argc, char **argv)
         ropts.sampleSeed = o.sampleSeed;
         ropts.sampleWarmup = o.sampleWarmup;
 
-        campaign::CampaignResult res =
-            campaign::runCampaign(jobs, ropts);
+        campaign::CampaignResult res;
+        std::unique_ptr<campaign::Coordinator> coord;
+        if (o.serve) {
+            o.svc.run = ropts;
+            if (!o.quiet) {
+                std::printf(
+                    "%s\n",
+                    campaign::CampaignResult::csvHeader().c_str());
+                std::fflush(stdout);
+                o.svc.onRow = [](std::size_t,
+                                 const campaign::JobResult &r) {
+                    std::printf("%s\n", campaign::csvRow(r).c_str());
+                    std::fflush(stdout);
+                };
+            }
+            coord = std::make_unique<campaign::Coordinator>(
+                std::move(jobs), o.svc);
+            std::fprintf(stderr,
+                         "darco_campaign: serving %zu jobs on %s:%u"
+                         " (%zu resumed from manifest)\n",
+                         coord->totalJobs(), o.svc.bind.c_str(),
+                         unsigned(coord->port()),
+                         coord->resumedFromManifest());
+            res = coord->wait();
+        } else {
+            res = campaign::runCampaign(jobs, ropts);
+            if (!o.quiet)
+                std::printf("%s", res.csv().c_str());
+        }
 
-        if (!o.quiet)
-            std::printf("%s", res.csv().c_str());
         if (!o.csvPath.empty() && !writeFile(o.csvPath, res.csv()))
             return 2;
         if (!o.jsonPath.empty() && !writeFile(o.jsonPath, res.json()))
@@ -424,13 +515,24 @@ main(int argc, char **argv)
         unsigned failed = 0;
         for (const auto &r : res.results)
             failed += r.ok ? 0 : 1;
-        std::fprintf(stderr,
-                     "darco_campaign: %zu jobs on %u workers in %.0f ms"
-                     " (%u failed, checkpoints: %llu hit / %llu"
-                     " stored)\n",
-                     res.results.size(), o.jobs, res.wallMs, failed,
-                     (unsigned long long)res.checkpointHits,
-                     (unsigned long long)res.checkpointMisses);
+        if (coord)
+            std::fprintf(stderr,
+                         "darco_campaign: %zu jobs in %.0f ms via %llu"
+                         " workers (%u failed, %llu reassigned, %llu"
+                         " duplicate results)\n",
+                         res.results.size(), res.wallMs,
+                         (unsigned long long)coord->workersSeen(),
+                         failed,
+                         (unsigned long long)coord->reassignments(),
+                         (unsigned long long)coord->duplicateResults());
+        else
+            std::fprintf(stderr,
+                         "darco_campaign: %zu jobs on %u workers in"
+                         " %.0f ms (%u failed, checkpoints: %llu hit /"
+                         " %llu stored)\n",
+                         res.results.size(), o.jobs, res.wallMs, failed,
+                         (unsigned long long)res.checkpointHits,
+                         (unsigned long long)res.checkpointMisses);
         return failed ? 1 : 0;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "darco_campaign: %s\n", e.what());
