@@ -575,6 +575,37 @@ struct Coordinator::Impl
         }
     }
 
+    /**
+     * Abandon the campaign: the accept loop notices `stopped` within
+     * one poll, and every live connection is woken. The listener is
+     * left open: only joinThreads closes it, after the accept loop has
+     * exited, so its fd is never closed while accept() may read it.
+     */
+    void
+    stopLocked()
+    {
+        stopped = true;
+        for (int fd : liveFds)
+            ::shutdown(fd, SHUT_RDWR);
+        cv.notify_all();
+    }
+
+    /** Join the accept loop, close the listener, then join every
+     *  connection thread. Idempotent. */
+    void
+    joinThreads()
+    {
+        if (joined)
+            return;
+        joined = true;
+        if (acceptThread.joinable())
+            acceptThread.join();
+        listener->close();
+        for (auto &t : connThreads)
+            if (t.joinable())
+                t.join();
+    }
+
     void
     acceptLoop()
     {
@@ -636,18 +667,10 @@ Coordinator::wait()
             return impl_->stopped || impl_->allDone();
         });
     }
-    // Tear the service down: the accept loop sees done/stopped, and
-    // every connection thread either hands its worker a shutdown or
-    // notices the closed socket.
-    impl_->listener->close();
-    if (!impl_->joined) {
-        impl_->joined = true;
-        if (impl_->acceptThread.joinable())
-            impl_->acceptThread.join();
-        for (auto &t : impl_->connThreads)
-            if (t.joinable())
-                t.join();
-    }
+    // Tear the service down: the accept loop sees done/stopped
+    // within one poll, and every connection thread either hands its
+    // worker a shutdown or notices the closed socket.
+    impl_->joinThreads();
 
     CampaignResult res;
     res.results.reserve(impl_->results.size());
@@ -667,30 +690,16 @@ void
 Coordinator::stop()
 {
     std::lock_guard<std::mutex> g(impl_->mutex);
-    impl_->stopped = true;
-    impl_->listener->close();
-    for (int fd : impl_->liveFds)
-        ::shutdown(fd, SHUT_RDWR);
-    impl_->cv.notify_all();
+    impl_->stopLocked();
 }
 
 Coordinator::~Coordinator()
 {
     {
         std::lock_guard<std::mutex> g(impl_->mutex);
-        impl_->stopped = true;
-        impl_->listener->close();
-        for (int fd : impl_->liveFds)
-            ::shutdown(fd, SHUT_RDWR);
-        impl_->cv.notify_all();
+        impl_->stopLocked();
     }
-    if (!impl_->joined) {
-        if (impl_->acceptThread.joinable())
-            impl_->acceptThread.join();
-        for (auto &t : impl_->connThreads)
-            if (t.joinable())
-                t.join();
-    }
+    impl_->joinThreads();
 }
 
 std::size_t

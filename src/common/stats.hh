@@ -25,40 +25,32 @@ namespace darco
 /**
  * A single named 64-bit counter.
  *
- * Updates are relaxed atomics so components shared across threads
- * (the translation registry under the async translator, code-cache
- * eviction bookkeeping) can bump counters without data races; no
- * ordering is implied between counters.
+ * A plain integer with a single writer: a StatGroup is written only by
+ * the thread that runs its simulation. Async translator workers run
+ * only Tol::prepare, which touches no stats, and each campaign job
+ * builds its own Controller and timing StatGroup, so no counter is
+ * ever shared between threads (DESIGN.md; the TSan CI job checks it).
  */
 class Counter
 {
   public:
-    Counter() = default;
-    Counter(const Counter &o) : value_(o.value()) {}
-    Counter &
-    operator=(const Counter &o)
-    {
-        value_.store(o.value(), std::memory_order_relaxed);
-        return *this;
-    }
-
-    void inc(u64 by = 1) { value_.fetch_add(by, std::memory_order_relaxed); }
-    void set(u64 v) { value_.store(v, std::memory_order_relaxed); }
-    void reset() { value_.store(0, std::memory_order_relaxed); }
-    u64 value() const { return value_.load(std::memory_order_relaxed); }
+    void inc(u64 by = 1) { value_ += by; }
+    void set(u64 v) { value_ = v; }
+    void reset() { value_ = 0; }
+    u64 value() const { return value_; }
 
   private:
-    std::atomic<u64> value_{0};
+    u64 value_ = 0;
 };
 
 /**
  * Simple fixed-bucket histogram over u64 samples.
  *
- * Like Counter, updates are relaxed atomics: histograms fed from
- * registry/code-cache paths can be sampled while async translator
- * workers are live, so sample() must be race-free. The bucket limits
- * are immutable after construction; readers see per-cell-consistent
- * snapshots (no ordering is implied between cells).
+ * Updates are relaxed atomics, so one histogram may be sampled from
+ * several threads at once; no ordering is implied between cells. The
+ * simulator samples one per superblock publish, far off the per-record
+ * and per-dispatch paths, so the atomics cost nothing measurable. The
+ * bucket limits are immutable after construction.
  */
 class Histogram
 {
@@ -98,7 +90,9 @@ class Histogram
  * A named collection of counters and histograms.
  *
  * Lookup is by string name; creation is lazy, so components can simply
- * write `stats.counter("tol.chained").inc()`.
+ * write `stats.counter("tol.chained").inc()`. A returned reference
+ * stays valid for the group's lifetime (counters are never erased), so
+ * hot paths bind a `Counter*` once instead of looking it up per event.
  */
 class StatGroup
 {

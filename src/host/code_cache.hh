@@ -10,13 +10,15 @@
  * "code cache full -> flush everything" policy remains available via
  * flush(), which returns the whole cache to a single free hole.
  *
- * Beside each encoded word the cache keeps its decoded HInst, so the
- * host emulator executes predecoded instructions and never decodes on
- * its fetch path. install() and setWord() are the only writers and
- * update both arrays, which keeps chain and unchain patches coherent;
- * a word with an invalid opcode is rejected when it is written. Both
- * arrays grow to the allocator's high-water mark, so a cache costs
- * memory in proportion to the code it has held, not to its capacity.
+ * Beside each encoded word the cache keeps its decoded HInst and its
+ * 4-byte TraceTemplate, so the host emulator executes predecoded
+ * instructions, never decodes on its fetch path, and fills a traced
+ * record by copying. install() and setWord() are the only writers and
+ * update all three arrays, which keeps chain and unchain patches
+ * coherent; a word with an invalid opcode is rejected when it is
+ * written. The arrays grow to the allocator's high-water mark, so a
+ * cache costs memory in proportion to the code it has held, not to
+ * its capacity.
  *
  * The cache only manages words; translation bookkeeping (entry maps,
  * chaining, the LRU eviction clock) lives in tol::TranslationRegistry.
@@ -32,6 +34,7 @@
 
 #include "common/types.hh"
 #include "host/hisa.hh"
+#include "host/trace.hh"
 
 namespace darco::host
 {
@@ -72,6 +75,7 @@ class CodeCache
             if (base + n > words_.size()) {
                 words_.resize(base + n);
                 insts_.resize(base + n);
+                templates_.resize(base + n);
             }
             return base;
         }
@@ -124,11 +128,18 @@ class CodeCache
     /** The predecoded form of word(idx). */
     const HInst &inst(u32 idx) const { return insts_[idx]; }
 
+    /** The trace class and operands of word(idx). */
+    const TraceTemplate &traceTemplate(u32 idx) const
+    {
+        return templates_[idx];
+    }
+
     /** Overwrite one allocated word (chain and unchain patches). */
     void
     setWord(u32 idx, u32 w)
     {
         insts_[idx] = hdecode(w);
+        templates_[idx] = host::traceTemplate(insts_[idx]);
         words_[idx] = w;
     }
 
@@ -174,9 +185,11 @@ class CodeCache
 
     u32 capacity_;
     u32 used_ = 0;
-    /** Encoded words and their decoded forms, index-aligned. */
+    /** Encoded words, their decoded forms and trace templates,
+     *  index-aligned. */
     std::vector<u32> words_;
     std::vector<HInst> insts_;
+    std::vector<TraceTemplate> templates_;
     std::vector<Hole> holes_;
     u64 flushCount_ = 0;
     u64 releases_ = 0;

@@ -47,78 +47,6 @@ memWrite(guest::PagedMemory &m, GAddr a, u64 v, unsigned size)
 
 } // namespace
 
-InstClass
-classify(HOp op)
-{
-    switch (op) {
-      case HOp::MUL:
-      case HOp::MULH:
-        return InstClass::IntMul;
-      case HOp::DIV:
-      case HOp::REM:
-        return InstClass::IntDiv;
-      case HOp::FADD:
-      case HOp::FSUB:
-      case HOp::FABS:
-      case HOp::FNEG:
-      case HOp::FMOV:
-      case HOp::FRND:
-      case HOp::FCVTWD:
-      case HOp::FCVTZW:
-      case HOp::FEQ:
-      case HOp::FLT:
-      case HOp::FLE:
-        return InstClass::FpAlu;
-      case HOp::FMUL:
-        return InstClass::FpMul;
-      case HOp::FDIV:
-      case HOp::FSQRT:
-        return InstClass::FpDiv;
-      case HOp::LB:
-      case HOp::LBU:
-      case HOp::LH:
-      case HOp::LHU:
-      case HOp::LW:
-      case HOp::LWS:
-      case HOp::FLD:
-      case HOp::FLDS:
-      case HOp::LWL:
-      case HOp::FLDL:
-      case HOp::FLDC:
-        return InstClass::Load;
-      case HOp::SB:
-      case HOp::SH:
-      case HOp::SW:
-      case HOp::FST:
-      case HOp::SBC:
-      case HOp::SHC:
-      case HOp::SWC:
-      case HOp::FSTC:
-      case HOp::SWL:
-      case HOp::FSTL:
-        return InstClass::Store;
-      case HOp::BEQ:
-      case HOp::BNE:
-      case HOp::BLT:
-      case HOp::BGE:
-      case HOp::BLTU:
-      case HOp::BGEU:
-        return InstClass::Branch;
-      case HOp::J:
-      case HOp::IBTC:
-      case HOp::EXITB:
-        return InstClass::Jump;
-      case HOp::CKPT:
-      case HOp::COMMIT:
-      case HOp::ASSERTZ:
-      case HOp::ASSERTNZ:
-      case HOp::RETIRE:
-        return InstClass::Other;
-      default:
-        return InstClass::IntAlu;
-    }
-}
-
 IbtcTable::IbtcTable(u32 entries)
 {
     darco_assert(isPow2(entries), "IBTC size must be a power of two");
@@ -336,10 +264,12 @@ HostEmu::run(u32 host_pc, u64 max_insts)
             InstRecord rec;
             const bool tracing = sink_ != nullptr;
             if (tracing) {
+                const TraceTemplate &t = cache_.traceTemplate(pc);
                 rec.pc = pc * 4;
-                rec.cls = classify(i.op);
-                rec.isFp = i.info().isFp;
-                fillRegs(i, rec);
+                rec.cls = t.cls;
+                rec.dst = t.dst;
+                rec.src1 = t.src1;
+                rec.src2 = t.src2;
             }
 
             switch (i.op) {
@@ -452,37 +382,43 @@ HostEmu::run(u32 host_pc, u64 max_insts)
               // --- guest memory ---
               case HOp::LB: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
-                if (tracing) { rec.memAddr = a; rec.memSize = 1; }
+                if (tracing)
+                    rec.memAddr = a;
                 setReg(i.rd, u32(s32(s8(specRead(a, 1)))));
                 break;
               }
               case HOp::LBU: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
-                if (tracing) { rec.memAddr = a; rec.memSize = 1; }
+                if (tracing)
+                    rec.memAddr = a;
                 setReg(i.rd, u32(specRead(a, 1)));
                 break;
               }
               case HOp::LH: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
-                if (tracing) { rec.memAddr = a; rec.memSize = 2; }
+                if (tracing)
+                    rec.memAddr = a;
                 setReg(i.rd, u32(s32(s16(specRead(a, 2)))));
                 break;
               }
               case HOp::LHU: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
-                if (tracing) { rec.memAddr = a; rec.memSize = 2; }
+                if (tracing)
+                    rec.memAddr = a;
                 setReg(i.rd, u32(specRead(a, 2)));
                 break;
               }
               case HOp::LW: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
-                if (tracing) { rec.memAddr = a; rec.memSize = 4; }
+                if (tracing)
+                    rec.memAddr = a;
                 setReg(i.rd, u32(specRead(a, 4)));
                 break;
               }
               case HOp::LWS: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
-                if (tracing) { rec.memAddr = a; rec.memSize = 4; }
+                if (tracing)
+                    rec.memAddr = a;
                 setReg(i.rd, u32(specRead(a, 4)));
                 if (speculative_)
                     specLoads_.push_back(SpecLoad{a, 4});
@@ -490,7 +426,8 @@ HostEmu::run(u32 host_pc, u64 max_insts)
               }
               case HOp::FLD: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
-                if (tracing) { rec.memAddr = a; rec.memSize = 8; }
+                if (tracing)
+                    rec.memAddr = a;
                 u64 b = specRead(a, 8);
                 double d;
                 __builtin_memcpy(&d, &b, 8);
@@ -499,7 +436,8 @@ HostEmu::run(u32 host_pc, u64 max_insts)
               }
               case HOp::FLDS: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
-                if (tracing) { rec.memAddr = a; rec.memSize = 8; }
+                if (tracing)
+                    rec.memAddr = a;
                 u64 b = specRead(a, 8);
                 double d;
                 __builtin_memcpy(&d, &b, 8);
@@ -522,7 +460,8 @@ HostEmu::run(u32 host_pc, u64 max_insts)
                                      i.op == HOp::SHC ||
                                      i.op == HOp::SWC;
                 GAddr a = gpr[i.rs1] + u32(i.imm);
-                if (tracing) { rec.memAddr = a; rec.memSize = u8(size); }
+                if (tracing)
+                    rec.memAddr = a;
                 if (checked && speculative_ &&
                     aliasesSpecLoad(a, size)) {
                     rollback();
@@ -535,7 +474,8 @@ HostEmu::run(u32 host_pc, u64 max_insts)
               case HOp::FST:
               case HOp::FSTC: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
-                if (tracing) { rec.memAddr = a; rec.memSize = 8; }
+                if (tracing)
+                    rec.memAddr = a;
                 if (i.op == HOp::FSTC && speculative_ &&
                     aliasesSpecLoad(a, 8)) {
                     rollback();
@@ -552,19 +492,15 @@ HostEmu::run(u32 host_pc, u64 max_insts)
               // --- TOL-local memory ---
               case HOp::LWL: {
                 u32 a = gpr[i.rs1] + u32(i.imm);
-                if (tracing) {
+                if (tracing)
                     rec.memAddr = 0xf800'0000u + a;
-                    rec.memSize = 4;
-                }
                 setReg(i.rd, readLocal32(a));
                 break;
               }
               case HOp::SWL: {
                 u32 a = gpr[i.rs1] + u32(i.imm);
-                if (tracing) {
+                if (tracing)
                     rec.memAddr = 0xf800'0000u + a;
-                    rec.memSize = 4;
-                }
                 writeLocal32(a, gpr[i.rs2]);
                 break;
               }
@@ -573,10 +509,8 @@ HostEmu::run(u32 host_pc, u64 max_insts)
                 // u64 arithmetic: a + 8 must not wrap near 2^32.
                 darco_assert(u64(a) + 8 <= localMem_.size(),
                              "local mem OOB read");
-                if (tracing) {
+                if (tracing)
                     rec.memAddr = 0xf800'0000u + a;
-                    rec.memSize = 8;
-                }
                 double d;
                 __builtin_memcpy(&d, localMem_.data() + a, 8);
                 fpr[i.rd] = d;
@@ -586,10 +520,8 @@ HostEmu::run(u32 host_pc, u64 max_insts)
                 u32 a = gpr[i.rs1] + u32(i.imm);
                 darco_assert(u64(a) + 8 <= localMem_.size(),
                              "local mem OOB write");
-                if (tracing) {
+                if (tracing)
                     rec.memAddr = 0xf800'0000u + a;
-                    rec.memSize = 8;
-                }
                 double d = fpr[i.rs2];
                 __builtin_memcpy(localMem_.data() + a, &d, 8);
                 break;
@@ -597,10 +529,8 @@ HostEmu::run(u32 host_pc, u64 max_insts)
               case HOp::FLDC:
                 darco_assert(u32(i.imm) < fpPool_.size(),
                              "FLDC pool index OOB");
-                if (tracing) {
+                if (tracing)
                     rec.memAddr = 0xfc00'0000u + u32(i.imm) * 8;
-                    rec.memSize = 8;
-                }
                 fpr[i.rd] = fpPool_[u32(i.imm)];
                 break;
 

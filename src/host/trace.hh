@@ -47,19 +47,32 @@ constexpr u8 noReg = 0xff;
 struct InstRecord
 {
     u32 pc = 0;         //!< host byte address (word index * 4)
-    InstClass cls = InstClass::IntAlu;
     u32 memAddr = 0;    //!< effective address for Load/Store
-    u8 memSize = 0;     //!< access width in bytes
-    bool taken = false; //!< branch outcome
     u32 nextPc = 0;     //!< byte address of the next instruction
-    bool isFp = false;
+    InstClass cls = InstClass::IntAlu;
     u8 dst = noReg;     //!< destination register (scoreboard)
     u8 src1 = noReg;
     u8 src2 = noReg;
+    bool taken = false; //!< branch outcome
 };
 
-/** Fill the dst/src fields of a record from a decoded instruction. */
-void fillRegs(const HInst &inst, InstRecord &rec);
+/**
+ * The part of an InstRecord that the instruction word alone decides:
+ * its class and scoreboard operands. The code cache keeps one beside
+ * each predecoded word, so tracing a host instruction copies these
+ * four bytes instead of re-deriving them.
+ */
+struct TraceTemplate
+{
+    InstClass cls = InstClass::IntAlu;
+    u8 dst = noReg;
+    u8 src1 = noReg;
+    u8 src2 = noReg;
+};
+static_assert(sizeof(TraceTemplate) == 4, "one word per cached word");
+
+/** Class and operands of a decoded instruction (r0 reads as noReg). */
+TraceTemplate traceTemplate(const HInst &inst);
 
 /** Consumer of the dynamic instruction stream. */
 class TraceSink
@@ -78,9 +91,6 @@ class TraceSink
      */
     virtual void recordConcurrent(u64 host_insts) { (void)host_insts; }
 };
-
-/** Map a host opcode to its execution class. */
-InstClass classify(HOp op);
 
 } // namespace darco::host
 

@@ -18,15 +18,16 @@ Cache::Cache(std::string name, u32 size_bytes, u32 assoc,
              u32 line_bytes, Cycle hit_latency, Cycle miss_latency,
              Cache *next, StatGroup &stats)
     : name_(std::move(name)),
-      lineBytes_(line_bytes),
       assoc_(assoc),
       numSets_(size_bytes / (line_bytes * assoc)),
       hitLatency_(hit_latency),
       missLatency_(miss_latency),
       next_(next)
 {
-    darco_assert(isPow2(lineBytes_) && isPow2(numSets_),
+    darco_assert(isPow2(line_bytes) && isPow2(numSets_),
                  "cache geometry must be power-of-two: ", name_);
+    lineShift_ = u32(__builtin_ctz(line_bytes));
+    tagShift_ = lineShift_ + u32(__builtin_ctz(numSets_));
     lines_.resize(std::size_t(numSets_) * assoc_);
     hits_ = &stats.counter(name_ + ".hits");
     misses_ = &stats.counter(name_ + ".misses");
@@ -48,11 +49,8 @@ Cache::probe(u32 addr) const
 }
 
 Cycle
-Cache::fill(u32 addr, bool from_prefetch)
+Cache::fill(u32 set, u64 tag, u32 addr, bool from_prefetch, bool dirty)
 {
-    u32 set = setIndex(addr);
-    u64 tag = tagOf(addr);
-
     // Victim: invalid first, else LRU.
     Line *victim = nullptr;
     for (u32 w = 0; w < assoc_; ++w) {
@@ -77,7 +75,7 @@ Cache::fill(u32 addr, bool from_prefetch)
         lat = missLatency_;
     }
     victim->valid = true;
-    victim->dirty = false;
+    victim->dirty = dirty;
     victim->tag = tag;
     victim->lru = ++lruTick_;
     return lat;
@@ -98,17 +96,7 @@ Cache::access(u32 addr, bool write)
         }
     }
     misses_->inc();
-    Cycle lat = hitLatency_ + fill(addr, false);
-    if (write) {
-        u32 s2 = setIndex(addr);
-        u64 t2 = tagOf(addr);
-        for (u32 w = 0; w < assoc_; ++w) {
-            Line &l = lines_[std::size_t(s2) * assoc_ + w];
-            if (l.valid && l.tag == t2)
-                l.dirty = true;
-        }
-    }
-    return lat;
+    return hitLatency_ + fill(set, tag, addr, false, write);
 }
 
 void
@@ -117,7 +105,7 @@ Cache::prefetch(u32 addr)
     if (probe(addr))
         return;
     prefetches_->inc();
-    fill(addr, true);
+    fill(setIndex(addr), tagOf(addr), addr, true, false);
 }
 
 } // namespace darco::timing

@@ -6,6 +6,9 @@
  *
  * The model is latency-oriented (no MSHR overlap): appropriate for
  * the paper's simple in-order core, where a miss stalls the pipeline.
+ * Line size and set count are powers of two, so set and tag are a
+ * shift and a mask: the timing model runs an access per fetch line and
+ * per memory operation, where a division would dominate the lookup.
  */
 
 #ifndef DARCO_TIMING_CACHE_HH
@@ -44,7 +47,8 @@ class Cache
     u64 hits() const { return hits_->value(); }
     u64 misses() const { return misses_->value(); }
 
-    u32 lineBytes() const { return lineBytes_; }
+    /** log2 of the line size (asserted a power of two). */
+    u32 lineShift() const { return lineShift_; }
 
   private:
     struct Line
@@ -55,19 +59,25 @@ class Cache
         u64 lru = 0;
     };
 
-    /** Fill a line; returns extra latency from the next level. */
-    Cycle fill(u32 addr, bool from_prefetch);
+    /**
+     * Fill the line of addr into `set` (victim: an invalid way, else
+     * LRU), leaving it dirty iff `dirty`; returns the extra latency
+     * from the next level.
+     */
+    Cycle fill(u32 set, u64 tag, u32 addr, bool from_prefetch,
+               bool dirty);
 
     u32 setIndex(u32 addr) const
     {
-        return (addr / lineBytes_) & (numSets_ - 1);
+        return (addr >> lineShift_) & (numSets_ - 1);
     }
-    u64 tagOf(u32 addr) const { return addr / lineBytes_ / numSets_; }
+    u64 tagOf(u32 addr) const { return u64(addr) >> tagShift_; }
 
     std::string name_;
-    u32 lineBytes_;
     u32 assoc_;
     u32 numSets_;
+    u32 lineShift_; //!< log2(line bytes)
+    u32 tagShift_;  //!< log2(line bytes * numSets_)
     Cycle hitLatency_;
     Cycle missLatency_;
     Cache *next_;

@@ -39,6 +39,7 @@ InOrderCore::InOrderCore(const Config &cfg, StatGroup &stats)
         "l1d", u32(conf::getUint(cfg, "l1d.size")),
         u32(conf::getUint(cfg, "l1d.assoc")), line,
         conf::getUint(cfg, "l1d.lat"), 0, l2_.get(), stats);
+    fetchLineShift_ = l1i_->lineShift();
     itlb_ = std::make_unique<Tlb>(
         "itlb", u32(conf::getUint(cfg, "tlb.l1_entries")),
         u32(conf::getUint(cfg, "tlb.l2_entries")),
@@ -88,6 +89,7 @@ void
 InOrderCore::recordConcurrent(u64 host_insts)
 {
     translatorInsts_ += host_insts;
+    translatorCycles_ = (translatorInsts_ + vthreads_ - 1) / vthreads_;
     cTranslatorInsts_->inc(host_insts);
     cCycles_->set(cycles());
 }
@@ -113,7 +115,7 @@ InOrderCore::record(const InstRecord &rec)
     cInsts_->inc();
 
     // ---- front end -----------------------------------------------------
-    u64 line = rec.pc / l1i_->lineBytes();
+    u64 line = rec.pc >> fetchLineShift_;
     if (line != lastFetchLine_) {
         lastFetchLine_ = line;
         Cycle lat = itlb_->access(rec.pc) + l1i_->access(rec.pc, false);
@@ -229,7 +231,8 @@ InOrderCore::record(const InstRecord &rec)
 
     // IQ slot recycles at issue.
     iqRing_[iqHead_] = issue;
-    iqHead_ = (iqHead_ + 1) % iqSize_;
+    if (++iqHead_ == iqSize_)
+        iqHead_ = 0;
 
     cCycles_->set(cycles());
 }
@@ -239,8 +242,7 @@ InOrderCore::cycles() const
 {
     // Translator threads run on spare hardware at ~1 IPC each; the
     // run ends when both the main core and the translators finish.
-    Cycle translator = (translatorInsts_ + vthreads_ - 1) / vthreads_;
-    return std::max(lastRetire_, translator);
+    return std::max(lastRetire_, translatorCycles_);
 }
 
 } // namespace darco::timing

@@ -95,6 +95,7 @@ class InOrderCore : public host::TraceSink
     std::unique_ptr<StridePrefetcher> prefetcher_;
 
     // Front-end state.
+    u32 fetchLineShift_; //!< L1I lineShift()
     Cycle fetchCycle_ = 0;
     u32 fetchedThisCycle_ = 0;
     u64 lastFetchLine_ = ~0ull;
@@ -103,7 +104,7 @@ class InOrderCore : public host::TraceSink
     // Instruction-queue occupancy: issue cycles of the last iq_size
     // instructions (entry blocks until the oldest leaves).
     std::vector<Cycle> iqRing_;
-    std::size_t iqHead_ = 0;
+    u32 iqHead_ = 0;
 
     // Back-end state.
     Cycle issueCycle_ = 0;
@@ -114,8 +115,11 @@ class InOrderCore : public host::TraceSink
 
     u64 instructions_ = 0;
 
-    // Concurrent-translator overlap model.
+    // Concurrent-translator overlap model: cycles the translator
+    // threads need, ceil(translator insts / vthreads), kept current by
+    // recordConcurrent so cycles() divides nothing per record.
     u64 translatorInsts_ = 0;
+    Cycle translatorCycles_ = 0;
     u32 vthreads_ = 1;
 
     // Event counters for the power model.

@@ -16,7 +16,15 @@
 namespace darco::timing
 {
 
-/** One fully-associative TLB level. */
+/**
+ * One fully-associative TLB level.
+ *
+ * Accesses are dominated by repeats of the last page, so the level
+ * remembers its most recently used entry and checks it before the
+ * linear scan. The check is exact: a hit there applies the same LRU
+ * tick and hit count as the scan would, and every hit or fill makes
+ * its entry the new MRU.
+ */
 class TlbLevel
 {
   public:
@@ -27,30 +35,42 @@ class TlbLevel
         misses_ = &stats.counter(name + ".misses");
     }
 
+    /** @param vpn a page number, addr >> 12 (so never noVpn)
+     *  @return true on a hit */
     bool
     access(u32 vpn)
     {
-        for (auto &e : entries_) {
+        if (vpn == mruVpn_) {
+            entries_[mru_].lru = ++tick_;
+            hits_->inc();
+            return true;
+        }
+        for (std::size_t i = 0; i < entries_.size(); ++i) {
+            Entry &e = entries_[i];
             if (e.valid && e.vpn == vpn) {
                 e.lru = ++tick_;
                 hits_->inc();
+                setMru(i, vpn);
                 return true;
             }
         }
         misses_->inc();
         // Fill (LRU victim).
-        Entry *victim = &entries_[0];
-        for (auto &e : entries_) {
+        std::size_t victim = 0;
+        for (std::size_t i = 0; i < entries_.size(); ++i) {
+            const Entry &e = entries_[i];
             if (!e.valid) {
-                victim = &e;
+                victim = i;
                 break;
             }
-            if (e.lru < victim->lru)
-                victim = &e;
+            if (e.lru < entries_[victim].lru)
+                victim = i;
         }
-        victim->valid = true;
-        victim->vpn = vpn;
-        victim->lru = ++tick_;
+        Entry &v = entries_[victim];
+        v.valid = true;
+        v.vpn = vpn;
+        v.lru = ++tick_;
+        setMru(victim, vpn);
         return false;
     }
 
@@ -61,8 +81,21 @@ class TlbLevel
         bool valid = false;
         u64 lru = 0;
     };
+
+    void
+    setMru(std::size_t i, u32 vpn)
+    {
+        mru_ = i;
+        mruVpn_ = vpn;
+    }
+
+    /** No page number has these bits set (vpn = addr >> 12). */
+    static constexpr u32 noVpn = ~0u;
+
     std::vector<Entry> entries_;
     u64 tick_ = 0;
+    std::size_t mru_ = 0;
+    u32 mruVpn_ = noVpn;
     Counter *hits_;
     Counter *misses_;
 };

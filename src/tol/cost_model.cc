@@ -55,7 +55,10 @@ void
 CostModel::charge(Overhead cat, u64 n)
 {
     totals_[unsigned(cat)] += n;
-    stats_.counter(std::string("tol.ov_") + overheadName(cat)).inc(n);
+    Counter *&ov = ovCounters_[unsigned(cat)];
+    if (!ov)
+        ov = &stats_.counter(std::string("tol.ov_") + overheadName(cat));
+    ov->inc(n);
     if (!sink_)
         return;
     // Critical-path charges join the core's dynamic stream; work on a
@@ -82,11 +85,9 @@ CostModel::synthesize(u64 n)
         if (sel < 25) {
             rec.cls = host::InstClass::Load;
             rec.memAddr = tolDataBase + ((synthPc_ * 37) & 0x3ffff);
-            rec.memSize = 4;
         } else if (sel < 35) {
             rec.cls = host::InstClass::Store;
             rec.memAddr = tolDataBase + ((synthPc_ * 53) & 0x3ffff);
-            rec.memSize = 4;
         } else if (sel < 47) {
             rec.cls = host::InstClass::Branch;
             rec.taken = (sel & 1) != 0;

@@ -133,6 +133,9 @@ class CostModel
 
     StatGroup &stats_;
     std::array<u64, unsigned(Overhead::NumCats)> totals_{};
+    /** `tol.ov_<cat>`, bound on the category's first charge so the
+     *  counter key set is the same as with a lookup per charge. */
+    std::array<Counter *, unsigned(Overhead::NumCats)> ovCounters_{};
     host::TraceSink *sink_ = nullptr;
     u32 synthPc_ = 0;
 

@@ -1,10 +1,16 @@
 /**
  * @file
  * Timing-simulator tests: cache behaviour (hits/misses/LRU/writeback),
- * TLB levels, gshare learning, BTB, stride prefetcher, scoreboard
+ * TLB levels, seeded differential checks of both against naive
+ * reference models, gshare learning, BTB, stride prefetcher, scoreboard
  * dependencies, issue width, and end-to-end IPC sanity; power-model
  * accounting on top.
  */
+
+#include <array>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -42,7 +48,6 @@ load(u32 pc, u32 addr, u8 dst)
     r.nextPc = pc + 4;
     r.cls = InstClass::Load;
     r.memAddr = addr;
-    r.memSize = 4;
     r.dst = dst;
     return r;
 }
@@ -112,6 +117,308 @@ TEST(TlbModel, TwoLevelLatencies)
     tlb.access(0x2000);
     tlb.access(0x3000); // evicts 0x1000 from the 2-entry L1
     EXPECT_EQ(tlb.access(0x1000), 5u) << "L1 miss, L2 hit";
+}
+
+// --- differential checks against naive reference models -------------
+//
+// The models index sets with shifts and masks and check the TLB's most
+// recently used entry before scanning. These references do neither:
+// sets by division and modulo, and a full linear LRU scan on every
+// access. Each seeded stream must match them access by access, in
+// latency and in every counter.
+
+namespace
+{
+
+/** Reference cache level: same policy as Cache, computed naively. */
+class RefCache
+{
+  public:
+    RefCache(u32 size, u32 assoc, u32 line, Cycle hit_lat, Cycle miss_lat,
+             RefCache *next)
+        : line_(line), assoc_(assoc), sets_(size / (line * assoc)),
+          hitLat_(hit_lat), missLat_(miss_lat), next_(next),
+          ways_(std::size_t(sets_) * assoc)
+    {}
+
+    Cycle
+    access(u32 addr, bool write)
+    {
+        if (Way *w = find(addr)) {
+            ++hits;
+            w->lru = ++tick_;
+            w->dirty = w->dirty || write;
+            return hitLat_;
+        }
+        ++misses;
+        return hitLat_ + fill(addr, false, write);
+    }
+
+    void
+    prefetch(u32 addr)
+    {
+        if (find(addr))
+            return;
+        ++prefetches;
+        fill(addr, true, false);
+    }
+
+    u64 hits = 0, misses = 0, writebacks = 0, prefetches = 0;
+
+  private:
+    struct Way
+    {
+        bool valid = false;
+        bool dirty = false;
+        u64 tag = 0;
+        u64 lru = 0;
+    };
+
+    u64 set(u32 addr) const { return (addr / line_) % sets_; }
+    u64 tag(u32 addr) const { return (addr / line_) / sets_; }
+
+    Way *
+    find(u32 addr)
+    {
+        for (u32 w = 0; w < assoc_; ++w) {
+            Way &way = ways_[set(addr) * assoc_ + w];
+            if (way.valid && way.tag == tag(addr))
+                return &way;
+        }
+        return nullptr;
+    }
+
+    Cycle
+    fill(u32 addr, bool from_prefetch, bool write)
+    {
+        Way *victim = nullptr;
+        for (u32 w = 0; w < assoc_; ++w) {
+            Way &way = ways_[set(addr) * assoc_ + w];
+            if (!way.valid) {
+                victim = &way;
+                break;
+            }
+            if (!victim || way.lru < victim->lru)
+                victim = &way;
+        }
+        if (victim->valid && victim->dirty)
+            ++writebacks;
+        Cycle lat = missLat_;
+        if (next_ && from_prefetch) {
+            next_->prefetch(addr);
+            lat = 0;
+        } else if (next_) {
+            lat = next_->access(addr, false);
+        }
+        *victim = Way{true, write, tag(addr), ++tick_};
+        return lat;
+    }
+
+    u32 line_, assoc_, sets_;
+    Cycle hitLat_, missLat_;
+    RefCache *next_;
+    std::vector<Way> ways_;
+    u64 tick_ = 0;
+};
+
+/** Reference fully-associative TLB level: a full LRU scan per access. */
+class RefTlbLevel
+{
+  public:
+    explicit RefTlbLevel(u32 entries) : entries_(entries) {}
+
+    bool
+    access(u32 vpn)
+    {
+        for (Entry &e : entries_) {
+            if (e.valid && e.vpn == vpn) {
+                e.lru = ++tick_;
+                ++hits;
+                return true;
+            }
+        }
+        ++misses;
+        Entry *victim = &entries_[0];
+        for (Entry &e : entries_) {
+            if (!e.valid) {
+                victim = &e;
+                break;
+            }
+            if (e.lru < victim->lru)
+                victim = &e;
+        }
+        *victim = Entry{vpn, true, ++tick_};
+        return false;
+    }
+
+    u64 hits = 0, misses = 0;
+
+  private:
+    struct Entry
+    {
+        u32 vpn = 0;
+        bool valid = false;
+        u64 lru = 0;
+    };
+    std::vector<Entry> entries_;
+    u64 tick_ = 0;
+};
+
+/**
+ * A seeded address stream with reuse at several distances: short steps
+ * from the last address, revisits of recent ones, random addresses in
+ * windows at four random bases, and strays anywhere in the 32-bit
+ * space (so every tag bit is in play).
+ */
+class AddrStream
+{
+  public:
+    AddrStream(u64 seed, u32 window, u32 step)
+        : rng_(seed), window_(window), step_(step)
+    {
+        for (u32 &b : bases_)
+            b = u32(rng_.next());
+        recent_.fill(bases_[0]);
+    }
+
+    u32
+    next()
+    {
+        double p = rng_.uniform();
+        u32 a;
+        if (p < 0.35)
+            a = last_ + u32(rng_.range(0, step_));
+        else if (p < 0.55)
+            a = recent_[rng_.range(0, recent_.size() - 1)];
+        else if (p < 0.95)
+            a = bases_[rng_.range(0, bases_.size() - 1)] +
+                u32(rng_.range(0, window_ - 1));
+        else
+            a = u32(rng_.next());
+        recent_[n_++ % recent_.size()] = a;
+        last_ = a;
+        return a;
+    }
+
+    Rng &rng() { return rng_; }
+
+  private:
+    Rng rng_;
+    u32 window_, step_;
+    std::array<u32, 4> bases_{};
+    std::array<u32, 16> recent_{};
+    u32 last_ = 0;
+    u64 n_ = 0;
+};
+
+constexpr u64 kDiffAccesses = 100'000;
+
+} // namespace
+
+TEST(CacheModel, MatchesNaiveReferenceOnSeededStreams)
+{
+    struct Geometry
+    {
+        u32 l1Size, l1Assoc, l2Size, l2Assoc, line;
+    };
+    const Geometry geoms[] = {
+        {32768, 4, 262144, 8, 64}, // the defaults
+        {128, 4, 1024, 2, 32},     // 1-set L1 (all ways, one set)
+        {1024, 1, 8192, 1, 16},    // direct-mapped at both levels
+        {3072, 3, 24576, 6, 64},   // non-power-of-two associativity
+        {65536, 2, 1 << 20, 4, 4096}, // large lines: 8-set L1
+        {64, 1, 128, 1, 64},       // one line per level
+    };
+    for (std::size_t g = 0; g < std::size(geoms); ++g) {
+        const Geometry &geo = geoms[g];
+        SCOPED_TRACE("geometry " + std::to_string(g));
+        StatGroup st("t");
+        Cache l2("l2", geo.l2Size, geo.l2Assoc, geo.line, 12, 120,
+                 nullptr, st);
+        Cache l1("l1", geo.l1Size, geo.l1Assoc, geo.line, 2, 0, &l2, st);
+        RefCache r2(geo.l2Size, geo.l2Assoc, geo.line, 12, 120, nullptr);
+        RefCache r1(geo.l1Size, geo.l1Assoc, geo.line, 2, 0, &r2);
+        const Counter &l1wb = st.counter("l1.writebacks");
+        const Counter &l1pf = st.counter("l1.prefetches");
+        const Counter &l2wb = st.counter("l2.writebacks");
+        const Counter &l2pf = st.counter("l2.prefetches");
+
+        AddrStream addrs(1000 + g, 2 * geo.l2Size, 2 * geo.line);
+        for (u64 k = 0; k < kDiffAccesses; ++k) {
+            u32 a = addrs.next();
+            if (addrs.rng().chance(0.1)) {
+                l1.prefetch(a);
+                r1.prefetch(a);
+            } else {
+                bool write = addrs.rng().chance(0.3);
+                ASSERT_EQ(l1.access(a, write), r1.access(a, write))
+                    << "access " << k << " addr " << a;
+            }
+            ASSERT_EQ(l1.hits(), r1.hits) << "access " << k;
+            ASSERT_EQ(l1.misses(), r1.misses) << "access " << k;
+            ASSERT_EQ(l1wb.value(), r1.writebacks) << "access " << k;
+            ASSERT_EQ(l1pf.value(), r1.prefetches) << "access " << k;
+            ASSERT_EQ(l2.hits(), r2.hits) << "access " << k;
+            ASSERT_EQ(l2.misses(), r2.misses) << "access " << k;
+            ASSERT_EQ(l2wb.value(), r2.writebacks) << "access " << k;
+            ASSERT_EQ(l2pf.value(), r2.prefetches) << "access " << k;
+        }
+        // The stream exercised every outcome.
+        EXPECT_GT(r1.hits, 0u);
+        EXPECT_GT(r2.hits, 0u);
+        EXPECT_GT(r2.misses, 0u);
+        EXPECT_GT(r1.writebacks, 0u);
+    }
+}
+
+TEST(TlbModel, MatchesNaiveReferenceOnSeededStreams)
+{
+    struct Geometry
+    {
+        u32 l1, l2;
+    };
+    const Geometry geoms[] = {
+        {32, 256}, // the defaults
+        {1, 1},    // one entry per level
+        {1, 8},    // 1-entry L1: every fill evicts the MRU entry
+        {3, 5},
+        {2, 64},
+    };
+    const Cycle l2Lat = 4, walkLat = 40;
+    for (std::size_t g = 0; g < std::size(geoms); ++g) {
+        const Geometry &geo = geoms[g];
+        SCOPED_TRACE("geometry " + std::to_string(g));
+        StatGroup st("t");
+        Tlb tlb("tlb", geo.l1, geo.l2, l2Lat, walkLat, st);
+        RefTlbLevel r1(geo.l1), r2(geo.l2);
+        const Counter &h1 = st.counter("tlb.l1.hits");
+        const Counter &m1 = st.counter("tlb.l1.misses");
+        const Counter &h2 = st.counter("tlb.l2.hits");
+        const Counter &m2 = st.counter("tlb.l2.misses");
+
+        // Pages from a working set about twice the L2; short steps
+        // keep most accesses on the last page (the MRU path).
+        AddrStream addrs(2000 + g, 2 * geo.l2 * 4096, 8192);
+        for (u64 k = 0; k < kDiffAccesses; ++k) {
+            u32 a = addrs.next();
+            u32 vpn = a / 4096;
+            Cycle expect = r1.access(vpn)   ? 0
+                           : r2.access(vpn) ? l2Lat
+                                            : l2Lat + walkLat;
+            ASSERT_EQ(tlb.access(a), expect)
+                << "access " << k << " addr " << a;
+            ASSERT_EQ(h1.value(), r1.hits) << "access " << k;
+            ASSERT_EQ(m1.value(), r1.misses) << "access " << k;
+            ASSERT_EQ(h2.value(), r2.hits) << "access " << k;
+            ASSERT_EQ(m2.value(), r2.misses) << "access " << k;
+        }
+        EXPECT_GT(r1.hits, 0u);
+        EXPECT_GT(r1.misses, 0u);
+        EXPECT_GT(r2.misses, 0u);
+        if (geo.l2 > geo.l1) { // else the L2 only mirrors the L1
+            EXPECT_GT(r2.hits, 0u);
+        }
+    }
 }
 
 TEST(BpredModel, GshareLearnsLoopPattern)
