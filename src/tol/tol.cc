@@ -135,8 +135,10 @@ Tol::Tol(PagedMemory &mem, const Config &cfg, StatGroup &stats)
 void
 Tol::setTraceSink(host::TraceSink *sink)
 {
-    emu_.setTraceSink(sink);
-    cost_.setTraceSink(sink);
+    tracePipeline_.setSink(sink);
+    host::TraceSink *feed = sink ? &tracePipeline_ : nullptr;
+    emu_.setTraceSink(feed);
+    cost_.setTraceSink(feed);
 }
 
 void
@@ -1348,6 +1350,21 @@ Tol::regionAt(u32 host_pc) const
 Tol::RunResult
 Tol::run(u64 max_guest_insts)
 {
+    host::TracePipeline::Running running;
+    RunResult r;
+    try {
+        r = dispatch(max_guest_insts);
+    } catch (...) {
+        tracePipeline_.drainUnwinding();
+        throw;
+    }
+    tracePipeline_.drain();
+    return r;
+}
+
+Tol::RunResult
+Tol::dispatch(u64 max_guest_insts)
+{
     if (!initCharged_) {
         cost_.chargeInit();
         initCharged_ = true;
@@ -1417,6 +1434,18 @@ Tol::run(u64 max_guest_insts)
 
 void
 Tol::quiesce()
+{
+    try {
+        finishRegion();
+    } catch (...) {
+        tracePipeline_.drainUnwinding();
+        throw;
+    }
+    tracePipeline_.drain();
+}
+
+void
+Tol::finishRegion()
 {
     if (cur().inRegionResume) {
         runTarget_ = ~0ull;

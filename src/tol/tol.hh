@@ -46,6 +46,7 @@
 #include "guest/state.hh"
 #include "host/code_cache.hh"
 #include "host/hemu.hh"
+#include "host/trace_pipeline.hh"
 #include "tol/async.hh"
 #include "tol/cost_model.hh"
 #include "tol/frontend.hh"
@@ -182,7 +183,8 @@ class Tol : public host::RetireSink
     }
 
     /** Execute up to max_guest_insts more guest instructions
-     *  (multi-core: total across all cores). */
+     *  (multi-core: total across all cores). Returns, normally or by
+     *  an exception, with the trace sink drained. */
     RunResult run(u64 max_guest_insts = ~0ull);
 
     /** All cores finished? */
@@ -212,7 +214,16 @@ class Tol : public host::RetireSink
     const TranslationRegistry &registry() const { return registry_; }
     StatGroup &stats() { return stats_; }
 
-    /** Attach the timing stream (application + synthesized TOL). */
+    /**
+     * Attach the timing stream (application + synthesized TOL);
+     * nullptr detaches. The sink is called on a thread the library
+     * owns (host::TracePipeline), never concurrently, and is drained
+     * whenever run() or quiesce() returns, exceptional returns
+     * included: reading it after either one sees every record so far.
+     * An exception the sink throws is rethrown by the next run() or
+     * quiesce() on the calling thread, unless that one is already
+     * throwing its own. Switching drains the old sink first.
+     */
     void setTraceSink(host::TraceSink *sink);
 
     /**
@@ -248,6 +259,7 @@ class Tol : public host::RetireSink
      * translated region (a budget stop mid-region leaves host-pc
      * resume state a checkpoint cannot carry). May advance guest
      * execution by up to one region's remainder; no-op otherwise.
+     * Drains the trace sink, as run() does.
      */
     void quiesce();
 
@@ -274,6 +286,10 @@ class Tol : public host::RetireSink
         return registry_.liveCount();
     }
     const Translation *translationFor(GAddr pc) const;
+    const host::TracePipeline &tracePipeline() const
+    {
+        return tracePipeline_;
+    }
 
     /** Async pipeline on (tol.async.threads >= 1)? */
     bool asyncEnabled() const { return async_ != nullptr; }
@@ -313,6 +329,10 @@ class Tol : public host::RetireSink
         if (bbvOn_ && insts)
             profiler_.recordBbvRetire(entry, insts);
     }
+    /** run() without the trace drain. */
+    RunResult dispatch(u64 max_guest_insts);
+    /** quiesce() without the trace drain. */
+    void finishRegion();
     void interpretStep();
     void executeTranslation(u32 tid, u32 host_pc, bool resuming);
     void handleSyscall();
@@ -422,6 +442,8 @@ class Tol : public host::RetireSink
     Profiler profiler_;
     TranslationRegistry registry_;
     CostModel cost_;
+    /** Carries emu_'s and cost_'s records to the attached sink. */
+    host::TracePipeline tracePipeline_;
     Env *env_ = nullptr;
 
     std::vector<CoreCtx> cores_;
