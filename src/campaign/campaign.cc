@@ -139,6 +139,29 @@ expandMatrix(const std::vector<std::pair<std::string,
     return jobs;
 }
 
+std::vector<std::string>
+presetOverrides(const std::string &name)
+{
+    if (name == "interp")
+        return {"tol.enable_bbm=false", "tol.enable_sbm=false"};
+    if (name == "noopt")
+        return {"tol.opt=false", "tol.sched=false", "tol.spec_mem=false",
+                "tol.unroll=false", "tol.fuse_flags=false",
+                "tol.chaining=false"};
+    if (name == "fullopt")
+        return {}; // defaults
+    // Region sizes are bounded (tol.max_sb_insts) well below the
+    // capacity, so the pressure produces evictions, never a
+    // region-exceeds-cache panic.
+    if (name == "tinycc")
+        return {"cc.capacity_words=768", "cc.policy=evict",
+                "tol.max_sb_insts=120"};
+    if (name == "async")
+        return {"tol.async.threads=2", "tol.async.vthreads=2"};
+    fatal("unknown config preset '", name,
+          "' (expected interp|noopt|fullopt|tinycc|async)");
+}
+
 std::vector<std::pair<std::string, Config>>
 presetConfigs(const std::vector<std::string> &names,
               const std::vector<std::string> &extra)
@@ -146,29 +169,8 @@ presetConfigs(const std::vector<std::string> &names,
     std::vector<std::pair<std::string, Config>> out;
     for (const std::string &name : names) {
         Config cfg;
-        if (name == "interp") {
-            cfg.parseLine("tol.enable_bbm=false");
-            cfg.parseLine("tol.enable_sbm=false");
-        } else if (name == "noopt") {
-            cfg.parseLine("tol.opt=false");
-            cfg.parseLine("tol.sched=false");
-            cfg.parseLine("tol.spec_mem=false");
-            cfg.parseLine("tol.unroll=false");
-            cfg.parseLine("tol.fuse_flags=false");
-            cfg.parseLine("tol.chaining=false");
-        } else if (name == "fullopt") {
-            // defaults
-        } else if (name == "tinycc") {
-            cfg.parseLine("cc.capacity_words=768");
-            cfg.parseLine("cc.policy=evict");
-            cfg.parseLine("tol.max_sb_insts=120");
-        } else if (name == "async") {
-            cfg.parseLine("tol.async.threads=2");
-            cfg.parseLine("tol.async.vthreads=2");
-        } else {
-            fatal("unknown config preset '", name,
-                  "' (expected interp|noopt|fullopt|tinycc|async)");
-        }
+        for (const std::string &kv : presetOverrides(name))
+            cfg.parseLine(kv);
         for (const std::string &kv : extra)
             cfg.parseLine(kv);
         out.emplace_back(name, std::move(cfg));
@@ -177,95 +179,53 @@ presetConfigs(const std::vector<std::string> &names,
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint cache
+// Checkpoint store
 // ---------------------------------------------------------------------
-
-/**
- * FNV-1a over the job identity (program bytes, config, skip). The
- * config contribution is the schema-normalized execution-relevant
- * effective map, so jobs differing only cosmetically (validation
- * toggles, timing/power parameters) share one functional-prefix
- * checkpoint — matching what restoreCheckpoint accepts.
- */
-u64
-jobKeyHash(const Job &job)
-{
-    u64 h = 0xcbf29ce484222325ull;
-    auto mix = [&h](const void *data, std::size_t len) {
-        const u8 *p = static_cast<const u8 *>(data);
-        for (std::size_t i = 0; i < len; ++i) {
-            h ^= p[i];
-            h *= 0x100000001b3ull;
-        }
-    };
-    auto mixStr = [&](const std::string &s) {
-        mix(s.data(), s.size());
-        mix("\0", 1);
-    };
-    mixStr(job.program.name);
-    mix(job.program.code.data(), job.program.code.size());
-    mix(job.program.data.data(), job.program.data.size());
-    mix(&job.program.entry, sizeof(job.program.entry));
-    for (const auto &[k, v] : conf::schema().executionRelevant(job.config)) {
-        mixStr(k);
-        mixStr(v);
-    }
-    mix(&job.skip, sizeof(job.skip));
-    return h;
-}
-
-std::string
-jobKeyString(const Job &job)
-{
-    std::ostringstream os;
-    os << std::hex << jobKeyHash(job);
-    return os.str();
-}
 
 namespace
 {
 
-/** File names must survive workload names like "400.perlbench". */
-std::string
-sanitize(const std::string &s)
+/** Continue an FNV-1a hash over `len` bytes. */
+u64
+fnvMix(u64 h, const void *data, std::size_t len)
 {
-    std::string out;
-    for (char c : s)
-        out += (std::isalnum(u8(c)) || c == '.' || c == '-') ? c : '_';
-    return out;
+    const u8 *p = static_cast<const u8 *>(data);
+    for (std::size_t i = 0; i < len; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
 }
 
-} // namespace
-
 std::string
-checkpointPath(const std::string &dir, const Job &job)
+hexKey(u64 h)
 {
     std::ostringstream os;
-    os << dir << '/' << sanitize(job.workload) << '-'
-       << sanitize(job.configName) << '-' << std::hex << jobKeyHash(job)
-       << ".ckpt";
+    os << std::hex << h;
     return os.str();
 }
 
-std::string
-simpointCheckpointPath(const std::string &dir, const Job &job,
-                       u64 interval, u64 warmup, u32 interval_index)
-{
-    std::ostringstream os;
-    os << dir << '/' << sanitize(job.workload) << '-'
-       << sanitize(job.configName) << '-' << std::hex << jobKeyHash(job)
-       << std::dec << "-i" << interval << "-w" << warmup << "-sp"
-       << interval_index << ".ckpt";
-    return os.str();
-}
-
-// ---------------------------------------------------------------------
-// Job execution
-// ---------------------------------------------------------------------
-
+/** A store key is a bare hex hash — anything else is path traversal. */
 bool
-writeCheckpointBytes(const std::string &dir, const std::string &path,
-                     const std::string &image)
+validStoreKey(const std::string &key)
+{
+    if (key.empty() || key.size() > 16)
+        return false;
+    for (char c : key)
+        if (!std::isxdigit(u8(c)) || std::isupper(u8(c)))
+            return false;
+    return true;
+}
+
+/**
+ * Store `image` at `path` (inside `dir`, which is created if needed):
+ * the image goes to an exclusively-created temp file, then renames
+ * into place, so a reader (or a racing writer's rename) only ever
+ * observes a complete image. @return true when stored.
+ */
+bool
+writeAtomically(const std::string &dir, const std::string &path,
+                const std::string &image)
 {
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
@@ -316,8 +276,142 @@ writeCheckpointBytes(const std::string &dir, const std::string &path,
     return stored;
 }
 
+} // namespace
+
+/**
+ * FNV-1a over the job identity (program bytes, config, skip). The
+ * config contribution is the schema-normalized execution-relevant
+ * effective map, so jobs differing only cosmetically (validation
+ * toggles, timing/power parameters) share one functional-prefix
+ * checkpoint — matching what restoreCheckpoint accepts.
+ */
+u64
+jobKeyHash(const Job &job)
+{
+    u64 h = 0xcbf29ce484222325ull;
+    auto mixStr = [&h](const std::string &s) {
+        h = fnvMix(h, s.data(), s.size());
+        h = fnvMix(h, "\0", 1);
+    };
+    mixStr(job.program.name);
+    h = fnvMix(h, job.program.code.data(), job.program.code.size());
+    h = fnvMix(h, job.program.data.data(), job.program.data.size());
+    h = fnvMix(h, &job.program.entry, sizeof(job.program.entry));
+    for (const auto &[k, v] : conf::schema().executionRelevant(job.config)) {
+        mixStr(k);
+        mixStr(v);
+    }
+    return fnvMix(h, &job.skip, sizeof(job.skip));
+}
+
+std::string
+jobKeyString(const Job &job)
+{
+    return hexKey(jobKeyHash(job));
+}
+
+std::string
+simpointKey(const Job &job, u64 interval, u64 warmup, u32 interval_index)
+{
+    u64 h = jobKeyHash(job);
+    h = fnvMix(h, &interval, sizeof(interval));
+    h = fnvMix(h, &warmup, sizeof(warmup));
+    return hexKey(fnvMix(h, &interval_index, sizeof(interval_index)));
+}
+
+bool
+DirStore::fetch(const std::string &key, std::string *image)
+{
+    if (!validStoreKey(key))
+        return false;
+    std::ifstream in(dir_ + '/' + key + ".ckpt", std::ios::binary);
+    if (!in)
+        return false;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    *image = buf.str();
+    return true;
+}
+
+void
+DirStore::store(const std::string &key, const std::string &image)
+{
+    if (!validStoreKey(key))
+        return;
+    const std::string path = dir_ + '/' + key + ".ckpt";
+    if (!writeAtomically(dir_, path, image))
+        warn("checkpoint store: cannot write '", path, "'");
+}
+
+// ---------------------------------------------------------------------
+// Job execution
+// ---------------------------------------------------------------------
+
 namespace
 {
+
+/** File names must survive workload names like "400.perlbench". */
+std::string
+sanitize(const std::string &s)
+{
+    std::string out;
+    for (char c : s)
+        out += (std::isalnum(u8(c)) || c == '.' || c == '-') ? c : '_';
+    return out;
+}
+
+/**
+ * The one fetch-or-compute rule for checkpoint images, prefix and
+ * per-simpoint alike. Fetch `key` from `store` and hand the bytes to
+ * `restore`; a hit needs nothing else. A restore that throws
+ * SnapshotError (a torn or stale entry) counts as a miss. On a miss
+ * (or without a store), `compute(torn)` brings a controller to the
+ * image's position — `torn` says a failed restore may have left it
+ * half-restored — and returns its saved bytes; they are published,
+ * and the controller is then restored from them, so the measured
+ * state is the same whether the image was fetched or computed.
+ * @return the bytes that `restore` accepted.
+ */
+std::string
+fetchOrCompute(CheckpointStore *store, const std::string &key,
+               JobResult &r,
+               const std::function<void(const std::string &)> &restore,
+               const std::function<std::string(bool torn)> &compute)
+{
+    std::string image;
+    bool torn = false;
+    if (store && store->fetch(key, &image)) {
+        try {
+            restore(image);
+            r.checkpointHit = true;
+            return image;
+        } catch (const snapshot::SnapshotError &) {
+            torn = true; // recompute, then overwrite the entry
+        }
+    }
+    image = compute(torn);
+    if (store) {
+        store->store(key, image);
+        r.checkpointStored = true;
+    }
+    restore(image);
+    return image;
+}
+
+std::string
+saveImage(sim::Controller &ctl)
+{
+    std::ostringstream os;
+    ctl.saveCheckpoint(os);
+    return os.str();
+}
+
+void
+restoreImage(sim::Controller &ctl, const std::string &image)
+{
+    std::istringstream is(image);
+    ctl.restoreCheckpoint(is);
+}
 
 /** Fill the timing/power result fields from a measured window. */
 void
@@ -375,72 +469,34 @@ runJob(const Job &job, const RunOptions &opts)
                 holder->obsSession()->setJobLabel(
                     job.workload + "/" + job.configName);
         };
-        makeCtl();
-        sim::Controller &ctl = *holder;
-        u64 done = 0; // guest insts already covered
 
-        bool use_store = opts.store && job.skip > 0;
-        bool use_ckpt =
-            !use_store && !opts.checkpointDir.empty() && job.skip > 0;
-        if (use_store || use_ckpt) {
-            // Fetch-or-compute the prefix image, either from the
-            // content-addressed store (any worker that already paid
-            // for this prefix — same execution-relevant identity —
-            // published it) or from the checkpoint directory.
-            std::string key = use_store ? jobKeyString(job) : "";
-            std::string path =
-                use_ckpt ? checkpointPath(opts.checkpointDir, job) : "";
-            std::string image;
-            bool fetched = false;
-            if (use_store) {
-                fetched = opts.store->fetch(key, &image);
-            } else if (std::ifstream in{path, std::ios::binary}) {
-                std::ostringstream buf;
-                buf << in.rdbuf();
-                image = buf.str();
-                fetched = true;
-            }
-            if (fetched) {
-                try {
-                    std::istringstream is(image);
-                    ctl.restoreCheckpoint(is);
-                    r.checkpointHit = true;
-                } catch (const snapshot::SnapshotError &) {
-                    // A bad entry (torn write, stale version) is a
-                    // miss, not a job failure: fall through to the
-                    // cold path, which overwrites it.
+        if (opts.store && job.skip > 0) {
+            // Fetch-or-compute the prefix image: any job with the
+            // same execution identity — in this process or, through a
+            // served store, on any worker — may already have paid for
+            // it. Either way the measured controller is a fresh one
+            // restored from the image: restore drops chain and IBTC
+            // state, so measuring the live one would make the timing
+            // columns depend on the cache state.
+            fetchOrCompute(
+                opts.store, jobKeyString(job), r,
+                [&](const std::string &image) {
                     makeCtl();
-                }
-            }
-            if (!r.checkpointHit) {
-                ctl.load(job.program);
-                ctl.run(job.skip);
-                std::ostringstream os;
-                ctl.saveCheckpoint(os);
-                image = os.str();
-                if (use_store) {
-                    opts.store->store(key, image);
-                    r.checkpointStored = true;
-                } else {
-                    r.checkpointStored = writeCheckpointBytes(
-                        opts.checkpointDir, path, image);
-                }
-                // Measure a restored controller, as a hit does:
-                // restore drops chain and IBTC state, so measuring the
-                // live one would make the timing columns depend on
-                // the cache state.
-                makeCtl();
-                std::istringstream is(image);
-                ctl.restoreCheckpoint(is);
-            }
-            done = job.skip;
+                    restoreImage(*holder, image);
+                },
+                [&](bool) {
+                    makeCtl();
+                    holder->load(job.program);
+                    holder->run(job.skip);
+                    return saveImage(*holder);
+                });
         } else {
-            ctl.load(job.program);
-            if (job.skip > 0) {
-                ctl.run(job.skip);
-                done = job.skip;
-            }
+            makeCtl();
+            holder->load(job.program);
+            if (job.skip > 0)
+                holder->run(job.skip);
         }
+        sim::Controller &ctl = *holder;
 
         // Detailed models over the measured region (post-prefix).
         // Attaching after the prefix keeps results identical whether
@@ -458,8 +514,8 @@ runJob(const Job &job, const RunOptions &opts)
         if (!ctl.finished()) {
             u64 remaining = job.maxInsts == ~0ull
                                 ? ~0ull
-                                : (job.maxInsts > done
-                                       ? job.maxInsts - done
+                                : (job.maxInsts > job.skip
+                                       ? job.maxInsts - job.skip
                                        : 0);
             if (remaining > 0)
                 ctl.run(remaining);
@@ -499,15 +555,15 @@ runJob(const Job &job, const RunOptions &opts)
  *     the phase profile;
  *  2. pickSimPoints clusters the profile (seeded, deterministic);
  *  3. a measurement pass walks the simpoints in ascending order,
- *     fast-forwarding functionally (or restoring a per-simpoint
- *     checkpoint from `checkpointDir`), quiescing, then running the
- *     detailed timing + power models over just that interval.
+ *     fetching each one's checkpoint from the store (simpointKey) or
+ *     fast-forwarding functionally and publishing it, then running
+ *     the detailed timing + power models over just that interval.
  *
  * The runtime always quiesces at a sample start — saveCheckpoint
- * does so implicitly, and the no-checkpoint path does so explicitly —
- * so the measured window is bit-identical whether the fast-forward
- * was simulated or restored, keeping results independent of the
- * checkpoint-cache state and of the worker count.
+ * does so implicitly — and every sample is measured from a restored
+ * image, so the measured window is bit-identical whether the
+ * fast-forward was simulated or restored, keeping results independent
+ * of the checkpoint-cache state and of the worker count.
  *
  * Whole-program estimates are weight-combined per-instruction rates:
  * est_cycles = total_insts * Σ w_i · CPI_i, and likewise for energy.
@@ -570,89 +626,57 @@ runSampledJob(const Job &job, const RunOptions &opts)
             holder->load(job.program);
 
             // Every sample is measured from checkpoint state at
-            // (start - warmup): the image either comes from the
-            // cache directory or is created by walking forward and
-            // immediately restored in place. Measuring a *walked*
-            // runtime instead would make the estimate depend on
-            // whether the fast-forward was simulated or restored
-            // (walked state carries warm chain/IBTC microstate that
-            // a restore rebuilds lazily — inside the warm-up).
+            // (start - warmup): the image either comes from the store
+            // or is created by walking forward, and is restored in
+            // place either way. Measuring a *walked* runtime instead
+            // would make the estimate depend on whether the
+            // fast-forward was simulated or restored (walked state
+            // carries warm chain/IBTC microstate that a restore
+            // rebuilds lazily — inside the warm-up).
             //
             // `lastImage` is the most recent checkpoint (its position
             // is <= every later point's target): when consecutive
             // sample windows overlap their successors' warm-up
             // leads, the walk resumes from it instead of
-            // instruction 0.
+            // instruction 0. A torn store entry leaves the
+            // controller half-restored, so the walk then rebuilds a
+            // fresh one from that nearest good state.
             std::string lastImage;
+            auto rewind = [&](bool fresh) {
+                if (fresh || lastImage.empty())
+                    holder.emplace(job.config);
+                if (lastImage.empty())
+                    holder->load(job.program);
+                else
+                    restoreImage(*holder, lastImage);
+            };
 
             double wSum = 0, wCpi = 0, wHpi = 0, wEpi = 0;
             for (const sampling::SimPoint &p : sp.points) {
                 u64 ffTarget = p.startInst > opts.sampleWarmup
                                    ? p.startInst - opts.sampleWarmup
                                    : 0;
-                bool restored = false;
-                std::string path;
-                if (!opts.checkpointDir.empty()) {
-                    path = simpointCheckpointPath(opts.checkpointDir,
-                                                  job,
-                                                  opts.sampleInterval,
-                                                  opts.sampleWarmup,
-                                                  p.intervalIndex);
-                    std::ifstream in(path, std::ios::binary);
-                    if (in) {
-                        std::ostringstream buf;
-                        buf << in.rdbuf();
-                        std::string image = buf.str();
-                        try {
-                            std::istringstream is(image);
-                            holder->restoreCheckpoint(is);
-                            restored = true;
-                            r.checkpointHit = true;
-                            lastImage = std::move(image);
-                        } catch (const snapshot::SnapshotError &) {
-                            // A torn cache entry is a miss: rebuild
-                            // from the nearest good state below (the
-                            // in-memory lastImage when one exists,
-                            // else a fresh load) and overwrite the
-                            // entry.
-                            holder.emplace(job.config);
-                            if (lastImage.empty()) {
-                                holder->load(job.program);
-                            } else {
-                                std::istringstream is(lastImage);
-                                holder->restoreCheckpoint(is);
-                            }
-                        }
-                    }
-                }
-                sim::Controller &ctl = *holder;
-                if (!restored) {
-                    if (ctl.loaded() &&
-                        ctl.tol().completedInsts() > ffTarget) {
+                lastImage = fetchOrCompute(
+                    opts.store,
+                    simpointKey(job, opts.sampleInterval,
+                                opts.sampleWarmup, p.intervalIndex),
+                    r,
+                    [&](const std::string &image) {
+                        restoreImage(*holder, image);
+                    },
+                    [&](bool torn) {
+                        if (torn)
+                            rewind(true);
                         // Overlap with the previous sample window:
                         // back up to the last checkpoint.
-                        if (lastImage.empty()) {
-                            holder.emplace(job.config);
-                            holder->load(job.program);
-                        } else {
-                            std::istringstream is(lastImage);
-                            holder->restoreCheckpoint(is);
-                        }
-                    }
-                    u64 done = ctl.tol().completedInsts();
-                    if (ffTarget > done && !ctl.finished())
-                        ctl.run(ffTarget - done);
-                    std::ostringstream os;
-                    ctl.saveCheckpoint(os);
-                    std::string image = os.str();
-                    if (!path.empty() &&
-                        writeCheckpointBytes(opts.checkpointDir, path,
-                                             image))
-                        r.checkpointStored = true;
-                    std::istringstream is(image);
-                    ctl.restoreCheckpoint(is);
-                    lastImage = std::move(image);
-                }
+                        if (holder->tol().completedInsts() > ffTarget)
+                            rewind(false);
+                        u64 done = holder->tol().completedInsts();
+                        if (ffTarget > done && !holder->finished())
+                            holder->run(ffTarget - done);
+                        return saveImage(*holder);
+                    });
+                sim::Controller &ctl = *holder;
 
                 // Warm-up: detailed models attached, stats discarded
                 // through the delta snapshot below.

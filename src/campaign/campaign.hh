@@ -10,10 +10,13 @@
  * aggregates every job's stats into a CSV/JSON report.
  *
  * Checkpoint integration: a job may declare a `skip` prefix of guest
- * instructions; with a checkpoint directory configured, the state at
- * the end of that prefix is saved through Controller::saveCheckpoint
- * keyed by (workload, config, skip), and later invocations of the
- * same cell restore it instead of re-simulating the prefix.
+ * instructions; with a CheckpointStore configured, the state at the
+ * end of that prefix is saved through Controller::saveCheckpoint
+ * under the job's content key (jobKeyString), and any later job with
+ * the same execution identity restores it instead of re-simulating
+ * the prefix. The store is the campaign's only checkpoint cache:
+ * DirStore keeps it in a local directory, and the campaign service
+ * serves any store to its workers over the wire.
  *
  * Timing/power: every job attaches the detailed timing model
  * (timing::InOrderCore) and the power model over its measured region
@@ -25,10 +28,11 @@
  * with the SimPoint pipeline (src/sampling/simpoint.hh): a functional
  * BBV-profiling pass, seeded k-means phase selection, then detailed
  * timing/power only over each representative interval, fast-forwarded
- * through per-simpoint checkpoints (created in `checkpointDir` on
- * first use, restored afterwards). The reported cycles/energy are
- * weight-combined whole-program estimates; results are byte-identical
- * across worker counts and checkpoint-cache states.
+ * through per-simpoint checkpoints (published to the store under
+ * simpointKey on first use, restored afterwards). The reported
+ * cycles/energy are weight-combined whole-program estimates; results
+ * are byte-identical across worker counts and checkpoint-cache
+ * states.
  *
  * Report schema (the column order is stable and covered by a
  * regression test; new columns are only ever appended *within* their
@@ -182,13 +186,17 @@ struct JobResult
 };
 
 /**
- * Content-addressed checkpoint store interface. Keys are the hex
- * jobKeyHash of the job whose functional prefix the image captures
- * (see jobKeyString), so any two jobs with identical
- * execution-relevant identity — across processes and hosts, since
- * checkpoints are host-agnostic — share one image. The campaign
- * service implements this over the coordinator connection
- * (fetch-or-compute over the wire); tests implement it in memory.
+ * Content-addressed checkpoint store interface: the campaign's one
+ * checkpoint cache. Keys are bare lowercase hex hashes of an image's
+ * execution identity — jobKeyString for a job's functional prefix,
+ * simpointKey for a sampled job's per-simpoint image — so any two
+ * jobs with identical execution-relevant identity (across processes
+ * and hosts, since checkpoints are host-agnostic) share one image.
+ * DirStore keeps images in a directory; the campaign service's
+ * workers reach the coordinator's store over the wire; tests and
+ * perfbench keep them in memory. runCampaign calls one store from
+ * every pool worker, and the coordinator from every connection, so
+ * implementations must be thread-safe.
  */
 class CheckpointStore
 {
@@ -208,17 +216,37 @@ class CheckpointStore
                        const std::string &image) = 0;
 };
 
+/**
+ * Directory-backed CheckpointStore: the image for key K is
+ * `<dir>/K.ckpt`. Keys arrive over the wire when a coordinator serves
+ * this store, so a key that is not 1-16 lowercase hex digits misses
+ * on fetch and is never written. A write goes to an exclusively
+ * created temp file named with the pid and thread id, then renames
+ * into place, so concurrent writers in the same or different
+ * processes never tear an image. A failed write is reported with
+ * warn() and the job continues. The directory is created on the first
+ * write.
+ */
+class DirStore : public CheckpointStore
+{
+  public:
+    explicit DirStore(std::string dir) : dir_(std::move(dir)) {}
+
+    bool fetch(const std::string &key, std::string *image) override;
+    void store(const std::string &key, const std::string &image) override;
+
+  private:
+    std::string dir_;
+};
+
 /** Execution knobs. */
 struct RunOptions
 {
     unsigned jobs = 1;
-    /** Directory for fast-forward checkpoints; empty disables. */
-    std::string checkpointDir;
     /**
-     * Content-addressed store for fast-forward prefix checkpoints;
-     * takes precedence over `checkpointDir` for the prefix image when
-     * set (sampled-mode per-simpoint checkpoints always use the local
-     * directory). Not owned; must outlive the run.
+     * The checkpoint cache: prefix images of jobs with a skip, and
+     * per-simpoint images in sampled mode. Null runs uncached. Not
+     * owned; must outlive the run.
      */
     CheckpointStore *store = nullptr;
     /**
@@ -294,9 +322,16 @@ expandMatrix(const std::vector<std::pair<std::string,
              u64 max_insts, u64 skip);
 
 /**
- * Named config presets for campaign matrices: interp, noopt, fullopt,
- * tinycc — the same design points the differential fuzzer validates,
- * at production promotion thresholds.
+ * The "key=value" overrides of one named preset: interp, noopt,
+ * fullopt, tinycc or async; fatal() on any other name. The one preset
+ * table: presetConfigs and the differential fuzzer's matrix
+ * (fuzz::defaultMatrix) both build from it.
+ */
+std::vector<std::string> presetOverrides(const std::string &name);
+
+/**
+ * Named config presets for campaign matrices (see presetOverrides),
+ * at production promotion thresholds, with `extra` applied on top.
  */
 std::vector<std::pair<std::string, Config>>
 presetConfigs(const std::vector<std::string> &names,
@@ -318,36 +353,20 @@ JobResult runJob(const Job &job, const RunOptions &opts);
  */
 u64 jobKeyHash(const Job &job);
 
-/** jobKeyHash as the canonical hex store key. */
+/** jobKeyHash as the canonical hex store key of the prefix image. */
 std::string jobKeyString(const Job &job);
+
+/**
+ * The store key of one per-simpoint image of a sampled job: FNV-1a
+ * continued from jobKeyHash over the sampling interval, the timing
+ * warm-up length (the saved position is start - warmup) and the
+ * simpoint's interval index, as bare lowercase hex.
+ */
+std::string simpointKey(const Job &job, u64 interval, u64 warmup,
+                        u32 interval_index);
 
 /** One job's CSV report row (no trailing newline). */
 std::string csvRow(const JobResult &r);
-
-/** The checkpoint-cache file for one job (diagnostics, tests). */
-std::string checkpointPath(const std::string &dir, const Job &job);
-
-/**
- * Atomically store checkpoint bytes at `path` (inside `dir`, which is
- * created if needed): the image goes to an exclusively-created temp
- * file — named with the pid and thread id so concurrent writers in
- * the same or different processes never share one — then renames into
- * place. A reader (or a racing writer's rename) therefore only ever
- * observes a complete image. @return true when stored.
- */
-bool writeCheckpointBytes(const std::string &dir,
-                          const std::string &path,
-                          const std::string &image);
-
-/**
- * The per-simpoint checkpoint file for one job's sampled run
- * (diagnostics, tests). Keyed like checkpointPath plus the sampling
- * interval, the timing warm-up length (the saved position is
- * start - warmup), and the simpoint's interval index.
- */
-std::string simpointCheckpointPath(const std::string &dir,
-                                   const Job &job, u64 interval,
-                                   u64 warmup, u32 interval_index);
 
 } // namespace darco::campaign
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -80,18 +79,6 @@ campaignHash(const std::vector<Job> &jobs, const RunOptions &run)
     mix(run.sampleSeed);
     mix(run.sampleWarmup);
     return h;
-}
-
-/** A store key is a bare hex hash — anything else is path traversal. */
-bool
-validStoreKey(const std::string &key)
-{
-    if (key.empty() || key.size() > 16)
-        return false;
-    for (char c : key)
-        if (!std::isxdigit(u8(c)) || std::isupper(u8(c)))
-            return false;
-    return true;
 }
 
 constexpr const char *manifestRecCampaign = "manifest";
@@ -485,7 +472,7 @@ struct Coordinator::Impl
                                 ? advisory
                                 : "w" + std::to_string(workersSeen);
                     }
-                    bool storeOn = !opts.storeDir.empty();
+                    bool storeOn = opts.store != nullptr;
                     net::sendFrame(
                         sock,
                         wire::encode(
@@ -518,19 +505,7 @@ struct Coordinator::Impl
                 } else if (m.type == wire::msg::ckptGet) {
                     std::string key = m.d.rstr();
                     std::string image;
-                    bool hit = false;
-                    if (!opts.storeDir.empty() &&
-                        validStoreKey(key)) {
-                        std::ifstream in(opts.storeDir + "/" + key +
-                                             ".ckpt",
-                                         std::ios::binary);
-                        if (in) {
-                            std::ostringstream buf;
-                            buf << in.rdbuf();
-                            image = buf.str();
-                            hit = true;
-                        }
-                    }
+                    bool hit = opts.store && opts.store->fetch(key, &image);
                     net::sendFrame(
                         sock,
                         hit ? wire::encode(
@@ -542,11 +517,8 @@ struct Coordinator::Impl
                 } else if (m.type == wire::msg::ckptPut) {
                     std::string key = m.d.rstr();
                     std::string image = m.d.rstr();
-                    if (!opts.storeDir.empty() && validStoreKey(key))
-                        writeCheckpointBytes(opts.storeDir,
-                                             opts.storeDir + "/" +
-                                                 key + ".ckpt",
-                                             image);
+                    if (opts.store)
+                        opts.store->store(key, image);
                     net::sendFrame(sock,
                                    wire::encode(wire::msg::ok));
                 } else {
@@ -638,10 +610,6 @@ Coordinator::Coordinator(std::vector<Job> jobs, ServiceOptions opts)
     if (impl_->opts.window == 0)
         impl_->opts.window = 1;
     impl_->results.resize(impl_->jobs.size());
-    if (!impl_->opts.storeDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(impl_->opts.storeDir, ec);
-    }
     impl_->openManifest(); // may load completed rows
     for (std::size_t i = 0; i < impl_->results.size(); ++i)
         if (!impl_->results[i])
@@ -864,7 +832,6 @@ runWorker(const WorkerOptions &wopts)
         u64 heartbeatMs = welcome.d.r64();
         bool storeEnabled = welcome.d.rbool();
         ropts.jobs = 1;
-        ropts.checkpointDir = wopts.checkpointDir;
         RemoteStore remote(sock, sendMu);
         if (storeEnabled)
             ropts.store = &remote;

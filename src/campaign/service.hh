@@ -36,12 +36,14 @@
  *    mid-write crash — re-emits the recorded rows, and only runs the
  *    remainder.
  *
- *  - Content-addressed checkpoint store. With a store directory
- *    configured, workers fetch-or-compute functional-prefix
- *    checkpoints keyed by jobKeyString over the wire (images are
- *    host-agnostic, so heterogeneous workers share them); the
- *    coordinator persists images with exclusive-create tmp+rename
- *    writes, so racing publishers never tear an entry.
+ *  - Content-addressed checkpoint store. With a CheckpointStore
+ *    configured (darco_campaign --serve --checkpoint-dir D serves a
+ *    DirStore), workers fetch-or-compute every checkpoint image —
+ *    functional prefixes and per-simpoint images alike — over the
+ *    wire (images are host-agnostic, so heterogeneous workers share
+ *    them). The served store validates keys and writes atomically,
+ *    so hostile keys and racing publishers never escape or tear an
+ *    entry. Without one, workers cache nothing.
  *
  * Result rows stream to the onRow callback incrementally, strictly in
  * job-submission order (identical to local runCampaign report order).
@@ -75,11 +77,12 @@ struct ServiceOptions
     std::string manifestPath;
 
     /**
-     * Content-addressed checkpoint-store directory; empty disables
-     * the over-the-wire store (workers then fall back to their own
-     * local --checkpoint-dir, if any).
+     * Checkpoint store served to workers over ckpt.get/ckpt.put;
+     * null serves none, and workers then cache nothing. Called from
+     * every connection thread. Not owned; must outlive the
+     * Coordinator.
      */
-    std::string storeDir;
+    CheckpointStore *store = nullptr;
 
     /** Per-job lease; an assignment older than this is reassigned. */
     u64 leaseMs = 5 * 60 * 1000;
@@ -95,7 +98,7 @@ struct ServiceOptions
     /**
      * Campaign-level execution knobs forwarded to every worker
      * (timing, sample mode/parameters). Local-only fields (jobs,
-     * checkpointDir, traceDir, store) are ignored here.
+     * traceDir, store) are ignored here.
      */
     RunOptions run;
 
@@ -168,8 +171,6 @@ struct WorkerOptions
     u16 port = 0;
     /** Advisory name; the coordinator may assign its own. */
     std::string workerId;
-    /** Local scratch for sampled-mode (per-simpoint) checkpoints. */
-    std::string checkpointDir;
     /** Connection attempts before giving up (250 ms apart). */
     unsigned connectRetries = 40;
 };

@@ -17,7 +17,7 @@
  *   next      request an assignment
  *   result    job index + full JobResult (then awaits the next
  *             assignment in the same reply slot)
- *   ckpt.get  checkpoint-store key
+ *   ckpt.get  checkpoint-store key (a prefix or per-simpoint image)
  *   ckpt.put  checkpoint-store key + image bytes
  *   ping      heartbeat; no reply
  *
@@ -119,9 +119,10 @@ JobResult readResult(snapshot::Deserializer &d);
 
 /**
  * The campaign-level execution knobs a worker must mirror (timing,
- * sample mode/parameters). Local-only fields — jobs, checkpointDir,
- * traceDir, store — are deliberately not shipped: each worker owns
- * its local scratch, and the remote store is wired separately.
+ * sample mode/parameters). Local-only fields — jobs, traceDir,
+ * store — are deliberately not shipped: a worker's store is the
+ * coordinator's, reached over ckpt.get/ckpt.put when `welcome`
+ * announces one.
  */
 void writeRunOptions(snapshot::Serializer &s, const RunOptions &o);
 void readRunOptions(snapshot::Deserializer &d, RunOptions &o);

@@ -1,8 +1,5 @@
 #include "common/config.hh"
 
-#include <cerrno>
-#include <cstdlib>
-
 #include "common/logging.hh"
 
 namespace darco
@@ -54,79 +51,10 @@ Config::has(const std::string &key) const
 }
 
 std::string
-Config::getString(const std::string &key, const std::string &def) const
+Config::getString(const std::string &key) const
 {
     auto it = store_.find(key);
-    return it == store_.end() ? def : it->second;
-}
-
-s64
-Config::getInt(const std::string &key, s64 def) const
-{
-    auto it = store_.find(key);
-    if (it == store_.end())
-        return def;
-    char *end = nullptr;
-    errno = 0;
-    s64 v = std::strtoll(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("config key '", key, "' has non-integer value '",
-              it->second, "'");
-    if (errno == ERANGE)
-        fatal("config key '", key, "' value '", it->second,
-              "' overflows a 64-bit signed integer");
-    return v;
-}
-
-u64
-Config::getUint(const std::string &key, u64 def) const
-{
-    auto it = store_.find(key);
-    if (it == store_.end())
-        return def;
-    // strtoull silently negates negative input ("-5" parses as
-    // 18446744073709551611); an unsigned key must reject it instead.
-    if (it->second.find('-') != std::string::npos)
-        fatal("config key '", key, "' has negative value '", it->second,
-              "' for an unsigned parameter");
-    char *end = nullptr;
-    errno = 0;
-    u64 v = std::strtoull(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("config key '", key, "' has non-integer value '",
-              it->second, "'");
-    if (errno == ERANGE)
-        fatal("config key '", key, "' value '", it->second,
-              "' overflows a 64-bit unsigned integer");
-    return v;
-}
-
-double
-Config::getFloat(const std::string &key, double def) const
-{
-    auto it = store_.find(key);
-    if (it == store_.end())
-        return def;
-    char *end = nullptr;
-    double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("config key '", key, "' has non-float value '",
-              it->second, "'");
-    return v;
-}
-
-bool
-Config::getBool(const std::string &key, bool def) const
-{
-    auto it = store_.find(key);
-    if (it == store_.end())
-        return def;
-    const std::string &v = it->second;
-    if (v == "true" || v == "1" || v == "yes" || v == "on")
-        return true;
-    if (v == "false" || v == "0" || v == "no" || v == "off")
-        return false;
-    fatal("config key '", key, "' has non-boolean value '", v, "'");
+    return it == store_.end() ? "" : it->second;
 }
 
 void

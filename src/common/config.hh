@@ -1,10 +1,10 @@
 /**
  * @file
- * Typed key/value configuration store.
+ * Key/value configuration store.
  *
  * Every DARCO component is parameterized through a Config: a flat
- * string-keyed dictionary with typed accessors and "k=v" parsing, so
- * that benches and examples can sweep parameters without recompiling.
+ * string-keyed dictionary with "k=v" parsing, so that benches and
+ * examples can sweep parameters without recompiling.
  */
 
 #ifndef DARCO_COMMON_CONFIG_HH
@@ -25,15 +25,14 @@ class ConfigSchema;
 }
 
 /**
- * Flat configuration dictionary with typed getters.
+ * Flat configuration dictionary.
  *
  * This is the transport layer only: it knows nothing about which keys
- * exist. Components read their parameters through the schema-bound
- * accessors in common/schema.hh (darco::conf), which resolve defaults
- * from the central parameter registry — raw getters with inline
- * defaults are reserved for Config's own machinery (a CI lint
- * enforces this). Malformed values raise fatal() since they are user
- * errors.
+ * exist, and it parses no values. Components read their parameters
+ * through the schema-bound typed accessors in common/schema.hh
+ * (darco::conf), which parse each value by its declared type and
+ * resolve defaults from the central parameter registry. Malformed
+ * values raise fatal() there, since they are user errors.
  */
 class Config
 {
@@ -54,12 +53,8 @@ class Config
 
     bool has(const std::string &key) const;
 
-    std::string getString(const std::string &key,
-                          const std::string &def = "") const;
-    s64 getInt(const std::string &key, s64 def) const;
-    u64 getUint(const std::string &key, u64 def) const;
-    double getFloat(const std::string &key, double def) const;
-    bool getBool(const std::string &key, bool def) const;
+    /** The raw value of `key`; empty when unset. */
+    std::string getString(const std::string &key) const;
 
     /** Merge another config on top of this one (other wins). */
     void merge(const Config &other);

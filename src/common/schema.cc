@@ -23,7 +23,6 @@ typeName(ParamType t)
     switch (t) {
       case ParamType::Bool: return "bool";
       case ParamType::Uint: return "uint";
-      case ParamType::Int: return "int";
       case ParamType::Float: return "float";
       case ParamType::String: return "string";
       case ParamType::Enum: return "enum";
@@ -70,20 +69,6 @@ parseU64(const std::string &s, u64 &out)
 }
 
 bool
-parseS64(const std::string &s, s64 &out)
-{
-    if (s.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    s64 v = std::strtoll(s.c_str(), &end, 0);
-    if (end == s.c_str() || *end != '\0' || errno == ERANGE)
-        return false;
-    out = v;
-    return true;
-}
-
-bool
 parseF64(const std::string &s, double &out)
 {
     if (s.empty())
@@ -119,10 +104,6 @@ canonicalValue(const ParamSpec &spec, const std::string &value)
       case ParamType::Uint: {
         u64 v = 0;
         return parseU64(value, v) ? std::to_string(v) : value;
-      }
-      case ParamType::Int: {
-        s64 v = 0;
-        return parseS64(value, v) ? std::to_string(v) : value;
       }
       case ParamType::Float: {
         double v = 0;
@@ -241,7 +222,6 @@ ParamSpec::defaultString() const
     switch (type) {
       case ParamType::Bool: return defBool ? "true" : "false";
       case ParamType::Uint: return std::to_string(defUint);
-      case ParamType::Int: return std::to_string(defInt);
       case ParamType::Float: return fmtFloat(defFloat);
       case ParamType::String:
       case ParamType::Enum: return defString;
@@ -261,9 +241,6 @@ ParamSpec::rangeString() const
         else
             os << maxUint;
         os << ']';
-        return os.str();
-      case ParamType::Int:
-        os << '[' << minInt << ", " << maxInt << ']';
         return os.str();
       case ParamType::Float:
         os << '[' << fmtFloat(minFloat) << ", " << fmtFloat(maxFloat)
@@ -817,20 +794,6 @@ ConfigSchema::checkValue(const ParamSpec &spec,
         }
         return "";
       }
-      case ParamType::Int: {
-        s64 v = 0;
-        if (!parseS64(value, v)) {
-            os << "config key '" << spec.key
-               << "' has a malformed integer value '" << value << "'";
-            return os.str();
-        }
-        if (v < spec.minInt || v > spec.maxInt) {
-            os << "config key '" << spec.key << "' value " << v
-               << " outside valid range " << spec.rangeString();
-            return os.str();
-        }
-        return "";
-      }
       case ParamType::Float: {
         double v = 0;
         if (!parseF64(value, v)) {
@@ -1141,18 +1104,6 @@ getUint(const Config &cfg, const std::string &key)
         return spec.defUint;
     u64 out = 0;
     parseU64(*v, out); // validated by boundValue
-    return out;
-}
-
-s64
-getInt(const Config &cfg, const std::string &key)
-{
-    const ParamSpec &spec = boundSpec(key, ParamType::Int);
-    const std::string *v = boundValue(cfg, spec);
-    if (!v)
-        return spec.defInt;
-    s64 out = 0;
-    parseS64(*v, out);
     return out;
 }
 

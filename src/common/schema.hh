@@ -47,7 +47,6 @@ enum class ParamType
 {
     Bool,
     Uint,
-    Int,
     Float,
     String,
     Enum,
@@ -75,7 +74,6 @@ struct ParamSpec
     // Typed default; the member matching `type` is authoritative.
     bool defBool = false;
     u64 defUint = 0;
-    s64 defInt = 0;
     double defFloat = 0.0;
     std::string defString; // String and Enum
 
@@ -85,8 +83,6 @@ struct ParamSpec
     // Mask-indexed structures (IBTC, predictors, cache sets) need a
     // power-of-two size; validation rejects anything else.
     bool requirePow2 = false;
-    s64 minInt = 0;
-    s64 maxInt = 0;
     double minFloat = 0.0;
     double maxFloat = 0.0;
 
@@ -237,7 +233,6 @@ const ConfigSchema &schema();
  */
 bool getBool(const Config &cfg, const std::string &key);
 u64 getUint(const Config &cfg, const std::string &key);
-s64 getInt(const Config &cfg, const std::string &key);
 double getFloat(const Config &cfg, const std::string &key);
 std::string getString(const Config &cfg, const std::string &key);
 /** Enum accessor: returns one of the declared domain strings. */

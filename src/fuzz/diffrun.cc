@@ -4,6 +4,7 @@
 #include <memory>
 #include <sstream>
 
+#include "campaign/campaign.hh"
 #include "common/schema.hh"
 #include "guest/semantics.hh"
 #include "sim/controller.hh"
@@ -19,29 +20,18 @@ using namespace guest;
 std::vector<DiffConfig>
 defaultMatrix()
 {
-    return {
-        {"interp", {"tol.enable_bbm=false", "tol.enable_sbm=false"}},
-        {"noopt",
-         {"tol.opt=false", "tol.sched=false", "tol.spec_mem=false",
-          "tol.unroll=false", "tol.fuse_flags=false",
-          "tol.chaining=false"}},
-        {"fullopt", {}},
-        // Region sizes are bounded (tol.max_sb_insts) well below the
-        // capacity so the pressure produces evictions, never a
-        // region-exceeds-cache panic.
-        {"tinycc",
-         {"cc.capacity_words=768", "cc.policy=evict",
-          "tol.max_sb_insts=120"}},
-        // Background translation with modeled concurrency: must be
-        // architecturally identical to fullopt, only timing differs.
-        {"async", {"tol.async.threads=2", "tol.async.vthreads=2"}},
-        // Two guest cores sharing one TOL over a tiny code cache:
-        // cross-core eviction storms and cross-core chaining, each
-        // core validated against its own per-core golden run.
-        {"mc",
-         {"cores=2", "cc.capacity_words=768", "cc.policy=evict",
-          "tol.max_sb_insts=120"}},
-    };
+    // The campaign presets. async must be architecturally identical
+    // to fullopt; only timing differs.
+    std::vector<DiffConfig> matrix;
+    for (const char *name : {"interp", "noopt", "fullopt", "tinycc", "async"})
+        matrix.push_back({name, campaign::presetOverrides(name)});
+    // Two guest cores sharing one TOL over a tiny code cache:
+    // cross-core eviction storms and cross-core chaining, each core
+    // validated against its own per-core golden run.
+    std::vector<std::string> mc = campaign::presetOverrides("tinycc");
+    mc.insert(mc.begin(), "cores=2");
+    matrix.push_back({"mc", std::move(mc)});
+    return matrix;
 }
 
 std::vector<DiffConfig>

@@ -49,7 +49,11 @@ struct DiffConfig
     std::vector<std::string> overrides; //!< "key=value" strings
 };
 
-/** The standard four-config cross-validation matrix. */
+/**
+ * The standard cross-validation matrix: the campaign presets interp,
+ * noopt, fullopt, tinycc and async (campaign::presetOverrides), then
+ * mc, which is tinycc on two guest cores.
+ */
 std::vector<DiffConfig> defaultMatrix();
 
 /**

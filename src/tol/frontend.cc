@@ -1168,9 +1168,7 @@ Frontend::build(GAddr entry_pc, RegionMode mode,
         b.r.finalExit = x;
     }
 
-    std::string err = verifyRegion(b.r);
-    darco_assert(err.empty(), "frontend produced invalid IR: ", err,
-                 "\n", dumpRegion(b.r));
+    // Tol::prepare verifies the region once, after the passes.
     return std::move(b.r);
 }
 

@@ -13,6 +13,8 @@
 #include <fstream>
 #include <thread>
 
+#include <unistd.h>
+
 #include "campaign/campaign.hh"
 #include "common/logging.hh"
 #include "workloads/synth.hh"
@@ -99,16 +101,27 @@ expectSameMeasurement(const CampaignResult &a, const CampaignResult &b)
     }
 }
 
-/** Scratch dir unique to the running test. */
+/**
+ * Scratch dir unique to the running test and process, so that two
+ * copies of the suite (say, two builds) can run at once.
+ */
 std::string
 scratchDir()
 {
     const ::testing::TestInfo *ti =
         ::testing::UnitTest::GetInstance()->current_test_info();
     std::string dir = std::string(::testing::TempDir()) + "darco-" +
+                      std::to_string(::getpid()) + "-" +
                       ti->test_suite_name() + "-" + ti->name();
     std::filesystem::remove_all(dir);
     return dir;
+}
+
+/** Where a DirStore at `dir` keeps the image for `key`. */
+std::string
+imagePath(const std::string &dir, const std::string &key)
+{
+    return dir + "/" + key + ".ckpt";
 }
 
 } // namespace
@@ -181,19 +194,20 @@ TEST(Campaign, CheckpointCacheStoresThenHits)
         wls, presetConfigs({"fullopt", "tinycc"}, extra), ~0ull,
         40'000);
 
+    DirStore store(dir);
     RunOptions opts;
     opts.jobs = 2;
-    opts.checkpointDir = dir;
+    opts.store = &store;
 
     CampaignResult cold = runCampaign(jobs, opts);
     EXPECT_EQ(cold.checkpointMisses, 2u);
     EXPECT_EQ(cold.checkpointHits, 0u);
-    for (const JobResult &r : cold.results) {
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const JobResult &r = cold.results[i];
         EXPECT_TRUE(r.ok) << r.error;
         EXPECT_TRUE(r.checkpointStored);
-        EXPECT_TRUE(
-            std::filesystem::exists(checkpointPath(dir, jobs[0])) ||
-            !r.checkpointStored);
+        EXPECT_TRUE(std::filesystem::exists(
+            imagePath(dir, jobKeyString(jobs[i]))));
     }
 
     CampaignResult warm = runCampaign(jobs, opts);
@@ -219,15 +233,16 @@ TEST(Campaign, CorruptCheckpointFallsBackToColdRun)
     std::vector<Job> jobs = expandMatrix(
         wls, presetConfigs({"fullopt"}), ~0ull, 30'000);
 
+    DirStore store(dir);
     RunOptions opts;
     opts.jobs = 1;
-    opts.checkpointDir = dir;
+    opts.store = &store;
 
     // Poison the cache entry with garbage: the run must treat it as
     // a miss (cold run + overwrite), not fail the job.
     std::filesystem::create_directories(dir);
     {
-        std::ofstream bad(checkpointPath(dir, jobs[0]),
+        std::ofstream bad(imagePath(dir, jobKeyString(jobs[0])),
                           std::ios::binary);
         bad << "definitely not a checkpoint";
     }
@@ -316,41 +331,51 @@ TEST(Campaign, JobFailureIsCapturedNotThrown)
     EXPECT_TRUE(res.results[1].ok) << res.results[1].error;
 }
 
-// Two concurrent writers storing different complete images at the
-// same final path: the exclusively-created (pid+tid-named) temp files
-// can never interleave, so every observation of the final file — and
-// the file left at the end — is exactly one writer's complete image.
+// Two threads storing different complete images under one key: the
+// exclusively-created (pid+tid-named) temp files can never
+// interleave, so every observation of the image — and the file left
+// at the end — is exactly one writer's complete image.
 TEST(Campaign, ConcurrentCheckpointWritersNeverTear)
 {
     namespace fs = std::filesystem;
-    fs::path dir =
-        fs::temp_directory_path() / "darco_test_ckpt_writers";
-    fs::remove_all(dir);
-    std::string path = (dir / "cell.ckpt").string();
+    std::string dir = scratchDir();
+    DirStore store(dir);
+    const std::string key = "c0ffee";
+    const std::string path = imagePath(dir, key);
 
     // Distinct, recognizable images of different lengths (a torn or
     // interleaved write cannot reproduce either).
     std::string imgA(4096, 'A');
     std::string imgB(8192, 'B');
 
+    // A failed write is reported with warn(); count them.
+    struct CountingSink : LogSink
+    {
+        std::atomic<int> warnings{0};
+        void log(const LogRecord &) override { ++warnings; }
+    } sink;
+    LogSink *prev = setLogSink(&sink);
+
     constexpr int iters = 200;
-    std::atomic<int> failures{0};
+    std::atomic<int> torn{0};
     auto writer = [&](const std::string &img) {
         for (int i = 0; i < iters; ++i) {
-            if (!writeCheckpointBytes(dir.string(), path, img))
-                ++failures;
+            store.store(key, img);
+            std::string seen;
+            if (store.fetch(key, &seen) && seen != imgA && seen != imgB)
+                ++torn;
         }
     };
     std::thread ta(writer, imgA);
     std::thread tb(writer, imgB);
     ta.join();
     tb.join();
-    EXPECT_EQ(failures.load(), 0);
+    setLogSink(prev);
+    EXPECT_EQ(sink.warnings.load(), 0);
+    EXPECT_EQ(torn.load(), 0);
 
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.good());
-    std::string final((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
+    std::string final;
+    ASSERT_TRUE(store.fetch(key, &final));
     EXPECT_TRUE(final == imgA || final == imgB)
         << "size " << final.size();
 

@@ -5,60 +5,74 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <sstream>
 
 #include "common/bitutil.hh"
 #include "common/config.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/schema.hh"
 #include "common/stats.hh"
 
 using namespace darco;
 
+// Config is a plain string map: every value is parsed once, by the
+// type its key declares, through conf::get* or ConfigSchema::validate.
+
 TEST(Config, ParseAndTypedGet)
 {
-    Config c({"a=1", "b=2.5", "c=hello", "d=true", "e=0x10"});
-    EXPECT_EQ(c.getInt("a", 0), 1);
-    EXPECT_DOUBLE_EQ(c.getFloat("b", 0), 2.5);
-    EXPECT_EQ(c.getString("c"), "hello");
-    EXPECT_TRUE(c.getBool("d", false));
-    EXPECT_EQ(c.getInt("e", 0), 16);
+    Config c({"tol.bb_threshold=1", "power.freq_ghz=2.5",
+              "obs.trace.path=hello", "tol.chaining=true",
+              "tol.sb_threshold=0x10"});
+    EXPECT_EQ(conf::getUint(c, "tol.bb_threshold"), 1u);
+    EXPECT_DOUBLE_EQ(conf::getFloat(c, "power.freq_ghz"), 2.5);
+    EXPECT_EQ(conf::getString(c, "obs.trace.path"), "hello");
+    EXPECT_TRUE(conf::getBool(c, "tol.chaining"));
+    EXPECT_EQ(conf::getUint(c, "tol.sb_threshold"), 16u);
 }
 
 TEST(Config, DefaultsForMissingKeys)
 {
     Config c;
-    EXPECT_EQ(c.getInt("nope", 42), 42);
-    EXPECT_EQ(c.getString("nope", "x"), "x");
+    EXPECT_EQ(conf::getUint(c, "tol.bb_threshold"),
+              conf::schema().get("tol.bb_threshold").defUint);
+    EXPECT_EQ(c.getString("nope"), "");
     EXPECT_FALSE(c.has("nope"));
 }
 
 TEST(Config, MalformedValueIsFatal)
 {
-    Config c({"k=abc"});
-    EXPECT_THROW(c.getInt("k", 0), FatalError);
-    EXPECT_THROW(c.getBool("k", false), FatalError);
+    Config c({"tol.bb_threshold=abc", "tol.chaining=abc",
+              "power.freq_ghz=abc"});
+    EXPECT_THROW(conf::getUint(c, "tol.bb_threshold"), FatalError);
+    EXPECT_THROW(conf::getBool(c, "tol.chaining"), FatalError);
+    EXPECT_THROW(conf::getFloat(c, "power.freq_ghz"), FatalError);
+    EXPECT_THROW(conf::schema().validate(c), FatalError);
     EXPECT_THROW(Config({"noequals"}), FatalError);
 }
 
 TEST(Config, MergeOverwrites)
 {
-    Config a({"x=1", "y=2"});
-    Config b({"y=3", "z=4"});
+    Config a({"tol.bb_threshold=1", "tol.sb_threshold=2"});
+    Config b({"tol.sb_threshold=3", "tol.min_edge_total=4"});
     a.merge(b);
-    EXPECT_EQ(a.getInt("x", 0), 1);
-    EXPECT_EQ(a.getInt("y", 0), 3);
-    EXPECT_EQ(a.getInt("z", 0), 4);
+    EXPECT_EQ(conf::getUint(a, "tol.bb_threshold"), 1u);
+    EXPECT_EQ(conf::getUint(a, "tol.sb_threshold"), 3u);
+    EXPECT_EQ(conf::getUint(a, "tol.min_edge_total"), 4u);
 }
 
 TEST(Config, BoolSpellings)
 {
-    Config c({"a=yes", "b=off", "c=1", "d=false"});
-    EXPECT_TRUE(c.getBool("a", false));
-    EXPECT_FALSE(c.getBool("b", true));
-    EXPECT_TRUE(c.getBool("c", false));
-    EXPECT_FALSE(c.getBool("d", true));
+    for (const char *v : {"true", "1", "yes", "on"}) {
+        Config c({std::string("tol.chaining=") + v});
+        EXPECT_TRUE(conf::getBool(c, "tol.chaining")) << v;
+        EXPECT_NO_THROW(conf::schema().validate(c)) << v;
+    }
+    for (const char *v : {"false", "0", "no", "off"}) {
+        Config c({std::string("tol.chaining=") + v});
+        EXPECT_FALSE(conf::getBool(c, "tol.chaining")) << v;
+        EXPECT_NO_THROW(conf::schema().validate(c)) << v;
+    }
 }
 
 TEST(Stats, CounterLifecycle)
@@ -190,38 +204,30 @@ TEST(Logging, AssertMacro)
 }
 
 // ---------------------------------------------------------------------
-// Config parse hardening (schema PR satellite): strtoull silently
-// wrapped negative input and neither integer parser checked ERANGE.
+// Config parse hardening: strtoull silently wraps negative input, and
+// an integer parser that ignores ERANGE clamps overflowed literals.
 // ---------------------------------------------------------------------
 
 TEST(ConfigParse, NegativeUnsignedIsRejectedNotWrapped)
 {
-    Config c;
-    c.parseLine("k=-5");
-    // Before the fix strtoull silently wrapped to 2^64-5.
-    EXPECT_THROW(c.getUint("k", 0), FatalError);
+    // strtoull alone would silently wrap this to 2^64-5.
+    Config c({"seed=-5"});
+    EXPECT_THROW(conf::getUint(c, "seed"), FatalError);
+    EXPECT_THROW(conf::schema().validate(c), FatalError);
 }
 
 TEST(ConfigParse, OverflowedLiteralsAreRejectedNotClamped)
 {
-    Config c;
-    c.parseLine("u=99999999999999999999999999");
-    EXPECT_THROW(c.getUint("u", 0), FatalError);
-    Config d;
-    d.parseLine("i=99999999999999999999999999");
-    EXPECT_THROW(d.getInt("i", 0), FatalError);
-    Config e;
-    e.parseLine("i=-99999999999999999999999999");
-    EXPECT_THROW(e.getInt("i", 0), FatalError);
+    Config c({"seed=99999999999999999999999999"});
+    EXPECT_THROW(conf::getUint(c, "seed"), FatalError);
+    EXPECT_THROW(conf::schema().validate(c), FatalError);
 }
 
 TEST(ConfigParse, BoundaryValuesStillParse)
 {
-    Config c;
-    c.parseLine("u=18446744073709551615"); // 2^64-1
-    EXPECT_EQ(c.getUint("u", 0), ~0ull);
-    c.parseLine("i=-9223372036854775808"); // s64 min
-    EXPECT_EQ(c.getInt("i", 0), INT64_MIN);
-    c.parseLine("hex=0x1000");
-    EXPECT_EQ(c.getUint("hex", 0), 4096u);
+    Config c({"seed=18446744073709551615"}); // 2^64-1
+    EXPECT_EQ(conf::getUint(c, "seed"), ~0ull);
+    c.parseLine("tol.bbv_interval=0x1000");
+    EXPECT_EQ(conf::getUint(c, "tol.bbv_interval"), 4096u);
+    EXPECT_NO_THROW(conf::schema().validate(c));
 }

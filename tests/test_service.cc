@@ -12,8 +12,9 @@
  *  - manifest resume: a restarted coordinator re-emits journaled rows
  *    without re-running them, drops a torn tail from a crashed
  *    predecessor, and refuses a manifest from a different campaign;
- *  - the content-addressed checkpoint store deduplicates the
- *    fast-forward prefix across jobs over the wire;
+ *  - the served checkpoint store deduplicates the fast-forward prefix
+ *    across jobs and shares per-simpoint images across campaigns over
+ *    the wire, and keeps hostile keys from escaping its directory;
  *  - the bounded dispatch window applies backpressure but never
  *    deadlocks.
  *
@@ -31,6 +32,8 @@
 #include <sstream>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "campaign/campaign.hh"
 #include "campaign/service.hh"
@@ -75,12 +78,17 @@ matrix6(u64 maxInsts = ~0ull, u64 skip = 0)
         maxInsts, skip);
 }
 
+/**
+ * Scratch dir unique to the running test and process, so that two
+ * copies of the suite (say, two builds) can run at once.
+ */
 std::string
 scratchDir()
 {
     const ::testing::TestInfo *ti =
         ::testing::UnitTest::GetInstance()->current_test_info();
     std::string dir = std::string(::testing::TempDir()) + "darco-" +
+                      std::to_string(::getpid()) + "-" +
                       ti->test_suite_name() + "-" + ti->name();
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
@@ -189,7 +197,56 @@ struct RawClient
     {
         net::sendFrame(sock, wire::encode(wire::msg::ping));
     }
+
+    /** ckpt.put; asserts the `ok` acknowledgement. */
+    void
+    put(const std::string &key, const std::string &image)
+    {
+        net::sendFrame(sock, wire::encode(wire::msg::ckptPut,
+                                          [&](snapshot::Serializer &s) {
+                                              s.wstr(key);
+                                              s.wstr(image);
+                                          }));
+        std::string payload;
+        ASSERT_EQ(net::recvFrame(sock, payload, 5000),
+                  net::RecvStatus::Ok);
+        EXPECT_EQ(wire::Decoder(payload).type, wire::msg::ok);
+    }
+
+    /** ckpt.get; true (with *image filled) on ckpt.hit. */
+    bool
+    get(const std::string &key, std::string *image)
+    {
+        net::sendFrame(sock, wire::encode(wire::msg::ckptGet,
+                                          [&](snapshot::Serializer &s) {
+                                              s.wstr(key);
+                                          }));
+        std::string payload;
+        EXPECT_EQ(net::recvFrame(sock, payload, 5000),
+                  net::RecvStatus::Ok);
+        wire::Decoder m(payload);
+        if (m.type != wire::msg::ckptHit) {
+            EXPECT_EQ(m.type, wire::msg::ckptMiss);
+            return false;
+        }
+        *image = m.d.rstr();
+        return true;
+    }
 };
+
+/** Every regular file under `dir`, recursively (none if absent). */
+std::vector<std::string>
+filesUnder(const std::string &dir)
+{
+    std::vector<std::string> out;
+    if (!std::filesystem::exists(dir))
+        return out;
+    for (const auto &e :
+         std::filesystem::recursive_directory_iterator(dir))
+        if (e.is_regular_file())
+            out.push_back(e.path().string());
+    return out;
+}
 
 } // namespace
 
@@ -433,8 +490,9 @@ TEST(ServiceStore, PrefixCheckpointSharedAcrossJobs)
     std::vector<Job> jobs = expandMatrix(wls, cells, ~0ull, 40'000);
     ASSERT_EQ(jobKeyString(jobs[0]), jobKeyString(jobs[1]));
 
+    DirStore store(dir + "/store");
     ServiceOptions svc;
-    svc.storeDir = dir + "/store";
+    svc.store = &store;
     Coordinator coord(jobs, svc);
     int rc = -1;
     std::thread w = spawnWorker(coord.port(), "solo", &rc);
@@ -452,7 +510,7 @@ TEST(ServiceStore, PrefixCheckpointSharedAcrossJobs)
     EXPECT_TRUE(res.results[1].checkpointHit);
     EXPECT_FALSE(res.results[1].checkpointStored);
     EXPECT_TRUE(std::filesystem::exists(
-        svc.storeDir + "/" + jobKeyString(jobs[0]) + ".ckpt"));
+        dir + "/store/" + jobKeyString(jobs[0]) + ".ckpt"));
 
     // And the results agree with a local run through an in-memory
     // store (like-for-like: a restored prefix re-translates lazily,
@@ -486,6 +544,102 @@ TEST(ServiceStore, PrefixCheckpointSharedAcrossJobs)
     EXPECT_TRUE(localRes.results[0].checkpointStored);
     EXPECT_TRUE(localRes.results[1].checkpointHit);
     expectIdenticalResults(localRes, res);
+
+    std::filesystem::remove_all(dir);
+}
+
+// Store keys arrive over the wire: a key that is not a bare hex hash
+// must neither escape the store directory nor land in it.
+TEST(ServiceStore, HostileKeysStayInTheStore)
+{
+    std::string dir = scratchDir();
+    DirStore store(dir + "/store");
+    ServiceOptions svc;
+    svc.store = &store;
+    Coordinator coord(matrix6(), svc);
+
+    RawClient peer;
+    peer.connect(coord.port(), "hostile");
+    if (::testing::Test::HasFatalFailure())
+        return;
+    const std::vector<std::string> hostile = {
+        "../x", "a/b", "ABC", "", "0123456789abcdef0"};
+    for (const std::string &key : hostile) {
+        SCOPED_TRACE("key '" + key + "'");
+        peer.put(key, "image bytes");
+        std::string image;
+        EXPECT_FALSE(peer.get(key, &image));
+    }
+    EXPECT_EQ(filesUnder(dir), std::vector<std::string>{});
+
+    const std::string key = "0123456789abcdef";
+    const std::string bytes("valid\0image", 11);
+    peer.put(key, bytes);
+    std::string image;
+    EXPECT_TRUE(peer.get(key, &image));
+    EXPECT_EQ(image, bytes);
+    EXPECT_EQ(filesUnder(dir),
+              std::vector<std::string>{dir + "/store/" + key + ".ckpt"});
+
+    peer.sock.close();
+    coord.stop();
+    std::filesystem::remove_all(dir);
+}
+
+// A SimPoint-sampled job's per-simpoint images go through the served
+// store too: a second campaign on a fresh worker hits them, and its
+// estimates equal a local run that never checkpoints.
+TEST(ServiceStore, SampledJobsSharePerSimpointImages)
+{
+    std::string dir = scratchDir();
+    std::vector<std::pair<std::string, guest::Program>> wls = {
+        {"wl-sp", smallWorkload("wl-sp", 23)},
+    };
+    std::vector<std::string> extra = {"tol.bb_threshold=4",
+                                      "tol.sb_threshold=12",
+                                      "tol.min_edge_total=8"};
+    std::vector<Job> jobs =
+        expandMatrix(wls, presetConfigs({"fullopt"}, extra), ~0ull, 0);
+
+    RunOptions sampled;
+    sampled.sampleMode = SampleMode::SimPoint;
+    sampled.sampleInterval = 10'000;
+    sampled.sampleWarmup = 5'000;
+    CampaignResult local = runCampaign(jobs, sampled);
+    ASSERT_TRUE(local.results[0].ok) << local.results[0].error;
+    ASSERT_GT(local.results[0].simpoints, 0u);
+
+    DirStore store(dir + "/store");
+    std::vector<CampaignResult> runs;
+    for (const char *id : {"first", "second"}) {
+        ServiceOptions svc;
+        svc.run = sampled;
+        svc.store = &store;
+        Coordinator coord(jobs, svc);
+        int rc = -1;
+        std::thread w = spawnWorker(coord.port(), id, &rc);
+        runs.push_back(coord.wait());
+        w.join();
+        EXPECT_EQ(rc, 0);
+    }
+
+    const JobResult &cold = runs[0].results[0];
+    const JobResult &warm = runs[1].results[0];
+    ASSERT_TRUE(cold.ok) << cold.error;
+    ASSERT_TRUE(warm.ok) << warm.error;
+    EXPECT_TRUE(cold.checkpointStored);
+    EXPECT_FALSE(cold.checkpointHit);
+    EXPECT_TRUE(warm.checkpointHit);
+    EXPECT_EQ(filesUnder(dir + "/store").size(),
+              std::size_t(local.results[0].simpoints));
+    const JobResult &base = local.results[0];
+    for (const JobResult *r : {&cold, &warm}) {
+        EXPECT_EQ(r->simpoints, base.simpoints);
+        EXPECT_EQ(r->cycles, base.cycles);
+        EXPECT_EQ(r->ipc, base.ipc);
+        EXPECT_EQ(r->energyJ, base.energyJ);
+        EXPECT_EQ(r->sampledInsts, base.sampledInsts);
+    }
 
     std::filesystem::remove_all(dir);
 }

@@ -25,6 +25,8 @@
 #include <filesystem>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "campaign/campaign.hh"
 #include "fuzz/diffrun.hh"
 #include "fuzz/generator.hh"
@@ -370,12 +372,17 @@ sampledMatrix()
         ~0ull, 0);
 }
 
+/**
+ * Scratch dir unique to the running test and process, so that two
+ * copies of the suite (say, two builds) can run at once.
+ */
 std::string
 scratchDir()
 {
     const ::testing::TestInfo *ti =
         ::testing::UnitTest::GetInstance()->current_test_info();
     std::string dir = std::string(::testing::TempDir()) + "darco-" +
+                      std::to_string(::getpid()) + "-" +
                       ti->test_suite_name() + "-" + ti->name();
     std::filesystem::remove_all(dir);
     return dir;
@@ -447,8 +454,9 @@ TEST(SampledCampaign, CheckpointCacheDoesNotChangeEstimates)
     std::string dir = scratchDir();
     std::vector<campaign::Job> jobs = sampledMatrix();
 
+    campaign::DirStore store(dir);
     campaign::RunOptions opts = sampledOpts(10'000, 2);
-    opts.checkpointDir = dir;
+    opts.store = &store;
     campaign::CampaignResult cold = campaign::runCampaign(jobs, opts);
     campaign::CampaignResult warm = campaign::runCampaign(jobs, opts);
     campaign::CampaignResult none =

@@ -20,32 +20,38 @@
  * coordinator; all jobs (and the campaign-level run options) come over
  * the wire:
  *
- *   darco_campaign --serve --port 39117 --csv report.csv
- *   darco_campaign --worker HOST:PORT [--worker-id NAME]
- *                  [--checkpoint-dir D]          # on each machine
+ *   darco_campaign --serve --port 39117 --checkpoint-dir D \
+ *                  --csv report.csv
+ *   darco_campaign --worker HOST:PORT [--worker-id NAME]  # on each machine
  *
  * Service knobs (serve mode; see src/campaign/service.hh):
  *
  *   --manifest PATH   journal completed jobs; a restarted coordinator
  *                     resumes, re-emitting recorded rows and running
  *                     only the remainder
- *   --store-dir D     content-addressed checkpoint store served to
- *                     workers (fetch-or-compute keyed by job identity)
  *   --lease-ms N      per-job lease before reassignment
  *   --dead-after-ms N silence threshold declaring a worker dead
  *   --window N        in-flight dispatch window (backpressure bound)
+ *
+ * --checkpoint-dir D names the campaign's one checkpoint store in
+ * every mode (campaign::DirStore, images named by content key): a
+ * local run reads and writes it directly, and --serve serves it to
+ * the workers, which keep no checkpoints of their own. It caches the
+ * --skip prefix of every job and, with --sample-mode simpoint, one
+ * image per simpoint, so repeated campaigns skip the functional
+ * fast-forward.
  *
  * Every job runs the detailed timing + power models (cycles, IPC,
  * energy, average power columns); --no-timing turns them off. With
  * --sample-mode simpoint the detailed models run only over
  * SimPoint-selected representative intervals and the report carries
  * weight-combined whole-program estimates (see src/sampling/
- * simpoint.hh); --checkpoint-dir additionally caches one checkpoint
- * per simpoint, so repeated sampled campaigns skip the functional
- * fast-forward.
+ * simpoint.hh).
  *
  * Exit code: 0 when every job succeeded, 1 on any job failure, 2 on
- * usage errors.
+ * usage errors, which include flags that the chosen mode would
+ * ignore: service knobs without --serve, --checkpoint-dir with
+ * --worker, and --trace-out with --serve or --worker.
  */
 
 #include <cstdio>
@@ -119,8 +125,9 @@ usage(const char *argv0)
         "0.25)\n"
         "  --max-insts N       per-job guest-instruction budget\n"
         "  --skip N            checkpointable fast-forward prefix\n"
-        "  --checkpoint-dir D  create/reuse prefix (and simpoint)\n"
-        "                      checkpoints in D\n"
+        "  --checkpoint-dir D  checkpoint store: create/reuse prefix\n"
+        "                      (and simpoint) checkpoints in D; with\n"
+        "                      --serve, served to the workers\n"
         "  --sample-mode M     full (default) | simpoint\n"
         "  --interval N        BBV interval, guest insts (default "
         "100000)\n"
@@ -133,7 +140,7 @@ usage(const char *argv0)
         "  --csv PATH          write the CSV report here\n"
         "  --json PATH         write the JSON report here\n"
         "  --trace-out D       per-job Chrome trace + interval-metrics\n"
-        "                      files in D (full-mode jobs)\n"
+        "                      files in D (local full-mode jobs)\n"
         "  --stats-json PATH   write every job's full stats dump here\n"
         "  --serve             serve the matrix to remote workers and\n"
         "                      stream rows as they complete; with:\n"
@@ -141,14 +148,15 @@ usage(const char *argv0)
         "    --port N            listen port (default: ephemeral;\n"
         "                        printed on startup)\n"
         "    --manifest PATH     journal completed jobs for resume\n"
-        "    --store-dir D       content-addressed checkpoint store\n"
         "    --lease-ms N        per-job lease (default 300000)\n"
         "    --dead-after-ms N   worker-death silence threshold\n"
         "                        (default 10000)\n"
         "    --window N          in-flight dispatch window "
         "(default 64)\n"
         "  --worker HOST:PORT  run as a campaign-service worker for\n"
-        "                      the coordinator at HOST:PORT\n"
+        "                      the coordinator at HOST:PORT (jobs, run\n"
+        "                      options and checkpoint store all come\n"
+        "                      from it)\n"
         "  --worker-id NAME    advisory worker name (worker mode)\n"
         "  --list              list known workloads and presets\n"
         "  --list-config       print the generated parameter "
@@ -284,8 +292,8 @@ parseArgs(int argc, char **argv, Options &o)
         } else if (a == "--serve") {
             o.serve = true;
         } else if (a == "--bind" || a == "--port" || a == "--manifest" ||
-                   a == "--store-dir" || a == "--lease-ms" ||
-                   a == "--dead-after-ms" || a == "--window") {
+                   a == "--lease-ms" || a == "--dead-after-ms" ||
+                   a == "--window") {
             const char *v = next();
             if (!v)
                 return false;
@@ -299,8 +307,6 @@ parseArgs(int argc, char **argv, Options &o)
                 svc.port = u16(n);
             } else if (a == "--manifest") {
                 svc.manifestPath = v;
-            } else if (a == "--store-dir") {
-                svc.storeDir = v;
             } else if (a == "--lease-ms") {
                 if (!number(v, svc.leaseMs) || svc.leaseMs == 0)
                     return false;
@@ -340,9 +346,14 @@ parseArgs(int argc, char **argv, Options &o)
         }
     }
     // Service flags configure --serve only; serving and working are
-    // different processes.
-    return (o.serve || !o.serviceFlags) &&
-           !(o.serve && !o.worker.empty());
+    // different processes. A worker takes its jobs, run options and
+    // checkpoint store from the coordinator, and only local runs write
+    // per-job traces: a flag that the chosen mode would ignore is a
+    // usage error, not a silent no-op.
+    bool worker = !o.worker.empty();
+    return (o.serve || !o.serviceFlags) && !(o.serve && worker) &&
+           !(worker && !o.checkpointDir.empty()) &&
+           !((o.serve || worker) && !o.traceDir.empty());
 }
 
 bool
@@ -387,7 +398,6 @@ main(int argc, char **argv)
         wopts.host = o.worker.substr(0, colon);
         wopts.port = u16(port);
         wopts.workerId = o.workerId;
-        wopts.checkpointDir = o.checkpointDir;
         int rc = campaign::runWorker(wopts);
         std::fprintf(stderr, "darco_campaign: worker %s\n",
                      rc == 0 ? "shut down cleanly"
@@ -449,9 +459,14 @@ main(int argc, char **argv)
         std::vector<campaign::Job> jobs = campaign::expandMatrix(
             progs, cells, o.maxInsts, o.skip);
 
+        // The campaign's one checkpoint store: read and written here
+        // by a local run, served to the workers under --serve.
+        campaign::DirStore store(o.checkpointDir);
+        campaign::CheckpointStore *storePtr =
+            o.checkpointDir.empty() ? nullptr : &store;
+
         campaign::RunOptions ropts;
         ropts.jobs = o.jobs;
-        ropts.checkpointDir = o.checkpointDir;
         ropts.traceDir = o.traceDir;
         ropts.timing = o.timing;
         ropts.sampleMode = o.sampleMode;
@@ -464,6 +479,7 @@ main(int argc, char **argv)
         std::unique_ptr<campaign::Coordinator> coord;
         if (o.serve) {
             o.svc.run = ropts;
+            o.svc.store = storePtr;
             if (!o.quiet) {
                 std::printf(
                     "%s\n",
@@ -485,6 +501,7 @@ main(int argc, char **argv)
                          coord->resumedFromManifest());
             res = coord->wait();
         } else {
+            ropts.store = storePtr;
             res = campaign::runCampaign(jobs, ropts);
             if (!o.quiet)
                 std::printf("%s", res.csv().c_str());
