@@ -57,11 +57,4 @@ Config::getString(const std::string &key) const
     return it == store_.end() ? "" : it->second;
 }
 
-void
-Config::merge(const Config &other)
-{
-    for (const auto &[k, v] : other.store_)
-        store_[k] = v;
-}
-
 } // namespace darco

@@ -56,9 +56,6 @@ class Config
     /** The raw value of `key`; empty when unset. */
     std::string getString(const std::string &key) const;
 
-    /** Merge another config on top of this one (other wins). */
-    void merge(const Config &other);
-
     /**
      * Validate every entry against a parameter schema: unknown keys
      * (with a nearest-match suggestion), out-of-range values and bad

@@ -1,6 +1,7 @@
 #include "common/logging.hh"
 
 #include <atomic>
+#include <cstdio>
 #include <mutex>
 
 namespace darco
@@ -8,46 +9,7 @@ namespace darco
 
 namespace
 {
-
-/**
- * Default sink: the classic stderr format ("warn: msg"), with the
- * component tag folded in as "warn: [tol] msg" when present. A mutex
- * keeps lines whole when campaign workers log concurrently.
- */
-class StderrSink : public LogSink
-{
-  public:
-    void
-    log(const LogRecord &rec) override
-    {
-        static std::mutex mu;
-        std::lock_guard<std::mutex> lock(mu);
-        if (rec.component && rec.component[0] != '\0')
-            std::fprintf(stderr, "%s: [%s] %s\n", logLevelName(rec.level),
-                         rec.component, rec.message.c_str());
-        else
-            std::fprintf(stderr, "%s: %s\n", logLevelName(rec.level),
-                         rec.message.c_str());
-    }
-};
-
-StderrSink &
-defaultSink()
-{
-    static StderrSink sink;
-    return sink;
-}
-
-std::atomic<LogSink *> g_sink{nullptr}; // nullptr = default stderr sink
-std::atomic<int> g_level{int(LogLevel::Warn)};
-
-// Thread-local overrides installed by ScopedLogScope. They win over
-// the globals, so a Controller running on a campaign worker resolves
-// its own sink/level without ever touching (or racing on) g_sink /
-// g_level.
-thread_local LogSink *t_sink = nullptr;
-thread_local int t_level = -1; // -1 = no override
-
+std::atomic<LogSink *> g_sink{nullptr}; // nullptr = stderr
 } // namespace
 
 LogSink *
@@ -56,68 +18,23 @@ setLogSink(LogSink *sink)
     return g_sink.exchange(sink, std::memory_order_acq_rel);
 }
 
+namespace detail
+{
+
 void
-setLogLevel(LogLevel level)
+emitWarning(const std::string &msg)
 {
-    g_level.store(int(level), std::memory_order_relaxed);
-}
-
-LogLevel
-logLevel()
-{
-    if (t_level >= 0)
-        return LogLevel(t_level);
-    return LogLevel(g_level.load(std::memory_order_relaxed));
-}
-
-ScopedLogScope::ScopedLogScope(LogSink *sink, LogLevel level)
-    : prevSink_(t_sink), prevLevel_(t_level)
-{
-    if (sink)
-        t_sink = sink;
-    t_level = int(level);
-}
-
-ScopedLogScope::~ScopedLogScope()
-{
-    t_sink = prevSink_;
-    t_level = prevLevel_;
-}
-
-LogLevel
-parseLogLevel(const std::string &name)
-{
-    if (name == "error")
-        return LogLevel::Error;
-    if (name == "info")
-        return LogLevel::Info;
-    if (name == "debug")
-        return LogLevel::Debug;
-    return LogLevel::Warn;
-}
-
-const char *
-logLevelName(LogLevel level)
-{
-    switch (level) {
-    case LogLevel::Error: return "error";
-    case LogLevel::Warn: return "warn";
-    case LogLevel::Info: return "info";
-    case LogLevel::Debug: return "debug";
+    if (LogSink *sink = g_sink.load(std::memory_order_acquire)) {
+        sink->log(msg);
+        return;
     }
-    return "log";
+    // One mutex keeps lines whole when pool workers and coordinator
+    // threads warn at once.
+    static std::mutex mu;
+    std::lock_guard<std::mutex> lock(mu);
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
-void
-logEmit(LogLevel level, const char *component, std::string message)
-{
-    LogRecord rec{level, component ? component : "", std::move(message)};
-    LogSink *sink = t_sink;
-    if (!sink)
-        sink = g_sink.load(std::memory_order_acquire);
-    if (!sink)
-        sink = &defaultSink();
-    sink->log(rec);
-}
+} // namespace detail
 
 } // namespace darco

@@ -1,22 +1,17 @@
 /**
  * @file
  * Status/error reporting in the gem5 tradition: panic() for internal
- * invariant violations, fatal() for user errors, warn()/inform() for
- * non-fatal conditions.
+ * invariant violations, fatal() for user errors, warn() for non-fatal
+ * conditions.
  *
- * Non-fatal messages route through a pluggable LogSink with a severity
- * level and an optional component tag, so tests can capture and assert
- * log output instead of scraping stderr. The process-wide level
- * (default Warn, settable via the `log.level` config parameter)
- * filters before formatting; the default sink preserves the classic
- * "warn: msg" / "info: msg" stderr format.
+ * warn() formats its arguments into one line and hands it to the
+ * process sink. The default sink prints "warn: <msg>" on stderr; tests
+ * capture warnings by installing their own sink with setLogSink().
  */
 
 #ifndef DARCO_COMMON_LOGGING_HH
 #define DARCO_COMMON_LOGGING_HH
 
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -38,78 +33,21 @@ class FatalError : public std::runtime_error
     explicit FatalError(const std::string &msg) : std::runtime_error(msg) {}
 };
 
-/** Severity of a non-fatal log message (ascending verbosity). */
-enum class LogLevel : int
-{
-    Error = 0,
-    Warn = 1,
-    Info = 2,
-    Debug = 3,
-};
-
-/** One routed log message. `component` is a static tag ("tol", ...). */
-struct LogRecord
-{
-    LogLevel level;
-    const char *component; //!< "" when untagged
-    std::string message;
-};
-
-/** Pluggable destination for routed log messages. */
+/** Where warn() lines go; tests install one to capture warnings. */
 class LogSink
 {
   public:
     virtual ~LogSink() = default;
-    virtual void log(const LogRecord &rec) = 0;
+    /** One formatted warning, without the "warn: " prefix. */
+    virtual void log(const std::string &msg) = 0;
 };
 
 /**
- * Install a sink (tests capture output this way); nullptr restores
- * the default stderr sink. Returns the previously installed sink
- * (nullptr when it was the default).
+ * Install a process-wide sink; nullptr restores the default, which
+ * prints "warn: <msg>" on stderr. Returns the previously installed
+ * sink (nullptr when it was the default).
  */
 LogSink *setLogSink(LogSink *sink);
-
-/** Process-wide severity filter (default Warn). */
-void setLogLevel(LogLevel level);
-LogLevel logLevel();
-
-/** Parse "error"|"warn"|"info"|"debug" (the `log.level` domain). */
-LogLevel parseLogLevel(const std::string &name);
-
-/** "warn", "info", ... */
-const char *logLevelName(LogLevel level);
-
-/** Route one already-formatted message (level filter applied here). */
-void logEmit(LogLevel level, const char *component, std::string message);
-
-/**
- * RAII thread-local override of the log sink and/or level.
- *
- * Installed by Controller entry points so each controller's configured
- * `log.level` (and any sink attached via Controller::setLogSink) only
- * applies to its own execution: concurrent campaign jobs no longer race
- * on the process-global sink/level, and a job's warnings land in its
- * own capture sink instead of whichever job attached last.
- *
- * `sink == nullptr` keeps the ambient sink resolution (thread-local
- * override from an enclosing scope, else the global sink, else the
- * stderr default). Scopes nest; the destructor restores the previous
- * thread-local state.
- */
-class ScopedLogScope
-{
-  public:
-    ScopedLogScope(LogSink *sink, LogLevel level);
-    ~ScopedLogScope();
-
-    ScopedLogScope(const ScopedLogScope &) = delete;
-    ScopedLogScope &operator=(const ScopedLogScope &) = delete;
-
-  private:
-    LogSink *prevSink_;
-    int prevLevel_;
-};
 
 namespace detail
 {
@@ -137,6 +75,9 @@ format(const Args &...args)
     return os.str();
 }
 
+/** Hand one formatted line to the installed sink. */
+void emitWarning(const std::string &msg);
+
 } // namespace detail
 
 /**
@@ -158,47 +99,12 @@ fatal(const Args &...args)
     throw FatalError(detail::format("fatal: ", args...));
 }
 
-/** Non-fatal warning (routed; shown at the default level). */
+/** Non-fatal warning: one line to the process sink. */
 template <typename... Args>
 void
 warn(const Args &...args)
 {
-    if (logLevel() >= LogLevel::Warn)
-        logEmit(LogLevel::Warn, "", detail::format(args...));
-}
-
-/** Informational message (routed; hidden at the default level). */
-template <typename... Args>
-void
-inform(const Args &...args)
-{
-    if (logLevel() >= LogLevel::Info)
-        logEmit(LogLevel::Info, "", detail::format(args...));
-}
-
-/** Component-tagged variants (the tag must be a static string). */
-template <typename... Args>
-void
-warnFrom(const char *component, const Args &...args)
-{
-    if (logLevel() >= LogLevel::Warn)
-        logEmit(LogLevel::Warn, component, detail::format(args...));
-}
-
-template <typename... Args>
-void
-informFrom(const char *component, const Args &...args)
-{
-    if (logLevel() >= LogLevel::Info)
-        logEmit(LogLevel::Info, component, detail::format(args...));
-}
-
-template <typename... Args>
-void
-debugFrom(const char *component, const Args &...args)
-{
-    if (logLevel() >= LogLevel::Debug)
-        logEmit(LogLevel::Debug, component, detail::format(args...));
+    detail::emitWarning(detail::format(args...));
 }
 
 /** panic() unless the condition holds. */

@@ -561,12 +561,6 @@ ConfigSchema::ConfigSchema()
              "instructions")
         .cosmetic();
 
-    // --- logging -------------------------------------------------------
-    declEnum("log.level", "warn", {"error", "warn", "info", "debug"},
-             "process-wide log verbosity for routed warn()/inform() "
-             "messages")
-        .cosmetic();
-
     // --- timing model (measurement only) -------------------------------
     declUint("core.issue_width", 2, 1, 16, "in-order issue width")
         .cosmetic();

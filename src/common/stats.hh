@@ -107,11 +107,6 @@ class StatGroup
     /** Read a counter without creating it; 0 if absent. */
     u64 value(const std::string &name) const;
 
-    bool hasCounter(const std::string &name) const
-    {
-        return counters_.count(name) != 0;
-    }
-
     void resetAll();
     void dump(std::ostream &os) const;
 

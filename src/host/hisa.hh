@@ -191,20 +191,6 @@ class HAsm
         return u32(words_.size() - 1);
     }
 
-    /** Overwrite a previously emitted word (local back-patching). */
-    void
-    patch(u32 index, HOp op, u8 rd = 0, u8 rs1 = 0, u8 rs2 = 0,
-          s32 imm = 0)
-    {
-        HInst i;
-        i.op = op;
-        i.rd = rd;
-        i.rs1 = rs1;
-        i.rs2 = rs2;
-        i.imm = imm;
-        words_[index] = hencode(i);
-    }
-
     /**
      * Materialize a 32-bit constant into rd.
      * @return number of instructions emitted (1 or 2).

@@ -60,13 +60,6 @@ Socket::close()
 }
 
 void
-Socket::shutdownBoth()
-{
-    if (fd_ >= 0)
-        ::shutdown(fd_, SHUT_RDWR);
-}
-
-void
 Socket::sendAll(const void *data, std::size_t len)
 {
     const char *p = static_cast<const char *>(data);

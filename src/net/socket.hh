@@ -69,13 +69,6 @@ class Socket
 
     void close();
 
-    /**
-     * Half-close both directions without releasing the fd: any thread
-     * blocked reading this socket (here or in the peer process) wakes
-     * up with EOF. Used to interrupt connection threads on shutdown.
-     */
-    void shutdownBoth();
-
     /** Send exactly `len` bytes; throws NetError on any failure. */
     void sendAll(const void *data, std::size_t len);
 

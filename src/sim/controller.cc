@@ -37,8 +37,7 @@ Controller::Controller(const Config &cfg)
       cores_(u32(conf::getUint(cfg_, "cores"))),
       validateSyscalls_(conf::getBool(cfg_, "sync.validate_syscalls")),
       validateEnd_(conf::getBool(cfg_, "sync.validate_end")),
-      validateMemory_(conf::getBool(cfg_, "sync.validate_memory")),
-      logLevel_(parseLogLevel(conf::getEnum(cfg_, "log.level")))
+      validateMemory_(conf::getBool(cfg_, "sync.validate_memory"))
 {
     // One reference component and one demand-paged memory image per
     // guest core. Core i's reference is seeded seed+i, matching the
@@ -54,17 +53,11 @@ Controller::Controller(const Config &cfg)
     // The co-designed component is built lazily in load(): it holds a
     // reference to the emulated memory, which load() replaces, so an
     // eagerly-built Tol would be discarded unused.
-    //
-    // Note: the log level is *not* installed globally here — it is
-    // applied via a thread-local ScopedLogScope inside every entry
-    // point, so two controllers on different threads (campaign
-    // workers) never race on process-global logging state.
     obs_ = obs::Session::fromConfig(cfg_);
 }
 
 Controller::~Controller()
 {
-    ScopedLogScope scope(logSink_, logLevel_);
     if (!obs_)
         return;
     if (tol_)
@@ -93,7 +86,6 @@ Controller::attachCoreMemories()
 void
 Controller::load(const Program &prog)
 {
-    ScopedLogScope scope(logSink_, logLevel_);
     // Each reference component launches its own instance of the
     // application and produces the initial architectural state; the
     // controller forwards it to the co-designed component's matching
@@ -177,7 +169,6 @@ Controller::validateState(u32 core)
 void
 Controller::validateFinal()
 {
-    ScopedLogScope scope(logSink_, logLevel_);
     for (u32 core = 0; core < cores_; ++core) {
         xemu::RefComponent &ref = *refs_[core];
         PagedMemory &mem = *mems_[core];
@@ -220,7 +211,6 @@ Controller::validateFinal()
 bool
 Controller::step(u64 guest_insts)
 {
-    ScopedLogScope scope(logSink_, logLevel_);
     darco_assert(tol_, "Controller::load() must run first");
     if (tol_->finished())
         return false;
@@ -233,7 +223,6 @@ Controller::step(u64 guest_insts)
 void
 Controller::run(u64 max_guest_insts)
 {
-    ScopedLogScope scope(logSink_, logLevel_);
     darco_assert(tol_, "Controller::load() must run first");
     tol_->run(max_guest_insts);
     if (tol_->finished() && validateEnd_)
@@ -247,7 +236,6 @@ Controller::run(u64 max_guest_insts)
 void
 Controller::saveCheckpoint(std::ostream &os)
 {
-    ScopedLogScope scope(logSink_, logLevel_);
     darco_assert(tol_, "Controller::load() must run first");
     tol_->quiesce();
     if (obs_ && obs_->tracer())
@@ -304,7 +292,6 @@ Controller::saveCheckpoint(std::ostream &os)
 void
 Controller::restoreCheckpoint(std::istream &is)
 {
-    ScopedLogScope scope(logSink_, logLevel_);
     snapshot::Deserializer d(is);
 
     // Schema-aware compatibility check: compare the checkpoint's

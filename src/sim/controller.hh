@@ -122,15 +122,6 @@ class Controller : public tol::Tol::Env
     StatGroup &stats() { return stats_; }
     const Config &config() const { return cfg_; }
 
-    /**
-     * Attach a per-controller log sink: messages emitted while this
-     * controller executes (load/run/step/checkpoint paths) route here
-     * instead of the process-global sink, so concurrent campaign jobs
-     * keep their warnings apart. nullptr (the default) falls back to
-     * the global sink. The sink must outlive the controller.
-     */
-    void setLogSink(LogSink *sink) { logSink_ = sink; }
-
     /** The run's tracing/metrics session; null when obs.* disabled. */
     obs::Session *obsSession() { return obs_.get(); }
 
@@ -184,8 +175,6 @@ class Controller : public tol::Tol::Env
     bool validateSyscalls_;
     bool validateEnd_;
     bool validateMemory_;
-    LogLevel logLevel_;           //!< this controller's `log.level`
-    LogSink *logSink_ = nullptr;  //!< per-controller sink (optional)
 };
 
 } // namespace darco::sim

@@ -80,8 +80,6 @@ class Profiler
     /** Fall-through count of the BB's terminating branch. */
     u32 edgeFall(GAddr bb_entry);
 
-    std::size_t profiledBBs() const { return slotMap_.size(); }
-
     // --- BBV collection (SimPoint-style sampled simulation) --------------
 
     /** One closed profiling interval's basic-block vector. */

@@ -86,9 +86,8 @@ Tol::Tol(PagedMemory &mem, const Config &cfg, StatGroup &stats)
     hostChunk_ = conf::getUint(cfg, "tol.host_chunk");
 
     u32 async_threads = u32(conf::getUint(cfg, "tol.async.threads"));
-    asyncVthreads_ =
-        std::max<u32>(1, u32(conf::getUint(cfg, "tol.async.vthreads")));
-    asyncRate_ = std::max<u64>(1, conf::getUint(cfg, "tol.async.rate"));
+    asyncVthreads_ = u32(conf::getUint(cfg, "tol.async.vthreads"));
+    asyncRate_ = conf::getUint(cfg, "tol.async.rate");
     if (async_threads > 0 && bbmEnabled_) {
         async_ = std::make_unique<AsyncTranslator>(
             async_threads, u32(conf::getUint(cfg, "tol.async.queue")),
@@ -212,21 +211,7 @@ Tol::attachObs(obs::Tracer *tracer, obs::MetricsWriter *metrics)
     for (CoreCtx &c : cores_)
         c.obsModeOpen = false;
     if (metrics_) {
-        obsSnap_ = ObsSnap{};
-        obsSnap_.vt = completedInsts_;
-        obsSnap_.im = cGuestIm_->value();
-        obsSnap_.bbm = cGuestBbm_->value();
-        obsSnap_.sbm = cGuestSbm_->value();
-        for (unsigned c = 0; c < unsigned(Overhead::NumCats); ++c)
-            obsSnap_.ovh[c] = cost_.total(Overhead(c));
-        obsSnap_.instBb = stats_.value("tol.translations_bb");
-        obsSnap_.instSb = stats_.value("tol.translations_sb");
-        obsSnap_.evict = stats_.value("cc.evictions");
-        obsSnap_.flush = stats_.value("cc.flushes");
-        if (cores_.size() > 1) {
-            for (const CoreCtx &c : cores_)
-                obsSnap_.core.push_back({c.im, c.bbm, c.sbm});
-        }
+        obsSnap_ = obsSnapshot();
         u64 iv = metrics_->interval();
         metricsNext_ = (completedInsts_ / iv + 1) * iv;
     } else {
@@ -263,21 +248,31 @@ Tol::obsNoteMode(u8 mode)
     c.obsModeStart = completedInsts_;
 }
 
+Tol::ObsSnap
+Tol::obsSnapshot() const
+{
+    ObsSnap s;
+    s.vt = completedInsts_;
+    s.im = cGuestIm_->value();
+    s.bbm = cGuestBbm_->value();
+    s.sbm = cGuestSbm_->value();
+    for (unsigned c = 0; c < unsigned(Overhead::NumCats); ++c)
+        s.ovh[c] = cost_.total(Overhead(c));
+    s.instBb = stats_.value("tol.translations_bb");
+    s.instSb = stats_.value("tol.translations_sb");
+    s.evict = stats_.value("cc.evictions");
+    s.flush = stats_.value("cc.flushes");
+    if (cores_.size() > 1) {
+        for (const CoreCtx &c : cores_)
+            s.core.push_back({c.im, c.bbm, c.sbm});
+    }
+    return s;
+}
+
 void
 Tol::obsEmitMetricsRow()
 {
-    ObsSnap now;
-    now.vt = completedInsts_;
-    now.im = cGuestIm_->value();
-    now.bbm = cGuestBbm_->value();
-    now.sbm = cGuestSbm_->value();
-    for (unsigned c = 0; c < unsigned(Overhead::NumCats); ++c)
-        now.ovh[c] = cost_.total(Overhead(c));
-    now.instBb = stats_.value("tol.translations_bb");
-    now.instSb = stats_.value("tol.translations_sb");
-    now.evict = stats_.value("cc.evictions");
-    now.flush = stats_.value("cc.flushes");
-
+    const ObsSnap now = obsSnapshot();
     const u64 span = now.vt - obsSnap_.vt;
     darco_assert(span > 0, "empty metrics interval");
     obs::MetricsWriter::Row row;
@@ -296,16 +291,13 @@ Tol::obsEmitMetricsRow()
     row.ints.emplace_back("flushes", now.flush - obsSnap_.flush);
     // Per-core retirement attribution (multi-core runs only, so
     // single-core metrics streams keep their exact column set).
-    if (cores_.size() > 1) {
-        for (u32 i = 0; i < u32(cores_.size()); ++i) {
-            const CoreCtx &c = cores_[i];
-            now.core.push_back({c.im, c.bbm, c.sbm});
-            const std::string p = "c" + std::to_string(i) + "_";
-            const auto &prev = obsSnap_.core[i];
-            row.ints.emplace_back(p + "im", c.im - prev[0]);
-            row.ints.emplace_back(p + "bbm", c.bbm - prev[1]);
-            row.ints.emplace_back(p + "sbm", c.sbm - prev[2]);
-        }
+    for (std::size_t i = 0; i < now.core.size(); ++i) {
+        const std::string p = "c" + std::to_string(i) + "_";
+        const auto &at = now.core[i];
+        const auto &prev = obsSnap_.core[i];
+        row.ints.emplace_back(p + "im", at[0] - prev[0]);
+        row.ints.emplace_back(p + "bbm", at[1] - prev[1]);
+        row.ints.emplace_back(p + "sbm", at[2] - prev[2]);
     }
     row.reals.emplace_back("share_im",
                            double(now.im - obsSnap_.im) / span);
@@ -345,14 +337,6 @@ Tol::scaleThresholds(u32 factor)
     darco_assert(factor >= 1, "bad threshold scale");
     bbThreshold_ = std::max(1u, baseBbThreshold_ / factor);
     sbThreshold_ = std::max(2u, baseSbThreshold_ / factor);
-}
-
-const Translation *
-Tol::translationFor(GAddr pc) const
-{
-    u32 tid = registry_.lookup(pc);
-    return tid == TranslationRegistry::npos ? nullptr
-                                            : &registry_.get(tid);
 }
 
 u32
@@ -1168,7 +1152,7 @@ Tol::pumpAsyncPublishes()
 // ---------------------------------------------------------------------
 
 void
-Tol::executeTranslation(u32 tid, u32 host_pc, bool resuming)
+Tol::executeTranslation(u32 host_pc, bool resuming)
 {
     CoreCtx &core = cur();
     if (!resuming) {
@@ -1178,7 +1162,6 @@ Tol::executeTranslation(u32 tid, u32 host_pc, bool resuming)
     }
     core.inRegionResume = false;
     u32 pc = host_pc;
-    (void)tid;
 
     for (;;) {
         ExitInfo exit = emu_.run(pc, hostChunk_);
@@ -1254,18 +1237,8 @@ Tol::executeTranslation(u32 tid, u32 host_pc, bool resuming)
 
           case HExit::AssertFail:
           case HExit::AliasFail: {
-            u32 rtid = regionAt(emu_.ctx().pc);
-            // The region executed (hot) but never reaches its RETIRE:
-            // keep the eviction clock honest.
-            registry_.touch(rtid);
+            u32 rtid = rollBackRegion();
             Translation &t = registry_.get(rtid);
-            emu_.storeGuestState(core.state);
-            core.state.pc = t.entry;
-            // Wasted speculative work still ran in this mode.
-            (t.mode == RegionMode::BB ? cHostBbm_ : cHostSbm_)
-                ->inc(emu_.instsSinceMark());
-            emu_.resetMark();
-
             bool is_assert = exit.kind == HExit::AssertFail;
             stats_
                 .counter(is_assert ? "tol.assert_fails"
@@ -1298,14 +1271,7 @@ Tol::executeTranslation(u32 tid, u32 host_pc, bool resuming)
           }
 
           case HExit::DivFault: {
-            u32 rtid = regionAt(emu_.ctx().pc);
-            registry_.touch(rtid);
-            const Translation &t = registry_.get(rtid);
-            emu_.storeGuestState(core.state);
-            core.state.pc = t.entry;
-            (t.mode == RegionMode::BB ? cHostBbm_ : cHostSbm_)
-                ->inc(emu_.instsSinceMark());
-            emu_.resetMark();
+            const Translation &t = registry_.get(rollBackRegion());
             if (trace_)
                 trace_->instant("rollback", "rollback.div", 0,
                                 {{"entry", t.entry}});
@@ -1315,14 +1281,7 @@ Tol::executeTranslation(u32 tid, u32 host_pc, bool resuming)
           }
 
           case HExit::PageMiss: {
-            u32 rtid = regionAt(emu_.ctx().pc);
-            registry_.touch(rtid);
-            const Translation &t = registry_.get(rtid);
-            emu_.storeGuestState(core.state);
-            core.state.pc = t.entry;
-            (t.mode == RegionMode::BB ? cHostBbm_ : cHostSbm_)
-                ->inc(emu_.instsSinceMark());
-            emu_.resetMark();
+            const Translation &t = registry_.get(rollBackRegion());
             if (trace_)
                 trace_->instant("rollback", "rollback.page_miss", 0,
                                 {{"entry", t.entry},
@@ -1335,11 +1294,22 @@ Tol::executeTranslation(u32 tid, u32 host_pc, bool resuming)
 }
 
 u32
-Tol::regionAt(u32 host_pc) const
+Tol::rollBackRegion()
 {
-    u32 tid = registry_.atHostBase(host_pc);
+    u32 tid = registry_.atHostBase(emu_.ctx().pc);
     darco_assert(tid != TranslationRegistry::npos,
                  "rollback landed outside any region base");
+    // The region executed (hot) but never reaches its RETIRE: keep
+    // the eviction clock honest.
+    registry_.touch(tid);
+    const Translation &t = registry_.get(tid);
+    CoreCtx &core = cur();
+    emu_.storeGuestState(core.state);
+    core.state.pc = t.entry;
+    // Wasted speculative work still ran in this mode.
+    (t.mode == RegionMode::BB ? cHostBbm_ : cHostSbm_)
+        ->inc(emu_.instsSinceMark());
+    emu_.resetMark();
     return tid;
 }
 
@@ -1347,18 +1317,32 @@ Tol::regionAt(u32 host_pc) const
 // Main dispatch loop (Fig. 3)
 // ---------------------------------------------------------------------
 
+namespace
+{
+/**
+ * Run `body`, then drain the trace pipeline on every exit from it,
+ * exceptional ones included, so callers read a quiet sink.
+ */
+template <typename Body>
+void
+drainedCall(host::TracePipeline &pipe, Body body)
+{
+    try {
+        body();
+    } catch (...) {
+        pipe.drainUnwinding();
+        throw;
+    }
+    pipe.drain();
+}
+} // namespace
+
 Tol::RunResult
 Tol::run(u64 max_guest_insts)
 {
     host::TracePipeline::Running running;
     RunResult r;
-    try {
-        r = dispatch(max_guest_insts);
-    } catch (...) {
-        tracePipeline_.drainUnwinding();
-        throw;
-    }
-    tracePipeline_.drain();
+    drainedCall(tracePipeline_, [&] { r = dispatch(max_guest_insts); });
     return r;
 }
 
@@ -1398,7 +1382,7 @@ Tol::dispatch(u64 max_guest_insts)
         // would clobber. Only after the region completes does the
         // interleaver run again.
         if (cur().inRegionResume) {
-            executeTranslation(0, cur().resumeHostPc, true);
+            executeTranslation(cur().resumeHostPc, true);
             continue;
         }
         // The interleaver draw: a core switch only ever happens here,
@@ -1415,8 +1399,7 @@ Tol::dispatch(u64 max_guest_insts)
                     obsNoteMode(registry_.get(tid).mode == RegionMode::BB
                                     ? 1
                                     : 2);
-                executeTranslation(tid, registry_.get(tid).hostPc,
-                                   false);
+                executeTranslation(registry_.get(tid).hostPc, false);
                 continue;
             }
         }
@@ -1435,13 +1418,7 @@ Tol::dispatch(u64 max_guest_insts)
 void
 Tol::quiesce()
 {
-    try {
-        finishRegion();
-    } catch (...) {
-        tracePipeline_.drainUnwinding();
-        throw;
-    }
-    tracePipeline_.drain();
+    drainedCall(tracePipeline_, [this] { finishRegion(); });
 }
 
 void
@@ -1449,7 +1426,7 @@ Tol::finishRegion()
 {
     if (cur().inRegionResume) {
         runTarget_ = ~0ull;
-        executeTranslation(0, cur().resumeHostPc, true);
+        executeTranslation(cur().resumeHostPc, true);
         darco_assert(!cur().inRegionResume,
                      "quiesce left mid-region resume state");
     }

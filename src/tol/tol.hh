@@ -285,7 +285,6 @@ class Tol : public host::RetireSink
     {
         return registry_.liveCount();
     }
-    const Translation *translationFor(GAddr pc) const;
     const host::TracePipeline &tracePipeline() const
     {
         return tracePipeline_;
@@ -334,7 +333,13 @@ class Tol : public host::RetireSink
     /** quiesce() without the trace drain. */
     void finishRegion();
     void interpretStep();
-    void executeTranslation(u32 tid, u32 host_pc, bool resuming);
+    void executeTranslation(u32 host_pc, bool resuming);
+    /**
+     * Roll the current core back to the entry of the region whose
+     * speculation failed at the host pc, charging the wasted host
+     * instructions to its mode. Returns the region's id.
+     */
+    u32 rollBackRegion();
     void handleSyscall();
     void servicePageMiss(GAddr page);
     /** One seeded interleaver draw: schedule the next runnable core
@@ -379,7 +384,6 @@ class Tol : public host::RetireSink
     /** Evict cold regions until `need` contiguous words fit. */
     void evictFor(u32 need, u32 pinned_tid);
     void flushAll();
-    u32 regionAt(u32 host_pc) const;
     u32 poolIndex(double v);
     void maybeChain(u32 from_tid, u32 exit_idx);
 
@@ -532,6 +536,8 @@ class Tol : public host::RetireSink
         std::vector<std::array<u64, 3>> core;
     };
     ObsSnap obsSnap_;
+    /** The counters an interval row takes deltas of, as of now. */
+    ObsSnap obsSnapshot() const;
 
     /**
      * The background translator pool; null when tol.async.threads=0

@@ -352,7 +352,7 @@ TEST(Campaign, ConcurrentCheckpointWritersNeverTear)
     struct CountingSink : LogSink
     {
         std::atomic<int> warnings{0};
-        void log(const LogRecord &) override { ++warnings; }
+        void log(const std::string &) override { ++warnings; }
     } sink;
     LogSink *prev = setLogSink(&sink);
 

@@ -51,16 +51,6 @@ TEST(Config, MalformedValueIsFatal)
     EXPECT_THROW(Config({"noequals"}), FatalError);
 }
 
-TEST(Config, MergeOverwrites)
-{
-    Config a({"tol.bb_threshold=1", "tol.sb_threshold=2"});
-    Config b({"tol.sb_threshold=3", "tol.min_edge_total=4"});
-    a.merge(b);
-    EXPECT_EQ(conf::getUint(a, "tol.bb_threshold"), 1u);
-    EXPECT_EQ(conf::getUint(a, "tol.sb_threshold"), 3u);
-    EXPECT_EQ(conf::getUint(a, "tol.min_edge_total"), 4u);
-}
-
 TEST(Config, BoolSpellings)
 {
     for (const char *v : {"true", "1", "yes", "on"}) {

@@ -15,7 +15,7 @@
  *   byte-identical across positive tol.async.threads counts;
  * - isolation: enabling tracing changes no simulated statistic;
  * - Histogram thread-safety hammer and StatGroup::dumpJson schema;
- * - structured logging: sink capture, level filtering, component tags.
+ * - warnings: one formatted line per warn() to the installed sink.
  */
 
 #include <gtest/gtest.h>
@@ -524,37 +524,39 @@ TEST(StatsJson, DumpJsonIsValidAndStable)
     EXPECT_EQ(j, os2.str());
 }
 
-// --- structured logging ----------------------------------------------
+// --- warnings ----------------------------------------------------------
 
 struct CaptureSink : LogSink
 {
-    std::vector<LogRecord> recs;
-    void log(const LogRecord &rec) override { recs.push_back(rec); }
+    std::vector<std::string> lines;
+    void log(const std::string &msg) override { lines.push_back(msg); }
 };
 
-TEST(Logging, SinkLevelsAndComponentTags)
+// warn() hands the installed sink one formatted line; a Controller
+// whose trace path is unwritable reports it once, naming the path,
+// when it is destroyed.
+TEST(Logging, WarnReachesInstalledSinkAsOneLine)
 {
     CaptureSink sink;
     LogSink *prev = setLogSink(&sink);
-    LogLevel prevLevel = logLevel();
+    warn("a", 1);
+    std::vector<std::string> direct = sink.lines;
+    sink.lines.clear();
 
-    setLogLevel(LogLevel::Warn);
-    warn("w", 1);
-    inform("suppressed at warn level");
-    debugFrom("tol", "suppressed too");
-
-    setLogLevel(LogLevel::Info);
-    informFrom("tol", "shown ", 42);
-
+    std::string path = ::testing::TempDir() + "no_such_dir/trace.json";
+    {
+        Config cfg = baseCfg();
+        cfg.set("obs.trace.path", path);
+        sim::Controller ctl(cfg);
+        ctl.load(workload());
+        ctl.run(500);
+        EXPECT_TRUE(sink.lines.empty());
+    }
     setLogSink(prev);
-    setLogLevel(prevLevel);
 
-    ASSERT_EQ(sink.recs.size(), 2u);
-    EXPECT_EQ(sink.recs[0].level, LogLevel::Warn);
-    EXPECT_EQ(sink.recs[0].message, "w1");
-    EXPECT_EQ(sink.recs[1].level, LogLevel::Info);
-    EXPECT_STREQ(sink.recs[1].component, "tol");
-    EXPECT_EQ(sink.recs[1].message, "shown 42");
+    EXPECT_EQ(direct, std::vector<std::string>{"a1"});
+    ASSERT_EQ(sink.lines.size(), 1u);
+    EXPECT_EQ(sink.lines[0], "obs: cannot write trace to " + path);
 }
 
 // EOF conservation: with an interval that does not divide the run
@@ -616,80 +618,6 @@ TEST(IntervalMetrics, PerCoreColumnsPartitionGlobalDeltas)
     t->exportChromeJson(json);
     EXPECT_NE(json.str().find("core-0"), std::string::npos);
     EXPECT_NE(json.str().find("core-1"), std::string::npos);
-}
-
-// ScopedLogScope: the override is thread-local, scopes nest, and the
-// destructor restores the enclosing state.
-TEST(Logging, ScopedScopeOverridesPerThreadAndNests)
-{
-    CaptureSink outer, inner;
-    LogLevel prevLevel = logLevel();
-    setLogLevel(LogLevel::Warn);
-    {
-        ScopedLogScope a(&outer, LogLevel::Info);
-        inform("outer sees this");
-        {
-            ScopedLogScope b(&inner, LogLevel::Warn);
-            inform("suppressed in the inner scope");
-            warn("inner sees this");
-        }
-        inform("outer again");
-    }
-    setLogLevel(prevLevel);
-    ASSERT_EQ(outer.recs.size(), 2u);
-    EXPECT_EQ(outer.recs[0].message, "outer sees this");
-    EXPECT_EQ(outer.recs[1].message, "outer again");
-    ASSERT_EQ(inner.recs.size(), 1u);
-    EXPECT_EQ(inner.recs[0].message, "inner sees this");
-}
-
-// Two controllers running and destructing concurrently on different
-// host threads: each one's warnings (here: an unwritable trace path,
-// reported at destruction) route to its own attached sink — never to
-// the global sink both threads would otherwise race on.
-TEST(Logging, ConcurrentControllersKeepSinksApart)
-{
-    CaptureSink global;
-    LogSink *prev = setLogSink(&global);
-
-    CaptureSink mine[2];
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 2; ++t) {
-        threads.emplace_back([&, t] {
-            Config cfg = baseCfg();
-            std::string path = ::testing::TempDir() + "no_such_dir_" +
-                               std::to_string(t) + "/trace.json";
-            cfg.set("obs.trace.path", path);
-            for (int i = 0; i < 8; ++i) {
-                sim::Controller ctl(cfg);
-                ctl.setLogSink(&mine[t]);
-                ctl.load(workload());
-                ctl.run(500);
-            } // each dtor warns: trace path unwritable
-        });
-    }
-    for (auto &th : threads)
-        th.join();
-    setLogSink(prev);
-
-    for (int t = 0; t < 2; ++t) {
-        ASSERT_EQ(mine[t].recs.size(), 8u);
-        for (const LogRecord &r : mine[t].recs)
-            EXPECT_NE(
-                r.message.find("no_such_dir_" + std::to_string(t)),
-                std::string::npos)
-                << r.message;
-    }
-    EXPECT_TRUE(global.recs.empty());
-}
-
-TEST(Logging, ParseLevelRoundTrips)
-{
-    EXPECT_EQ(parseLogLevel("error"), LogLevel::Error);
-    EXPECT_EQ(parseLogLevel("warn"), LogLevel::Warn);
-    EXPECT_EQ(parseLogLevel("info"), LogLevel::Info);
-    EXPECT_EQ(parseLogLevel("debug"), LogLevel::Debug);
-    EXPECT_STREQ(logLevelName(LogLevel::Debug), "debug");
 }
 
 } // namespace
