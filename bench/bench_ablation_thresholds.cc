@@ -38,7 +38,7 @@ runWith(const workloads::Benchmark &b, u32 bb_thr, u32 sb_thr)
     StartupMetrics m;
     // Step in slices to find the first-superblock point.
     while (!ctl.finished()) {
-        ctl.step(2'000);
+        ctl.run(2'000);
         if (m.firstSbAt == 0 &&
             ctl.stats().value("tol.translations_sb") > 0) {
             m.firstSbAt = ctl.tol().completedInsts();

@@ -470,14 +470,16 @@ runJob(const Job &job, const RunOptions &opts)
                     job.workload + "/" + job.configName);
         };
 
-        if (opts.store && job.skip > 0) {
+        if (job.skip > 0) {
             // Fetch-or-compute the prefix image: any job with the
             // same execution identity — in this process or, through a
             // served store, on any worker — may already have paid for
-            // it. Either way the measured controller is a fresh one
+            // it, and without a store it is computed all the same.
+            // Either way the measured controller is a fresh one
             // restored from the image: restore drops chain and IBTC
             // state, so measuring the live one would make the timing
-            // columns depend on the cache state.
+            // columns depend on whether a store was given and on its
+            // state.
             fetchOrCompute(
                 opts.store, jobKeyString(job), r,
                 [&](const std::string &image) {
@@ -493,8 +495,6 @@ runJob(const Job &job, const RunOptions &opts)
         } else {
             makeCtl();
             holder->load(job.program);
-            if (job.skip > 0)
-                holder->run(job.skip);
         }
         sim::Controller &ctl = *holder;
 

@@ -10,11 +10,14 @@
  * aggregates every job's stats into a CSV/JSON report.
  *
  * Checkpoint integration: a job may declare a `skip` prefix of guest
- * instructions; with a CheckpointStore configured, the state at the
- * end of that prefix is saved through Controller::saveCheckpoint
- * under the job's content key (jobKeyString), and any later job with
- * the same execution identity restores it instead of re-simulating
- * the prefix. The store is the campaign's only checkpoint cache:
+ * instructions. The state at the end of that prefix is saved through
+ * Controller::saveCheckpoint and the job measures a fresh controller
+ * restored from those bytes, with or without a store, so its row does
+ * not depend on the cache. With a CheckpointStore configured, the
+ * image is published under the job's content key (jobKeyString), and
+ * any later job with the same execution identity restores it instead
+ * of re-simulating the prefix. The store is the campaign's only
+ * checkpoint cache:
  * DirStore keeps it in a local directory, and the campaign service
  * serves any store to its workers over the wire.
  *

@@ -17,6 +17,7 @@
 
 #include "campaign/wire.hh"
 #include "common/logging.hh"
+#include "common/schema.hh"
 #include "net/frame.hh"
 #include "net/socket.hh"
 
@@ -42,10 +43,18 @@ sleepMs(u64 ms)
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
+/** Worker heartbeat interval handed out at registration. */
+constexpr u64 heartbeatIntervalMs = 1000;
+/** A worker's connection attempts before it gives up (250 ms apart). */
+constexpr unsigned connectRetries = 40;
+
 /**
  * Content hash of the whole campaign definition: the manifest refuses
  * to resume against a different job list or different run options
- * (which would silently mix incompatible rows into one report).
+ * (which would silently mix incompatible rows into one report). Each
+ * job contributes its full effective config, not only the
+ * execution-relevant keys of jobKeyHash: a timing, power or
+ * validation key changes the row too.
  */
 u64
 campaignHash(const std::vector<Job> &jobs, const RunOptions &run)
@@ -68,6 +77,10 @@ campaignHash(const std::vector<Job> &jobs, const RunOptions &run)
     mix(jobs.size());
     for (const Job &j : jobs) {
         mix(jobKeyHash(j));
+        for (const auto &[k, v] : conf::schema().effective(j.config)) {
+            mixStr(k);
+            mixStr(v);
+        }
         mixStr(j.workload);
         mixStr(j.configName);
         mix(j.maxInsts);
@@ -481,7 +494,7 @@ struct Coordinator::Impl
                                 s.w32(wire::protoVersion);
                                 s.wstr(workerId);
                                 wire::writeRunOptions(s, opts.run);
-                                s.w64(opts.heartbeatMs);
+                                s.w64(heartbeatIntervalMs);
                                 s.wbool(storeOn);
                             }));
                 } else if (m.type == wire::msg::ping) {
@@ -796,7 +809,7 @@ runWorker(const WorkerOptions &wopts)
             sock = net::connectTo(wopts.host, wopts.port, 2000);
             break;
         } catch (const net::NetError &) {
-            if (attempt + 1 >= wopts.connectRetries)
+            if (attempt + 1 >= connectRetries)
                 return 1;
             sleepMs(250);
         }

@@ -12,7 +12,8 @@
  * Robustness is structural, not best-effort:
  *
  *  - Registration + heartbeats. A worker introduces itself (hello →
- *    welcome) and pings at the negotiated interval while executing.
+ *    welcome) and pings at the interval the welcome carries (1 s)
+ *    while executing.
  *    A worker silent for `deadAfterMs` — or whose connection drops —
  *    is declared dead and its in-flight job returns to the queue.
  *
@@ -72,7 +73,8 @@ struct ServiceOptions
      * Campaign manifest journal; empty disables resume. The file is
      * created on first run and replayed on restart; resuming with a
      * manifest recorded for a *different* campaign (any change to the
-     * job list or run options) is refused.
+     * job list, to any job's effective config, timing, power and
+     * validation keys included, or to the run options) is refused.
      */
     std::string manifestPath;
 
@@ -86,8 +88,6 @@ struct ServiceOptions
 
     /** Per-job lease; an assignment older than this is reassigned. */
     u64 leaseMs = 5 * 60 * 1000;
-    /** Worker heartbeat interval handed out at registration. */
-    u64 heartbeatMs = 1000;
     /** A worker silent this long is dead (covers lost heartbeats). */
     u64 deadAfterMs = 10 * 1000;
     /** In-flight dispatch window past the last emitted row. */
@@ -171,8 +171,6 @@ struct WorkerOptions
     u16 port = 0;
     /** Advisory name; the coordinator may assign its own. */
     std::string workerId;
-    /** Connection attempts before giving up (250 ms apart). */
-    unsigned connectRetries = 40;
 };
 
 /**

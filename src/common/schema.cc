@@ -431,7 +431,7 @@ ConfigSchema::ConfigSchema()
              "frontend")
         .fuzzToggle();
     declUint("tol.host_chunk", 1u << 20, 1, ~0ull,
-             "host-emulator slice length (guest insts) between TOL "
+             "host-emulator slice length (host insts) between TOL "
              "scheduling points")
         .fuzz(u64(512), u64(65'536));
     declUint("tol.bbv_interval", 0, 0, ~0ull,

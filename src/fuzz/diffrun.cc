@@ -132,7 +132,7 @@ diffRun(const Program &prog, u64 seed, const DiffOptions &opts)
                 seed + goldens.size());
             g->load(prog);
             try {
-                g->runToCompletion(opts.maxRefInsts);
+                g->runToCompletion(maxRefInsts);
             } catch (const GuestFault &gf) {
                 std::ostringstream os;
                 os << "reference (core " << goldens.size()
@@ -145,7 +145,7 @@ diffRun(const Program &prog, u64 seed, const DiffOptions &opts)
                 goldenErr =
                     "reference (core " +
                     std::to_string(goldens.size()) + ") exceeded " +
-                    std::to_string(opts.maxRefInsts) +
+                    std::to_string(maxRefInsts) +
                     " insts (generator bug: non-terminating)";
                 return false;
             }
@@ -184,7 +184,7 @@ diffRun(const Program &prog, u64 seed, const DiffOptions &opts)
             goldenInsts += goldens[i]->instCount();
             goldenBbs += goldens[i]->bbCount();
         }
-        u64 budget = goldenInsts * opts.budgetSlack + opts.budgetFloor;
+        u64 budget = goldenInsts * budgetSlack + budgetFloor;
 
         sim::Controller ctl(cfg);
         try {

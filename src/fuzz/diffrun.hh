@@ -96,14 +96,16 @@ struct DiffResult
     std::string report() const;
 };
 
+/** Budget of each golden reference run. */
+constexpr u64 maxRefInsts = 50'000'000;
+/** Co-designed budget = ref insts * budgetSlack + budgetFloor: a
+ *  run that outgrows it hangs. */
+constexpr u64 budgetSlack = 4;
+constexpr u64 budgetFloor = 100'000;
+
 /** Knobs for diffRun(). */
 struct DiffOptions
 {
-    /** Budget for the golden reference run. */
-    u64 maxRefInsts = 50'000'000;
-    /** Co-designed budget = ref insts * slack + floor (hang catch). */
-    u64 budgetSlack = 4;
-    u64 budgetFloor = 100'000;
     /**
      * Extra "key=value" overrides applied to every matrix cell after
      * its own overrides (fault injection, threshold sweeps).

@@ -3,15 +3,26 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
-
-#include "sim/controller.hh"
-#include "tol/tol.hh"
 
 namespace darco::sampling
 {
 
-using namespace guest;
+namespace
+{
+
+/** Random-projection dimensionality. */
+constexpr u32 projDim = 16;
+/** Lloyd iteration cap of each k-means run. */
+constexpr u32 kmeansIters = 64;
+/**
+ * k selection: the smallest k whose BIC reaches
+ * bicMin + bicTheta * (bicMax - bicMin) over the sweep (the SimPoint
+ * "90% of best BIC" rule, rescaled so it is robust to negative
+ * scores).
+ */
+constexpr double bicTheta = 0.9;
+
+} // namespace
 
 // ---------------------------------------------------------------------
 // Profiling
@@ -31,21 +42,6 @@ harvestBbv(const tol::Profiler &prof)
     if (part.insts > 0)
         p.intervals.push_back(std::move(part));
     return p;
-}
-
-BbvProfile
-collectBbvProfile(const Program &prog, const Config &cfg, u64 interval,
-                  u64 max_insts)
-{
-    Config pcfg = cfg;
-    pcfg.set("tol.bbv_interval", s64(interval));
-
-    PagedMemory mem(MissPolicy::AllocateZero);
-    StatGroup stats("bbv");
-    tol::Tol t(mem, pcfg, stats);
-    t.setState(prog.load(mem));
-    t.run(max_insts);
-    return harvestBbv(t.profiler());
 }
 
 // ---------------------------------------------------------------------
@@ -271,7 +267,7 @@ pickSimPoints(const BbvProfile &profile, const SimPointOptions &opts)
         return r;
 
     std::vector<std::vector<double>> pts =
-        projectBbvs(profile, opts.projDim, opts.seed);
+        projectBbvs(profile, projDim, opts.seed);
 
     // k sweep. Each k gets its own seeded Rng stream so a sweep with
     // a different maxK still produces identical per-k clusterings.
@@ -280,7 +276,7 @@ pickSimPoints(const BbvProfile &profile, const SimPointOptions &opts)
     double bicMin = 0, bicMax = 0;
     for (u32 k = 1; k <= kmax; ++k) {
         Rng rng(opts.seed ^ (u64(k) * 0x9e3779b97f4a7c15ULL));
-        runs.push_back(kmeans(pts, k, rng, opts.kmeansIters));
+        runs.push_back(kmeans(pts, k, rng, kmeansIters));
         double bic = bicScore(runs.back(), pts);
         r.bicSweep.emplace_back(k, bic);
         if (k == 1) {
@@ -291,7 +287,7 @@ pickSimPoints(const BbvProfile &profile, const SimPointOptions &opts)
         }
     }
 
-    double threshold = bicMin + opts.bicTheta * (bicMax - bicMin);
+    double threshold = bicMin + bicTheta * (bicMax - bicMin);
     u32 chosen = 1;
     for (const auto &[k, bic] : r.bicSweep) {
         if (bic >= threshold) {
@@ -338,34 +334,6 @@ pickSimPoints(const BbvProfile &profile, const SimPointOptions &opts)
                   return a.intervalIndex < b.intervalIndex;
               });
     return r;
-}
-
-// ---------------------------------------------------------------------
-// Checkpoint emission
-// ---------------------------------------------------------------------
-
-std::vector<SimPointCheckpoint>
-emitCheckpoints(const Program &prog, const Config &cfg,
-                const SimPointResult &sp)
-{
-    std::vector<SimPointCheckpoint> out;
-    sim::Controller ctl(cfg);
-    ctl.load(prog);
-    for (const SimPoint &p : sp.points) {
-        u64 done = ctl.tol().completedInsts();
-        if (p.startInst > done && !ctl.finished())
-            ctl.run(p.startInst - done);
-        std::ostringstream os;
-        ctl.saveCheckpoint(os);
-        SimPointCheckpoint c;
-        c.intervalIndex = p.intervalIndex;
-        c.weight = p.weight;
-        c.startInst = p.startInst;
-        c.actualInst = ctl.tol().completedInsts();
-        c.image = os.str();
-        out.push_back(std::move(c));
-    }
-    return out;
 }
 
 } // namespace darco::sampling

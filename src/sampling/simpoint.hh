@@ -9,25 +9,29 @@
  * intervals and weight-combines their measurements into a
  * whole-program estimate. The pipeline:
  *
- *  1. BBV profiling — a functional run with tol.bbv_interval set
- *     collects one basic-block vector per fixed-length instruction
- *     interval (tol::Profiler attributes every retired instruction to
- *     the entry of the retiring region, so interval sums are exact);
+ *  1. BBV profiling — a functional sim::Controller run with
+ *     tol.bbv_interval set collects one basic-block vector per
+ *     fixed-length instruction interval (tol::Profiler attributes
+ *     every retired instruction to the entry of the retiring region,
+ *     so interval sums are exact); harvestBbv reads it out;
  *  2. projection — each BBV is frequency-normalized, randomly
  *     projected to a low dimension (deterministic ±1 projection keyed
  *     by (seed, bb entry, dim), independent of discovery order), and
  *     L2-normalized;
  *  3. clustering — seeded k-means (k-means++ initialization off a
  *     fixed Rng stream, deterministic tie-breaking) swept over
- *     k = 1..maxK and scored with the BIC; the smallest k within
- *     bicTheta of the best score wins;
+ *     k = 1..maxK and scored with the BIC; the smallest k whose
+ *     score gets 90% of the way from the worst score to the best
+ *     wins;
  *  4. selection — per cluster, the interval closest to the centroid
  *     becomes a simpoint, weighted by the cluster's *instruction*
  *     share of the program (not interval count), so the final
  *     partial interval contributes exactly its true fraction;
- *  5. checkpointing — one Controller pass saves a checkpoint at each
- *     simpoint's start (Controller::saveCheckpoint), so later
- *     detailed runs fast-forward by restoring instead of simulating.
+ *  5. measurement — campaign::runJob in SampleMode::SimPoint brings a
+ *     controller to each simpoint's warm-up start through the
+ *     campaign's checkpoint store (campaign::simpointKey, fetched or
+ *     computed), then runs the detailed models over the window.
+ *     This header covers stages 1-4; darco_simpoint prints them.
  *
  * Every stage is deterministic for a fixed seed: repeated runs, runs
  * after a profiler snapshot round-trip, and runs on different worker
@@ -37,12 +41,9 @@
 #ifndef DARCO_SAMPLING_SIMPOINT_HH
 #define DARCO_SAMPLING_SIMPOINT_HH
 
-#include <string>
 #include <vector>
 
-#include "common/config.hh"
 #include "common/rng.hh"
-#include "guest/program.hh"
 #include "tol/profiler.hh"
 
 namespace darco::sampling
@@ -66,29 +67,12 @@ struct BbvProfile
  */
 BbvProfile harvestBbv(const tol::Profiler &prof);
 
-/**
- * Profile `prog` functionally: full run (standalone Tol, no timing)
- * with BBV collection at `interval`, up to `max_insts`.
- */
-BbvProfile collectBbvProfile(const guest::Program &prog,
-                             const Config &cfg, u64 interval,
-                             u64 max_insts = ~0ull);
-
 /** Clustering/selection knobs. */
 struct SimPointOptions
 {
     u64 interval = 100'000; //!< BBV interval length (guest insts)
     u32 maxK = 16;          //!< k-sweep upper bound
-    u32 projDim = 16;       //!< random-projection dimensionality
-    u32 kmeansIters = 64;   //!< Lloyd iteration cap
     u64 seed = 42;          //!< Rng stream for init; projection key
-    /**
-     * k selection: smallest k whose BIC reaches
-     * bicMin + bicTheta * (bicMax - bicMin) over the sweep (the
-     * SimPoint "90% of best BIC" rule, rescaled so it is robust to
-     * negative scores).
-     */
-    double bicTheta = 0.9;
 };
 
 /** One representative interval. */
@@ -136,27 +120,6 @@ double bicScore(const KMeans &km,
 /** The full pipeline stages 2-4 over a collected profile. */
 SimPointResult pickSimPoints(const BbvProfile &profile,
                              const SimPointOptions &opts);
-
-/** One emitted simpoint checkpoint. */
-struct SimPointCheckpoint
-{
-    u32 intervalIndex = 0;
-    double weight = 0;
-    u64 startInst = 0;  //!< nominal sample start
-    u64 actualInst = 0; //!< saved position (quiesce may overshoot)
-    std::string image;  //!< serialized Controller checkpoint
-};
-
-/**
- * Stage 5: one Controller pass over `prog` under `cfg`, saving a
- * checkpoint at every simpoint start (ascending). The saved position
- * can overshoot startInst by up to one region's remainder
- * (Tol::quiesce); consumers measure from actualInst and shorten the
- * window accordingly.
- */
-std::vector<SimPointCheckpoint>
-emitCheckpoints(const guest::Program &prog, const Config &cfg,
-                const SimPointResult &sp);
 
 } // namespace darco::sampling
 

@@ -209,24 +209,15 @@ Controller::validateFinal()
 }
 
 bool
-Controller::step(u64 guest_insts)
+Controller::run(u64 max_guest_insts)
 {
     darco_assert(tol_, "Controller::load() must run first");
     if (tol_->finished())
         return false;
-    tol_->run(guest_insts);
-    if (tol_->finished() && validateEnd_)
-        validateFinal();
-    return !tol_->finished();
-}
-
-void
-Controller::run(u64 max_guest_insts)
-{
-    darco_assert(tol_, "Controller::load() must run first");
     tol_->run(max_guest_insts);
     if (tol_->finished() && validateEnd_)
         validateFinal();
+    return !tol_->finished();
 }
 
 // ---------------------------------------------------------------------

@@ -78,11 +78,15 @@ class Controller : public tol::Tol::Env
     /** Has load() been called yet? */
     bool loaded() const { return tol_ != nullptr; }
 
-    /** Execution phase; returns when the program finishes. */
-    void run(u64 max_guest_insts = ~0ull);
-
-    /** One bounded execution slice; false once finished. */
-    bool step(u64 guest_insts);
+    /**
+     * Execution phase: run until the program finishes or
+     * `max_guest_insts` more guest instructions retire, whichever
+     * comes first; call again to continue in slices. A finished
+     * program is validated once, when it finishes: a run() after that
+     * returns at once and changes nothing.
+     * @return true while the program is still running.
+     */
+    bool run(u64 max_guest_insts = ~0ull);
 
     bool finished() const { return tol_ && tol_->finished(); }
     /** Core 0's exit code (the single-core exit code). */
@@ -133,7 +137,7 @@ class Controller : public tol::Tol::Env
      * the image is host-agnostic. If execution paused inside a
      * translated region, the runtime first runs to the next region
      * boundary (Tol::quiesce), so the saved point can overshoot a
-     * step() budget by up to one region's remainder.
+     * run() budget by up to one region's remainder.
      */
     void saveCheckpoint(std::ostream &os);
 

@@ -128,11 +128,32 @@ TEST(Controller, SteppedExecutionMatchesMonolithic)
     Controller stepped(testCfg());
     stepped.load(p);
     int slices = 0;
-    while (stepped.step(1500))
+    while (stepped.run(1500))
         ++slices;
     EXPECT_GT(slices, 2);
     EXPECT_EQ(stepped.exitCode(), mono.exitCode());
     EXPECT_EQ(stepped.tol().completedInsts(), mono.tol().completedInsts());
+}
+
+TEST(Controller, RunAfterFinishChangesNothing)
+{
+    Controller ctl(testCfg());
+    ctl.load(synthesize(smallWorkload(15)));
+    ctl.run();
+    ASSERT_TRUE(ctl.finished());
+    auto counters = [&ctl]() {
+        std::map<std::string, u64> m;
+        for (const auto &[name, c] : ctl.stats().counters())
+            m[name] = c.value();
+        return m;
+    };
+    std::map<std::string, u64> before = counters();
+    EXPECT_GT(ctl.stats().value("sync.pages_validated"), 0u);
+
+    // The end-of-application validation ran once, when the program
+    // finished; a second run() must not repeat it.
+    EXPECT_FALSE(ctl.run());
+    EXPECT_EQ(counters(), before);
 }
 
 TEST(Controller, OutputMatchesReferenceOnlyRun)

@@ -11,7 +11,8 @@
  *    reassigned and the campaign still completes correctly;
  *  - manifest resume: a restarted coordinator re-emits journaled rows
  *    without re-running them, drops a torn tail from a crashed
- *    predecessor, and refuses a manifest from a different campaign;
+ *    predecessor, and refuses a manifest from a different campaign,
+ *    down to one job's timing key;
  *  - the served checkpoint store deduplicates the fast-forward prefix
  *    across jobs and shares per-simpoint images across campaigns over
  *    the wire, and keeps hostile keys from escaping its directory;
@@ -467,6 +468,32 @@ TEST(ServiceManifest, DifferentCampaignIsRefused)
     // Same manifest, different campaign (budget changed): refuse
     // rather than mixing incompatible rows into one report.
     EXPECT_THROW(Coordinator(matrix6(120'000), svc), FatalError);
+
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ServiceManifest, NonExecutionKeyChangeIsRefused)
+{
+    std::string dir = scratchDir();
+    std::string manifest = dir + "/campaign.manifest";
+    std::vector<Job> jobs = matrix6(60'000);
+
+    ServiceOptions svc;
+    svc.manifestPath = manifest;
+    {
+        Coordinator coord(jobs, svc);
+        int rc = -1;
+        std::thread w = spawnWorker(coord.port(), "w0", &rc);
+        coord.wait();
+        w.join();
+    }
+
+    // A timing-model key leaves the execution identity (and the
+    // prefix-checkpoint key) alone but changes the rows' cycles and
+    // effective_config: the recorded rows belong to another campaign.
+    jobs[2].config.parseLine("l1d.size=8192");
+    EXPECT_EQ(jobKeyHash(jobs[2]), jobKeyHash(matrix6(60'000)[2]));
+    EXPECT_THROW(Coordinator(jobs, svc), FatalError);
 
     std::filesystem::remove_all(dir);
 }

@@ -13,7 +13,8 @@
  *   cycles/energy estimates must land within SIMPOINT_ERROR_BOUND of
  *   the full detailed run (the bound documented in DESIGN.md);
  * - campaign determinism: sampled jobs=N byte-identical to jobs=1,
- *   and independent of the checkpoint-cache state;
+ *   and independent of the checkpoint-cache state; the store holds
+ *   one image per simpoint, each restoring at its warm-up start;
  * - report schema: the CSV/JSON column order is pinned, and the
  *   timing/power columns are populated for the interp/fullopt
  *   presets.
@@ -256,41 +257,6 @@ TEST(Bbv, SnapshotRoundTripPreservesProfileAndSimPoints)
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint emission
-// ---------------------------------------------------------------------
-
-TEST(SimPoint, EmitsOneCheckpointPerPoint)
-{
-    Config cfg;
-    cfg.parseLine("tol.bb_threshold=4");
-    cfg.parseLine("tol.sb_threshold=12");
-    cfg.parseLine("tol.min_edge_total=8");
-    guest::Program prog = phasedWorkload("sp-emit", 9);
-
-    sampling::BbvProfile profile =
-        sampling::collectBbvProfile(prog, cfg, 10'000);
-    ASSERT_GT(profile.numIntervals(), 3u);
-    sampling::SimPointOptions so;
-    so.interval = 10'000;
-    sampling::SimPointResult sp = sampling::pickSimPoints(profile, so);
-    ASSERT_FALSE(sp.points.empty());
-
-    auto ckpts = sampling::emitCheckpoints(prog, cfg, sp);
-    ASSERT_EQ(ckpts.size(), sp.points.size());
-    for (std::size_t i = 0; i < ckpts.size(); ++i) {
-        EXPECT_EQ(ckpts[i].intervalIndex, sp.points[i].intervalIndex);
-        EXPECT_FALSE(ckpts[i].image.empty());
-        EXPECT_GE(ckpts[i].actualInst, ckpts[i].startInst);
-
-        // Each image restores into a controller at the saved point.
-        sim::Controller ctl(cfg);
-        std::istringstream is(ckpts[i].image);
-        ctl.restoreCheckpoint(is);
-        EXPECT_EQ(ctl.tol().completedInsts(), ckpts[i].actualInst);
-    }
-}
-
-// ---------------------------------------------------------------------
 // The accuracy harness
 // ---------------------------------------------------------------------
 
@@ -447,6 +413,64 @@ TEST(SampledCampaign, SkipPrefixIsRejectedNotSilentlyIgnored)
     EXPECT_FALSE(res.results[0].ok);
     EXPECT_NE(res.results[0].error.find("skip"), std::string::npos)
         << res.results[0].error;
+}
+
+TEST(SampledCampaign, StoresOneRestorableImagePerSimPoint)
+{
+    std::string dir = scratchDir();
+    std::vector<std::pair<std::string, guest::Program>> wls = {
+        {"sp-img", phasedWorkload("sp-img", 9)},
+    };
+    std::vector<std::string> extra = {"tol.bb_threshold=4",
+                                      "tol.sb_threshold=12",
+                                      "tol.min_edge_total=8"};
+    std::vector<campaign::Job> jobs = campaign::expandMatrix(
+        wls, campaign::presetConfigs({"fullopt"}, extra), ~0ull, 0);
+    const campaign::Job &job = jobs[0];
+
+    campaign::DirStore store(dir);
+    campaign::RunOptions opts = sampledOpts(10'000);
+    opts.store = &store;
+    campaign::CampaignResult res = campaign::runCampaign(jobs, opts);
+    ASSERT_TRUE(res.results[0].ok) << res.results[0].error;
+
+    // The job's own stage 1 and 2, for its simpoint list.
+    Config pcfg = job.config;
+    pcfg.set("tol.bbv_interval", s64(opts.sampleInterval));
+    sim::Controller prof(pcfg);
+    prof.load(job.program);
+    prof.run();
+    sampling::SimPointOptions so;
+    so.interval = opts.sampleInterval;
+    sampling::SimPointResult sp = sampling::pickSimPoints(
+        sampling::harvestBbv(prof.tol().profiler()), so);
+    ASSERT_GT(sp.points.size(), 1u);
+    EXPECT_EQ(res.results[0].simpoints, sp.points.size());
+
+    // One image per simpoint, under its simpointKey, each restoring
+    // into a fresh controller at the warm-up start (quiesce may
+    // overshoot it by a region's remainder, never past the sample).
+    std::size_t files = 0;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        files += e.path().extension() == ".ckpt";
+    EXPECT_EQ(files, sp.points.size());
+    for (const sampling::SimPoint &p : sp.points) {
+        std::string image;
+        ASSERT_TRUE(store.fetch(
+            campaign::simpointKey(job, opts.sampleInterval,
+                                  opts.sampleWarmup, p.intervalIndex),
+            &image))
+            << "interval " << p.intervalIndex;
+        sim::Controller ctl(job.config);
+        std::istringstream is(image);
+        ctl.restoreCheckpoint(is);
+        u64 target = p.startInst > opts.sampleWarmup
+                         ? p.startInst - opts.sampleWarmup
+                         : 0;
+        EXPECT_GE(ctl.tol().completedInsts(), target);
+        EXPECT_LE(ctl.tol().completedInsts(), p.startInst);
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(SampledCampaign, CheckpointCacheDoesNotChangeEstimates)

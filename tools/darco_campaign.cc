@@ -51,7 +51,10 @@
  * Exit code: 0 when every job succeeded, 1 on any job failure, 2 on
  * usage errors, which include flags that the chosen mode would
  * ignore: service knobs without --serve, --checkpoint-dir with
- * --worker, and --trace-out with --serve or --worker.
+ * --worker, and --trace-out with --serve, --worker or --sample-mode
+ * simpoint. A trace the run cannot honour is a usage error too:
+ * -c obs.trace.path or -c obs.metrics.path names one file, so it is
+ * refused for a matrix of more than one job and in sampled mode.
  */
 
 #include <cstdio>
@@ -404,10 +407,17 @@ main(int argc, char **argv)
                              : "lost the coordinator");
         return rc;
     }
-    if (o.sampleMode == campaign::SampleMode::SimPoint && o.skip > 0) {
+    const bool sampled = o.sampleMode == campaign::SampleMode::SimPoint;
+    if (sampled && o.skip > 0) {
         std::fprintf(stderr,
                      "--skip cannot be combined with --sample-mode "
                      "simpoint (simpoints cover the whole run)\n");
+        return 2;
+    }
+    if (sampled && !o.traceDir.empty()) {
+        std::fprintf(stderr,
+                     "--trace-out cannot be combined with --sample-mode "
+                     "simpoint (sampled jobs are not traced)\n");
         return 2;
     }
 
@@ -458,6 +468,26 @@ main(int argc, char **argv)
 
         std::vector<campaign::Job> jobs = campaign::expandMatrix(
             progs, cells, o.maxInsts, o.skip);
+
+        // An obs.* path names one file. Every job of a larger matrix,
+        // and every Controller of a sampled job, would overwrite it;
+        // --trace-out names one file per job instead. The paths come
+        // from -c, which every job shares.
+        if (jobs.size() > (sampled ? 0u : 1u)) {
+            for (const char *key : {"obs.trace.path", "obs.metrics.path"}) {
+                if (conf::getString(jobs.front().config, key).empty())
+                    continue;
+                std::fprintf(stderr, "-c %s names one file, which %s\n",
+                             key,
+                             sampled ? "each run of a sampled job would "
+                                       "overwrite (sampled jobs are not "
+                                       "traced)"
+                                     : "each job would overwrite "
+                                       "(--trace-out D writes one file "
+                                       "per job)");
+                return 2;
+            }
+        }
 
         // The campaign's one checkpoint store: read and written here
         // by a local run, served to the workers under --serve.

@@ -211,7 +211,7 @@ dumpFailureTrace(const Options &o, u64 seed, const fuzz::DiffResult &r,
     u64 maxInsts = 0;
     for (const fuzz::RunOutcome &run : r.runs)
         maxInsts = std::max(maxInsts, run.insts);
-    u64 budget = dopts.budgetFloor + dopts.budgetSlack * maxInsts;
+    u64 budget = fuzz::budgetFloor + fuzz::budgetSlack * maxInsts;
 
     std::vector<std::string> extra = dopts.extra;
     extra.push_back("obs.trace.path=" + path);

@@ -3,22 +3,18 @@
  * darco_simpoint: SimPoint profiling driver.
  *
  * Runs the sampling pipeline's offline stages for one workload and
- * one config: BBV profiling (functional run with tol.bbv_interval),
- * the seeded k-means sweep with BIC scoring, and representative-
- * interval selection. Prints the BIC sweep and the simpoint table
- * (interval index, start instruction, cluster, weight) and can
- * optionally:
- *
- *   --ckpt-dir D   emit one Controller checkpoint per simpoint into D
- *                  (standalone images at each simpoint's start, for
- *                  Controller::restoreCheckpoint in scripts/tools —
- *                  NOT the campaign's cache: darco_campaign manages
- *                  its own per-simpoint files, keyed by job identity
- *                  and saved a warm-up lead before each sample)
- *   --csv PATH     dump the per-interval cluster assignment
+ * one config: BBV profiling (a functional sim::Controller run with
+ * tol.bbv_interval, the same run as a sampled campaign's first
+ * stage), the seeded k-means sweep with BIC scoring, and
+ * representative-interval selection. Prints the BIC sweep and the
+ * simpoint table (interval index, start instruction, cluster, weight)
+ * and can optionally dump the per-interval cluster assignment
+ * (--csv PATH). Per-simpoint checkpoint images have one home, the
+ * campaign's store: darco_campaign --sample-mode simpoint
+ * --checkpoint-dir D.
  *
  *   darco_simpoint --workload 401.bzip2 --interval 100000 --max-k 8
- *   darco_simpoint --workload 470.lbm --scale 0.5 --ckpt-dir ckpt
+ *   darco_simpoint --workload 470.lbm --scale 0.5 --csv lbm.csv
  *
  * Exit code: 0 on success, 2 on usage errors or failures.
  */
@@ -52,7 +48,6 @@ struct Options
     u64 seed = 42;
     u64 maxInsts = ~0ull;
     std::vector<std::string> extra;
-    std::string ckptDir;
     std::string csvPath;
     std::string traceDir;
     std::string statsJsonPath;
@@ -73,7 +68,6 @@ usage(const char *argv0)
         "  --max-k K         k-means sweep upper bound (default 16)\n"
         "  --seed S          clustering/projection seed (default 42)\n"
         "  --max-insts N     profiling budget\n"
-        "  --ckpt-dir D      save one checkpoint per simpoint into D\n"
         "  --csv PATH        per-interval cluster assignment dump\n"
         "  --trace-out D     Chrome trace + interval metrics of the\n"
         "                    profiling run into D\n"
@@ -125,11 +119,6 @@ parseArgs(int argc, char **argv, Options &o)
             const char *v = next();
             if (!v || !number(v, o.maxInsts))
                 return false;
-        } else if (a == "--ckpt-dir") {
-            const char *v = next();
-            if (!v)
-                return false;
-            o.ckptDir = v;
         } else if (a == "--csv") {
             const char *v = next();
             if (!v)
@@ -189,38 +178,30 @@ main(int argc, char **argv)
         Config cfg(o.extra);
         conf::schema().validate(cfg, "darco_simpoint -c");
 
-        sampling::BbvProfile profile;
-        if (o.traceDir.empty() && o.statsJsonPath.empty()) {
-            profile = sampling::collectBbvProfile(prog, cfg, o.interval,
-                                                  o.maxInsts);
-        } else {
-            // Observed profiling pass: the same functional run, but
-            // through a full Controller so the obs.* outputs and the
-            // stats dump cover it.
-            Config pcfg = cfg;
-            pcfg.set("tol.bbv_interval", s64(o.interval));
-            if (!o.traceDir.empty()) {
-                std::filesystem::create_directories(o.traceDir);
-                pcfg.set("obs.trace.path", o.traceDir + "/" +
-                                               o.workload +
-                                               ".trace.json");
-                pcfg.set("obs.metrics.path", o.traceDir + "/" +
-                                                 o.workload +
-                                                 ".metrics.jsonl");
+        // The one SimPoint profiler: a functional Controller run with
+        // BBV collection on, exactly a sampled campaign's stage 1; the
+        // obs.* outputs and the stats dump cover it.
+        cfg.set("tol.bbv_interval", s64(o.interval));
+        if (!o.traceDir.empty()) {
+            std::filesystem::create_directories(o.traceDir);
+            cfg.set("obs.trace.path",
+                    o.traceDir + "/" + o.workload + ".trace.json");
+            cfg.set("obs.metrics.path",
+                    o.traceDir + "/" + o.workload + ".metrics.jsonl");
+        }
+        sim::Controller ctl(cfg);
+        ctl.load(prog);
+        ctl.run(o.maxInsts);
+        sampling::BbvProfile profile =
+            sampling::harvestBbv(ctl.tol().profiler());
+        if (!o.statsJsonPath.empty()) {
+            std::ofstream f(o.statsJsonPath);
+            if (!f) {
+                std::fprintf(stderr, "cannot write %s\n",
+                             o.statsJsonPath.c_str());
+                return 2;
             }
-            sim::Controller ctl(pcfg);
-            ctl.load(prog);
-            ctl.run(o.maxInsts);
-            profile = sampling::harvestBbv(ctl.tol().profiler());
-            if (!o.statsJsonPath.empty()) {
-                std::ofstream f(o.statsJsonPath);
-                if (!f) {
-                    std::fprintf(stderr, "cannot write %s\n",
-                                 o.statsJsonPath.c_str());
-                    return 2;
-                }
-                ctl.stats().dumpJson(f);
-            }
+            ctl.stats().dumpJson(f);
         }
         std::printf("%s: %llu insts, %zu intervals of %llu\n",
                     o.workload.c_str(),
@@ -261,30 +242,6 @@ main(int argc, char **argv)
                   << sp.assignment[i] << '\n';
         }
 
-        if (!o.ckptDir.empty()) {
-            std::vector<sampling::SimPointCheckpoint> ckpts =
-                sampling::emitCheckpoints(prog, cfg, sp);
-            std::filesystem::create_directories(o.ckptDir);
-            for (const sampling::SimPointCheckpoint &c : ckpts) {
-                std::string path = o.ckptDir + "/" + o.workload +
-                                   "-sp" +
-                                   std::to_string(c.intervalIndex) +
-                                   ".ckpt";
-                std::ofstream f(path, std::ios::binary);
-                if (!f) {
-                    std::fprintf(stderr, "cannot write %s\n",
-                                 path.c_str());
-                    return 2;
-                }
-                f << c.image;
-                std::printf("checkpoint: %s (start %llu, saved at "
-                            "%llu, weight %.4f)\n",
-                            path.c_str(),
-                            (unsigned long long)c.startInst,
-                            (unsigned long long)c.actualInst,
-                            c.weight);
-            }
-        }
         return 0;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "darco_simpoint: %s\n", e.what());
