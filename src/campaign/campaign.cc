@@ -487,7 +487,13 @@ runJob(const Job &job, const RunOptions &opts)
                     restoreImage(*holder, image);
                 },
                 [&](bool) {
-                    makeCtl();
+                    // Only the measured controller writes the job's
+                    // trace and metrics files; both keys are
+                    // cosmetic, so the image is the same.
+                    Config prefix = cfg;
+                    prefix.set("obs.trace.path", std::string());
+                    prefix.set("obs.metrics.path", std::string());
+                    holder.emplace(prefix);
                     holder->load(job.program);
                     holder->run(job.skip);
                     return saveImage(*holder);

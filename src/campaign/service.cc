@@ -338,28 +338,22 @@ struct Coordinator::Impl
             *isShutdown = true;
             return wire::encode(wire::msg::shutdown);
         }
-        for (auto it = pending.begin(); it != pending.end();) {
-            std::size_t idx = *it;
-            if (results[idx]) {
-                // Completed while queued (late result beat the
-                // reassigned copy): drop the stale queue entry.
-                it = pending.erase(it);
-                continue;
-            }
-            if (idx < emitted + opts.window) {
-                pending.erase(it);
-                *assignedOut = idx;
-                *deadlineOut =
-                    Clock::now() +
-                    std::chrono::milliseconds(opts.leaseMs);
-                const Job &job = jobs[idx];
-                return wire::encode(
-                    wire::msg::job, [&](snapshot::Serializer &s) {
-                        s.w64(idx);
-                        wire::writeJob(s, job);
-                    });
-            }
-            ++it; // outside the in-flight window: keep for later
+        // Drop entries completed while queued (a late result beat the
+        // reassigned copy), then grant the first one left.
+        while (!pending.empty() && results[pending.front()])
+            pending.pop_front();
+        if (!pending.empty()) {
+            std::size_t idx = pending.front();
+            pending.pop_front();
+            *assignedOut = idx;
+            *deadlineOut =
+                Clock::now() + std::chrono::milliseconds(opts.leaseMs);
+            const Job &job = jobs[idx];
+            return wire::encode(wire::msg::job,
+                                [&](snapshot::Serializer &s) {
+                                    s.w64(idx);
+                                    wire::writeJob(s, job);
+                                });
         }
         ++waits;
         return wire::encode(wire::msg::wait,
@@ -620,8 +614,6 @@ Coordinator::Coordinator(std::vector<Job> jobs, ServiceOptions opts)
 {
     impl_->jobs = std::move(jobs);
     impl_->opts = std::move(opts);
-    if (impl_->opts.window == 0)
-        impl_->opts.window = 1;
     impl_->results.resize(impl_->jobs.size());
     impl_->openManifest(); // may load completed rows
     for (std::size_t i = 0; i < impl_->results.size(); ++i)

@@ -24,10 +24,9 @@
  *    accepted if it still arrives first, and dropped as a duplicate
  *    otherwise — completion is recorded exactly once per job.
  *
- *  - Bounded in-flight window (backpressure). Job i is dispatched
- *    only while i < emitted + window, which bounds the submission-
- *    order reorder buffer; workers asking for work beyond the window
- *    are told to wait. window >= worker count keeps everyone busy.
+ *  - Dispatch in submission order. A worker asking for work gets the
+ *    first job that is neither done nor leased; when every remaining
+ *    job is leased it is told to wait and ask again.
  *
  *  - Campaign manifest. With a manifest path configured, the
  *    coordinator journals one framed record per completed job
@@ -90,8 +89,6 @@ struct ServiceOptions
     u64 leaseMs = 5 * 60 * 1000;
     /** A worker silent this long is dead (covers lost heartbeats). */
     u64 deadAfterMs = 10 * 1000;
-    /** In-flight dispatch window past the last emitted row. */
-    unsigned window = 64;
     /** Delay carried by `wait` replies when nothing is runnable. */
     u64 waitDelayMs = 200;
 

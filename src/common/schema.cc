@@ -339,14 +339,15 @@ ConfigSchema::ConfigSchema()
 {
     // --- shared -------------------------------------------------------
     declUint("seed", 1, 0, ~0ull,
-             "RNG seed shared by the reference and co-designed "
-             "components (guest OS RNG/time streams)");
+             "RNG seed of the guest OS model in the reference "
+             "component (RNG/time streams) and of the multi-core "
+             "interleaver");
     declUint("cores", 1, 1, 8,
              "guest hardware contexts sharing one TOL (translation "
              "registry, code cache, eviction clock, async translator); "
-             "core i runs its own CpuState/GuestOS stream seeded "
-             "seed+i, interleaved at region/interpreter-step "
-             "boundaries");
+             "core i runs its own instance of the workload, its "
+             "reference component seeded seed+i, interleaved at "
+             "region/interpreter-step boundaries");
 
     // --- controller / synchronization (measurement-side toggles) ------
     declBool("sync.validate_syscalls", true,
@@ -546,10 +547,6 @@ ConfigSchema::ConfigSchema()
     declString("obs.trace.path", "",
                "write a Chrome trace-event JSON timeline (Perfetto-"
                "loadable) to this path; empty disables tracing")
-        .cosmetic();
-    declEnum("obs.trace.clock", "virtual", {"virtual", "wall"},
-             "trace timestamp source: virtual (retired guest insts, "
-             "deterministic and diffable) or wall (host microseconds)")
         .cosmetic();
     declString("obs.metrics.path", "",
                "write a JSONL interval-metrics stream (per-interval "

@@ -377,14 +377,14 @@ diffRun(const Program &prog, u64 seed, const DiffOptions &opts)
         }
 
         bool thisCellFailed = !res.ok && res.failConfig == cell.name;
-        // The divergence-pinpoint replay drives a single co-designed
-        // core; multi-core cells report without it.
-        if (thisCellFailed && opts.pinpoint && ncores == 1) {
+        if (thisCellFailed && opts.pinpoint) {
             auto dp = sim::findFirstDivergence(prog, cfg, budget);
             if (dp) {
                 std::ostringstream os;
-                os << res.failure << "\n  first divergent region: pc 0x"
-                   << std::hex << dp->regionEntryPc << std::dec
+                os << res.failure << "\n  first divergent region: ";
+                if (ncores > 1)
+                    os << "core " << dp->core << " ";
+                os << "pc 0x" << std::hex << dp->regionEntryPc << std::dec
                    << " insts [" << dp->instFrom << ", " << dp->instTo
                    << "]\n"
                    << dp->disassembly;

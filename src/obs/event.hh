@@ -5,9 +5,8 @@
  * Every event is stamped with *virtual time* — the number of retired
  * guest instructions at emission — which is a pure function of the
  * simulated execution and therefore byte-identical across host
- * schedules and `tol.async.threads` worker counts. Wall-clock stamps
- * are optional (obs.trace.clock=wall) and zeroed in the default
- * deterministic mode so traces are diffable.
+ * schedules and `tol.async.threads` worker counts, so traces are
+ * diffable.
  */
 
 #ifndef DARCO_OBS_EVENT_HH
@@ -43,7 +42,6 @@ struct TraceEvent
     std::string name;
     u64 vtime = 0;  //!< retired guest insts at event start
     u64 vdur = 0;   //!< virtual duration (Complete only)
-    u64 wallNs = 0; //!< host ns at emission; 0 in deterministic mode
     std::vector<std::pair<std::string, u64>> args;
 };
 

@@ -18,11 +18,7 @@ Session::fromConfig(const Config &cfg)
 
     std::unique_ptr<Session> s(new Session());
     if (!tracePath.empty()) {
-        const TraceClock clock =
-            conf::getEnum(cfg, "obs.trace.clock") == "wall"
-                ? TraceClock::Wall
-                : TraceClock::Virtual;
-        s->tracer_ = std::make_unique<Tracer>(clock);
+        s->tracer_ = std::make_unique<Tracer>();
         s->tracePath_ = tracePath;
     }
     if (!metricsPath.empty()) {

@@ -1,6 +1,5 @@
 #include "obs/tracer.hh"
 
-#include <chrono>
 #include <cstdio>
 
 namespace darco::obs
@@ -8,14 +7,6 @@ namespace darco::obs
 
 namespace
 {
-
-u64
-steadyNs()
-{
-    return u64(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   std::chrono::steady_clock::now().time_since_epoch())
-                   .count());
-}
 
 /** JSON string escape (names are controlled ASCII, but be safe). */
 std::string
@@ -56,21 +47,6 @@ writeMeta(std::ostream &os, const char *what, u16 tid,
 
 } // namespace
 
-Tracer::Tracer(TraceClock clock) : clock_(clock)
-{
-    if (clock_ == TraceClock::Wall)
-        epochNs_ = steadyNs();
-    trackNames_[0] = "main";
-}
-
-u64
-Tracer::wallNowNs() const
-{
-    if (clock_ != TraceClock::Wall)
-        return 0;
-    return steadyNs() - epochNs_;
-}
-
 void
 Tracer::setTrackName(u16 track, std::string name)
 {
@@ -102,7 +78,6 @@ Tracer::instant(const char *component, std::string name, u16 track,
     ev.component = component;
     ev.name = std::move(name);
     ev.vtime = now();
-    ev.wallNs = wallNowNs();
     ev.args = std::move(args);
     push(std::move(ev));
 }
@@ -119,7 +94,6 @@ Tracer::complete(const char *component, std::string name, u64 start,
     ev.name = std::move(name);
     ev.vtime = start;
     ev.vdur = dur;
-    ev.wallNs = wallNowNs();
     ev.args = std::move(args);
     push(std::move(ev));
 }
@@ -137,23 +111,18 @@ Tracer::exportChromeJson(std::ostream &os) const
         if (!first)
             os << ",\n";
         first = false;
-        const bool wall = clock_ == TraceClock::Wall;
-        const u64 ts = wall ? ev.wallNs / 1000 : ev.vtime;
         os << "{\"name\":\"" << jsonEscape(ev.name) << "\",\"cat\":\""
            << ev.component << "\",\"ph\":\""
            << (ev.phase == Phase::Complete ? "X" : "i")
-           << "\",\"pid\":1,\"tid\":" << ev.track << ",\"ts\":" << ts;
+           << "\",\"pid\":1,\"tid\":" << ev.track
+           << ",\"ts\":" << ev.vtime;
         if (ev.phase == Phase::Complete)
-            os << ",\"dur\":" << (wall ? 0 : ev.vdur);
+            os << ",\"dur\":" << ev.vdur;
         else
             os << ",\"s\":\"t\"";
-        if (!ev.args.empty() || wall) {
+        if (!ev.args.empty()) {
             os << ",\"args\":{";
             bool firstArg = true;
-            if (wall) {
-                os << "\"vtime\":" << ev.vtime << ",\"vdur\":" << ev.vdur;
-                firstArg = false;
-            }
             for (const auto &[k, v] : ev.args) {
                 if (!firstArg)
                     os << ",";

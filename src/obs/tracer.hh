@@ -8,9 +8,7 @@
  * the guest's virtual time; async translation jobs appear as spans on
  * virtual worker tracks computed from the enqueue sequence number, so
  * the recorded stream is byte-identical for any positive
- * `tol.async.threads`. Wall-clock stamps are only taken when the
- * tracer is constructed in wall mode (obs.trace.clock=wall); the
- * default virtual mode zeroes them so traces are diffable.
+ * `tol.async.threads`. No host clock is read, so traces are diffable.
  *
  * Components hold a raw `Tracer *` that is nullptr when tracing is
  * disabled — the disabled path is a single pointer test, and no
@@ -31,20 +29,9 @@
 namespace darco::obs
 {
 
-/** Which timestamp the Chrome exporter writes into `ts`. */
-enum class TraceClock : u8
-{
-    Virtual, //!< retired guest insts (1 tick = 1 inst); deterministic
-    Wall,    //!< host ns / 1000 since tracer construction
-};
-
 class Tracer
 {
   public:
-    explicit Tracer(TraceClock clock = TraceClock::Virtual);
-
-    TraceClock clock() const { return clock_; }
-
     /**
      * Point the tracer at the simulation's retired-instruction
      * counter. Re-pointable (the Tol is rebuilt on checkpoint
@@ -77,21 +64,17 @@ class Tracer
     /**
      * Emit {"traceEvents": [...]} — metadata rows first (process and
      * track names), then every event in emission order. `ts`/`dur`
-     * are virtual ticks in Virtual mode, microseconds in Wall mode
-     * (with the virtual stamps preserved under `args`).
+     * are virtual ticks (1 tick = 1 retired guest instruction).
      */
     void exportChromeJson(std::ostream &os) const;
 
   private:
     void push(TraceEvent ev);
-    u64 wallNowNs() const;
 
-    TraceClock clock_;
     const u64 *vclock_ = nullptr;
     std::string process_ = "darco";
-    std::map<u16, std::string> trackNames_;
+    std::map<u16, std::string> trackNames_{{0, "main"}};
     std::vector<TraceEvent> events_;
-    u64 epochNs_ = 0;
     // Emission is simulation-thread-only by design; the mutex is a
     // cheap defensive guarantee for tests that poke the tracer from
     // helper threads.

@@ -4,10 +4,8 @@
 #include <cmath>
 #include <sstream>
 
-#include "common/schema.hh"
+#include "sim/controller.hh"
 #include "timing/core.hh"
-#include "tol/tol.hh"
-#include "xemu/ref_component.hh"
 
 namespace darco::sampling
 {
@@ -23,37 +21,37 @@ struct ModeSnap
     u64 im, bbm, sbm, hostApp, overhead;
 
     static ModeSnap
-    of(tol::Tol &t)
+    of(sim::Controller &ctl)
     {
-        StatGroup &s = t.stats();
+        StatGroup &s = ctl.stats();
         return ModeSnap{
             s.value("tol.guest_im"),
             s.value("tol.guest_bbm"),
             s.value("tol.guest_sbm"),
             s.value("tol.host_app_bbm") + s.value("tol.host_app_sbm"),
-            t.costModel().totalAll(),
+            ctl.tol().costModel().totalAll(),
         };
     }
 };
 
 /**
- * Measure one window on a prepared Tol. Mode fractions are deltas
- * between snapshots.
+ * Measure one window on a prepared controller. Mode fractions are
+ * deltas between snapshots.
  */
 void
-measureWindow(tol::Tol &t, u64 length, SampleMetrics &m,
+measureWindow(sim::Controller &ctl, u64 length, SampleMetrics &m,
               timing::InOrderCore *core)
 {
-    ModeSnap before = ModeSnap::of(t);
+    ModeSnap before = ModeSnap::of(ctl);
     u64 cyc0 = 0, ins0 = 0;
     if (core) {
         cyc0 = core->cycles();
         ins0 = core->instructions();
     }
 
-    t.run(length);
+    ctl.run(length);
 
-    ModeSnap after = ModeSnap::of(t);
+    ModeSnap after = ModeSnap::of(ctl);
     double im = double(after.im - before.im);
     double bbm = double(after.bbm - before.bbm);
     double sbm = double(after.sbm - before.sbm);
@@ -77,13 +75,13 @@ FastForwardCheckpoint
 makeFastForwardCheckpoint(const Program &prog, const Config &cfg,
                           u64 ff_point)
 {
-    xemu::RefComponent ref(conf::getUint(cfg, "seed"));
-    ref.load(prog);
-    ref.runUntilInstCount(ff_point);
+    sim::Controller ctl(cfg);
+    ctl.load(prog);
+    ctl.fastForward(ff_point);
     FastForwardCheckpoint ckpt;
     ckpt.ffPoint = ff_point;
     std::ostringstream os;
-    xemu::saveRefSnapshot(os, ref);
+    ctl.saveCheckpoint(os);
     ckpt.image = os.str();
     return ckpt;
 }
@@ -97,42 +95,33 @@ runSample(const Program &prog, const Config &cfg,
     warmup_len = std::min(warmup_len, spec.skip);
     u64 ff = spec.skip - warmup_len;
 
-    // Functional fast-forward in the reference component (the cheap
+    // Functional fast-forward in the reference components (the cheap
     // part of sampled simulation) — from a shared checkpoint when one
-    // covers this run's fast-forward point.
-    xemu::RefComponent ref(conf::getUint(cfg, "seed"));
-    if (ckpt && ckpt->valid() && ckpt->ffPoint <= ff) {
-        std::istringstream is(ckpt->image);
-        xemu::restoreRefSnapshot(is, ref);
-        m.ffInsts = ff - ckpt->ffPoint;
-    } else {
-        ref.load(prog);
-        m.ffInsts = ff;
-    }
-    ref.runUntilInstCount(ff);
-
-    // Seed a co-designed instance with the fast-forward state.
-    PagedMemory mem(MissPolicy::AllocateZero);
-    for (GAddr page : ref.memory().residentPages())
-        mem.installPage(page, ref.memory().page(page));
-    StatGroup stats("sample");
-    tol::Tol t(mem, cfg, stats);
-    t.setState(ref.state());
-
+    // covers this run's fast-forward point — then a cold co-designed
+    // component from there.
     StatGroup tstats("timing");
     std::unique_ptr<timing::InOrderCore> core;
-    if (with_timing) {
+    if (with_timing)
         core = std::make_unique<timing::InOrderCore>(cfg, tstats);
-        t.setTraceSink(core.get());
+    sim::Controller ctl(cfg);
+    if (ckpt && ckpt->valid() && ckpt->ffPoint <= ff) {
+        std::istringstream is(ckpt->image);
+        ctl.restoreCheckpoint(is);
+        m.ffInsts = ff - ckpt->ffPoint;
+    } else {
+        ctl.load(prog);
+        m.ffInsts = ff;
     }
+    ctl.fastForward(ff);
+    ctl.tol().setTraceSink(core.get());
 
     // Warm-up with downscaled thresholds (the methodology's key move).
-    t.scaleThresholds(scale);
-    t.run(warmup_len);
-    t.scaleThresholds(1);
+    ctl.tol().scaleThresholds(scale);
+    ctl.run(warmup_len);
+    ctl.tol().scaleThresholds(1);
 
-    m.translationsAtSampleStart = t.translationCount();
-    measureWindow(t, spec.length, m, core.get());
+    m.translationsAtSampleStart = ctl.tol().translationCount();
+    measureWindow(ctl, spec.length, m, core.get());
     m.detailedInsts = warmup_len + spec.length;
     return m;
 }
@@ -142,21 +131,17 @@ runAuthoritative(const Program &prog, const Config &cfg,
                  const SampleSpec &spec, bool with_timing)
 {
     SampleMetrics m;
-    PagedMemory mem(MissPolicy::AllocateZero);
-    StatGroup stats("auth");
-    tol::Tol t(mem, cfg, stats);
-    t.setState(prog.load(mem));
-
     StatGroup tstats("timing");
     std::unique_ptr<timing::InOrderCore> core;
-    if (with_timing) {
+    if (with_timing)
         core = std::make_unique<timing::InOrderCore>(cfg, tstats);
-        t.setTraceSink(core.get());
-    }
+    sim::Controller ctl(cfg);
+    ctl.load(prog);
+    ctl.tol().setTraceSink(core.get());
 
-    t.run(spec.skip);
-    m.translationsAtSampleStart = t.translationCount();
-    measureWindow(t, spec.length, m, core.get());
+    ctl.run(spec.skip);
+    m.translationsAtSampleStart = ctl.tol().translationCount();
+    measureWindow(ctl, spec.length, m, core.get());
     m.detailedInsts = spec.skip + spec.length;
     return m;
 }

@@ -58,15 +58,16 @@ struct SampleMetrics
 };
 
 /**
- * A reference-component snapshot at a shared fast-forward point, so a
+ * A controller checkpoint at a shared fast-forward point, so a
  * candidate sweep pays the functional fast-forward once instead of
- * once per candidate (see pickWarmup). The image is a snapshot/io.hh
- * container holding a "ref" section.
+ * once per candidate (see pickWarmup). The image is saved right after
+ * sim::Controller::fastForward(ffPoint): the reference components at
+ * ffPoint and a cold co-designed component.
  */
 struct FastForwardCheckpoint
 {
     u64 ffPoint = 0;   //!< guest-instruction count of the snapshot
-    std::string image; //!< serialized RefComponent snapshot
+    std::string image; //!< Controller::saveCheckpoint bytes
 
     bool valid() const { return !image.empty(); }
 };
@@ -76,23 +77,28 @@ FastForwardCheckpoint makeFastForwardCheckpoint(
     const guest::Program &prog, const Config &cfg, u64 ff_point);
 
 /**
- * Run one sampled simulation: functional fast-forward to
- * (skip - warmup), warm up with thresholds downscaled by
- * `scale`, restore thresholds, measure the sample.
+ * Run one sampled simulation on a sim::Controller: functional
+ * fast-forward to (skip - warmup) (Controller::fastForward), warm up
+ * with thresholds downscaled by `scale`, restore thresholds, measure
+ * the sample. With more than one guest core, every core fast-forwards
+ * to (skip - warmup) and the warm-up and sample budgets count the
+ * instructions of all cores.
  *
  * warmupLen > skip is clamped (warm-up starts at program start).
  *
  * When `ckpt` is given and lies at or before this run's fast-forward
- * point, the reference component restores from it and only executes
- * the remaining (ff - ckpt->ffPoint) instructions; SampleMetrics::
- * ffInsts reports the fast-forward instructions actually executed.
+ * point, the controller restores from it and the reference components
+ * only execute the remaining (ff - ckpt->ffPoint) instructions;
+ * SampleMetrics::ffInsts reports the fast-forward instructions
+ * actually executed.
  */
 SampleMetrics runSample(const guest::Program &prog, const Config &cfg,
                         const SampleSpec &spec, u64 warmup_len,
                         u32 scale, bool with_timing = false,
                         const FastForwardCheckpoint *ckpt = nullptr);
 
-/** The authoritative measurement: full detailed run, no fast-forward. */
+/** The authoritative measurement: a full detailed Controller run,
+ *  no fast-forward. */
 SampleMetrics runAuthoritative(const guest::Program &prog,
                                const Config &cfg,
                                const SampleSpec &spec,

@@ -40,10 +40,10 @@ Controller::Controller(const Config &cfg)
       validateMemory_(conf::getBool(cfg_, "sync.validate_memory"))
 {
     // One reference component and one demand-paged memory image per
-    // guest core. Core i's reference is seeded seed+i, matching the
-    // Tol's per-core GuestOS streams, so every core runs its own
-    // deterministic instance of the workload. Built here (not in
-    // load()) because restoreCheckpoint() works on a fresh controller.
+    // guest core. Core i's reference is seeded seed+i, so every core
+    // runs its own deterministic instance of the workload. Built here
+    // (not in load()) because restoreCheckpoint() works on a fresh
+    // controller.
     u64 seed = conf::getUint(cfg_, "seed");
     for (u32 i = 0; i < cores_; ++i) {
         refs_.push_back(std::make_unique<xemu::RefComponent>(seed + i));
@@ -73,34 +73,53 @@ Controller::attachObs()
 }
 
 void
-Controller::attachCoreMemories()
+Controller::makeTol()
 {
     // Core 0's memory is bound by the Tol constructor; the extra
-    // cores' images are wired here. Must run before Tol::restore(),
-    // which re-targets the shared host emulator at the restored
-    // current core's memory.
+    // cores' images are wired here, before Tol::restore(), which
+    // re-targets the shared host emulator at the restored current
+    // core's memory.
+    tol_ = std::make_unique<tol::Tol>(*this, *mems_[0], cfg_, stats_);
     for (u32 i = 1; i < cores_; ++i)
         tol_->setCoreMemory(i, *mems_[i]);
+}
+
+void
+Controller::coldStart()
+{
+    // The co-designed side starts with empty memory images and
+    // demand-fetches every page; each core takes its reference's
+    // architectural state and retirement count.
+    for (u32 i = 0; i < cores_; ++i)
+        mems_[i] = std::make_unique<PagedMemory>(MissPolicy::Signal);
+    makeTol();
+    for (u32 i = 0; i < cores_; ++i)
+        tol_->setState(i, refs_[i]->state(), refs_[i]->instCount());
+    attachObs();
 }
 
 void
 Controller::load(const Program &prog)
 {
     // Each reference component launches its own instance of the
-    // application and produces the initial architectural state; the
-    // controller forwards it to the co-designed component's matching
-    // core (which starts with an empty memory image and demand-fetches
-    // every page).
-    for (u32 i = 0; i < cores_; ++i) {
-        refs_[i]->load(prog);
-        mems_[i] = std::make_unique<PagedMemory>(MissPolicy::Signal);
-    }
-    tol_ = std::make_unique<tol::Tol>(*mems_[0], cfg_, stats_);
-    tol_->setEnv(this);
-    attachCoreMemories();
+    // application and produces the initial architectural state.
     for (u32 i = 0; i < cores_; ++i)
-        tol_->setState(i, refs_[i]->state());
-    attachObs();
+        refs_[i]->load(prog);
+    coldStart();
+}
+
+void
+Controller::fastForward(u64 n)
+{
+    darco_assert(tol_, "Controller::load() must run first");
+    for (u32 i = 0; i < cores_; ++i) {
+        xemu::RefComponent &ref = *refs_[i];
+        ref.runUntilInstCount(n);
+        darco_assert(ref.instCount() == n && !ref.finished(),
+                     "fastForward: core ", i, " cannot stop at ", n,
+                     " (reference at ", ref.instCount(), ")");
+    }
+    coldStart();
 }
 
 void
@@ -338,9 +357,7 @@ Controller::restoreCheckpoint(std::istream &is)
     // restore() replays translation installation (host code is
     // re-materialized, not deserialized). Core memories must be wired
     // first: restore re-targets the emulator at the current core.
-    tol_ = std::make_unique<tol::Tol>(*mems_[0], cfg_, stats_);
-    tol_->setEnv(this);
-    attachCoreMemories();
+    makeTol();
     d.expectSection("tol");
     tol_->restore(d);
     d.endSection();

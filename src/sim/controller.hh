@@ -79,6 +79,16 @@ class Controller : public tol::Tol::Env
     bool loaded() const { return tol_ != nullptr; }
 
     /**
+     * Functional fast-forward (sampled simulation): run every core's
+     * reference component to `n` retired instructions, then restart a
+     * cold co-designed component from that state — no translations,
+     * no resident pages, each core's retirement count at `n`, so the
+     * sync protocol is unchanged. Stats carry on. Every reference must
+     * be at or before `n` and still running there.
+     */
+    void fastForward(u64 n);
+
+    /**
      * Execution phase: run until the program finishes or
      * `max_guest_insts` more guest instructions retire, whichever
      * comes first; call again to continue in slices. A finished
@@ -161,14 +171,19 @@ class Controller : public tol::Tol::Env
   private:
     /** Point the Tol at the session's tracer/metrics (if any). */
     void attachObs();
-    /** Wire per-core memories into the (fresh) Tol. */
-    void attachCoreMemories();
+    /** Build a fresh Tol over the current per-core memories. */
+    void makeTol();
+    /**
+     * A cold co-designed component at the references' state: empty
+     * memories, a fresh Tol, each core at its reference's count.
+     */
+    void coldStart();
 
     Config cfg_;
     StatGroup stats_;
     u32 cores_; //!< guest hardware contexts (`cores` parameter)
     /** One authoritative reference component per core (core i seeded
-     *  seed+i, matching the Tol's per-core GuestOS streams). */
+     *  seed+i, so every core runs its own instance of the workload). */
     std::vector<std::unique_ptr<xemu::RefComponent>> refs_;
     /** One co-designed (demand-paged) memory image per core. */
     std::vector<std::unique_ptr<guest::PagedMemory>> mems_;

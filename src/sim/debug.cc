@@ -2,9 +2,8 @@
 
 #include <sstream>
 
-#include "common/schema.hh"
 #include "guest/semantics.hh"
-#include "xemu/ref_component.hh"
+#include "sim/controller.hh"
 
 namespace darco::sim
 {
@@ -16,41 +15,47 @@ findFirstDivergence(const Program &prog, const Config &cfg,
                     u64 max_insts,
                     const std::function<void(tol::Tol &, u64)> &sabotage)
 {
-    conf::schema().validate(cfg, "divergence debugger");
-    xemu::RefComponent ref(conf::getUint(cfg, "seed"));
-    ref.load(prog);
+    Config replay = cfg;
+    replay.set("sync.validate_syscalls", true);
+    replay.set("sync.validate_end", false);
+    Controller ctl(replay);
+    ctl.load(prog);
+    tol::Tol &tol = ctl.tol();
 
-    // Standalone co-designed rig (zero-fill memory): the debugger
-    // compares architectural state only, so the data-request protocol
-    // is unnecessary here and lockstep is much simpler.
-    PagedMemory mem(MissPolicy::AllocateZero);
-    StatGroup stats("debug");
-    tol::Tol tol(mem, cfg, stats);
-    tol.setState(prog.load(mem));
-
-    GAddr region_pc = tol.state().pc;
-    u64 prev = 0;
-
+    // Each core's entry pc and retirement count when the slice began.
+    std::vector<GAddr> region_pc(ctl.numCores());
+    std::vector<u64> prev(ctl.numCores());
     while (!tol.finished() && tol.completedInsts() < max_insts) {
-        tol.run(1); // one region / one BB per slice
+        for (u32 c = 0; c < ctl.numCores(); ++c) {
+            region_pc[c] = tol.state(c).pc;
+            prev[c] = tol.completedInsts(c);
+        }
+        try {
+            ctl.run(1); // one region / one BB per slice
+        } catch (const DivergenceError &) {
+            // A syscall ending the slice saw diverged state; the
+            // comparison below names the core.
+        }
         if (sabotage)
             sabotage(tol, tol.completedInsts());
-        ref.runUntilInstCount(tol.completedInsts());
 
-        CpuState a = ref.state();
-        CpuState b = tol.state();
-        if (!(a == b)) {
+        for (u32 c = 0; c < ctl.numCores(); ++c) {
+            ctl.ref(c).runUntilInstCount(tol.completedInsts(c));
+            std::string diff = ctl.validateState(c);
+            if (diff.empty())
+                continue;
             DivergencePoint d;
-            d.regionEntryPc = region_pc;
-            d.instFrom = prev;
-            d.instTo = tol.completedInsts();
-            d.stateDiff = a.diff(b);
+            d.core = c;
+            d.regionEntryPc = region_pc[c];
+            d.instFrom = prev[c];
+            d.instTo = tol.completedInsts(c);
+            d.stateDiff = diff;
             std::ostringstream os;
-            GAddr pc = region_pc;
+            GAddr pc = region_pc[c];
             for (int k = 0; k < 64; ++k) {
                 GInst gi;
                 try {
-                    gi = fetchInst(ref.memory(), pc);
+                    gi = fetchInst(ctl.ref(c).memory(), pc);
                 } catch (const GuestFault &) {
                     break;
                 }
@@ -63,8 +68,6 @@ findFirstDivergence(const Program &prog, const Config &cfg,
             d.disassembly = os.str();
             return d;
         }
-        region_pc = b.pc;
-        prev = tol.completedInsts();
     }
     return std::nullopt;
 }

@@ -31,7 +31,8 @@ namespace
 constexpr u32 profBase = 0x4000;
 } // namespace
 
-Tol::Tol(PagedMemory &mem, const Config &cfg, StatGroup &stats)
+Tol::Tol(Env &env, PagedMemory &mem, const Config &cfg,
+         StatGroup &stats)
     : mem_(mem),
       cfg_(cfg),
       stats_(stats),
@@ -39,23 +40,19 @@ Tol::Tol(PagedMemory &mem, const Config &cfg, StatGroup &stats)
       emu_(cache_, mem, cfg),
       profiler_(emu_, profBase),
       registry_(cache_, emu_.ibtc(), stats),
-      cost_(cfg, stats)
+      cost_(cfg, stats),
+      env_(&env),
+      cores_(conf::getUint(cfg, "cores"))
 {
     emu_.setRetireSink(this);
 
-    // Guest hardware contexts. Core i's OS stream is seeded seed+i
-    // (core 0 keeps the plain seed, so cores=1 is bit-identical to
-    // the single-context runtime). Extra cores get their address
-    // space via setCoreMemory().
-    const u64 seed = conf::getUint(cfg, "seed");
-    const u32 ncores = u32(conf::getUint(cfg, "cores"));
-    cores_.reserve(ncores);
-    for (u32 i = 0; i < ncores; ++i)
-        cores_.emplace_back(seed + i);
+    // Guest hardware contexts: extra cores get their address space
+    // via setCoreMemory().
     cores_[0].mem = &mem_;
     // Interleaver RNG: part of the simulated model, so it is seeded
     // from config only (tol.interleave_seed, or derived from `seed`)
     // and never from host state. xorshift64 needs a nonzero state.
+    const u64 seed = conf::getUint(cfg, "seed");
     u64 ivseed = conf::getUint(cfg, "tol.interleave_seed");
     if (ivseed == 0)
         ivseed = seed ^ 0x6a09e667f3bcc909ull;
@@ -147,6 +144,15 @@ Tol::setCoreMemory(u32 core, PagedMemory &mem)
     cores_[core].mem = &mem;
     if (core == cur_ && cores_.size() > 1)
         emu_.setMemory(mem);
+}
+
+void
+Tol::setState(u32 core, const CpuState &st, u64 retired)
+{
+    CoreCtx &c = cores_[core];
+    completedInsts_ += retired - c.insts;
+    c.insts = retired;
+    c.state = st;
 }
 
 void
@@ -459,9 +465,6 @@ void
 Tol::servicePageMiss(GAddr page)
 {
     stats_.counter("tol.page_requests").inc();
-    darco_assert(env_, "page miss without a controller environment: "
-                       "co-designed memory must use AllocateZero in "
-                       "standalone mode");
     env_->dataRequest(cur_, page, cur().insts);
     darco_assert(curMem().hasPage(page),
                  "controller failed to install requested page");
@@ -475,17 +478,7 @@ Tol::handleSyscall()
     // The syscall instruction is its own dynamic BB; attribute it
     // before the environment rewrites the core's pc.
     recordBbv(c.state.pc, 1);
-    bool cont;
-    if (env_) {
-        cont = env_->syscall(cur_, c.insts);
-    } else {
-        // Standalone mode: run the core's deterministic OS model.
-        const GInst &gi = fetchGuest(c.state.pc);
-        auto eff = c.os.execute(c.state, curMem(), gi.length);
-        cont = !eff.exited;
-        if (eff.exited && cur_ == 0)
-            stats_.counter("tol.exit_code").set(eff.exitCode);
-    }
+    bool cont = env_->syscall(cur_, c.insts);
     ++completedInsts_;
     ++completedBBs_;
     ++c.insts;

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "common/config.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "guest/decode_cache.hh"
 #include "guest/memory.hh"
@@ -53,7 +54,6 @@
 #include "tol/profiler.hh"
 #include "tol/registry.hh"
 #include "verify/verifier.hh"
-#include "xemu/os.hh"
 
 namespace darco::snapshot
 {
@@ -153,9 +153,21 @@ class Tol : public host::RetireSink
         Budget,
     };
 
-    Tol(guest::PagedMemory &mem, const Config &cfg, StatGroup &stats);
+    /**
+     * A TOL always runs behind its Controller: `env` serves every page
+     * miss and executes every syscall (the guest OS runs only in the
+     * reference component).
+     */
+    Tol(Env &env, guest::PagedMemory &mem, const Config &cfg,
+        StatGroup &stats);
 
-    void setEnv(Env *env) { env_ = env; }
+    /** Swap the environment (a wrapper that times the controller). */
+    void
+    setEnv(Env *env)
+    {
+        darco_assert(env, "a Tol needs an environment");
+        env_ = env;
+    }
 
     /** Guest hardware contexts sharing this TOL (`cores` param). */
     u32 numCores() const { return u32(cores_.size()); }
@@ -167,13 +179,12 @@ class Tol : public host::RetireSink
      */
     void setCoreMemory(u32 core, guest::PagedMemory &mem);
 
-    /** Initialize guest architectural state (Initialization phase). */
-    void setState(const guest::CpuState &st) { cores_[0].state = st; }
-    void
-    setState(u32 core, const guest::CpuState &st)
-    {
-        cores_[core].state = st;
-    }
+    /**
+     * Initialize core `core` (Initialization phase): it starts at `st`
+     * with `retired` guest instructions already retired, its reference
+     * component's count (nonzero after Controller::fastForward).
+     */
+    void setState(u32 core, const guest::CpuState &st, u64 retired);
     guest::CpuState &state() { return cores_[0].state; }
     const guest::CpuState &state() const { return cores_[0].state; }
     guest::CpuState &state(u32 core) { return cores_[core].state; }
@@ -411,15 +422,11 @@ class Tol : public host::RetireSink
      * One guest hardware context. N of these share everything else in
      * the TOL — registry, code cache, eviction clock, profiler, async
      * translator — which is the paper's runtime viewed as a system
-     * service rather than a per-thread library. Core i's OS stream is
-     * seeded seed+i so the contexts desynchronize naturally.
+     * service rather than a per-thread library.
      */
     struct CoreCtx
     {
-        explicit CoreCtx(u64 os_seed) : os(os_seed) {}
-
         guest::CpuState state;
-        xemu::GuestOS os; //!< standalone mode (no controller)
         guest::PagedMemory *mem = nullptr;
         bool finished = false;
         bool forceInterp = false;
@@ -448,7 +455,7 @@ class Tol : public host::RetireSink
     CostModel cost_;
     /** Carries emu_'s and cost_'s records to the attached sink. */
     host::TracePipeline tracePipeline_;
-    Env *env_ = nullptr;
+    Env *env_;
 
     std::vector<CoreCtx> cores_;
     u32 cur_ = 0;      //!< core the dispatch loop is serving

@@ -35,25 +35,6 @@ RefComponent::restore(snapshot::Deserializer &d)
 }
 
 void
-saveRefSnapshot(std::ostream &os, const RefComponent &ref)
-{
-    snapshot::Serializer s(os);
-    s.beginSection(refSectionName);
-    ref.save(s);
-    s.endSection();
-    s.finish();
-}
-
-void
-restoreRefSnapshot(std::istream &is, RefComponent &ref)
-{
-    snapshot::Deserializer d(is);
-    d.expectSection(refSectionName);
-    ref.restore(d);
-    d.endSection();
-}
-
-void
 RefComponent::load(const Program &prog)
 {
     mem_ = PagedMemory(MissPolicy::AllocateZero);

@@ -16,23 +16,10 @@
 #include "guest/decode_cache.hh"
 #include "guest/program.hh"
 #include "guest/semantics.hh"
-#include <iosfwd>
-
 #include "xemu/os.hh"
 
 namespace darco::xemu
 {
-
-class RefComponent;
-
-/** Section name RefComponent snapshots are framed under. */
-constexpr const char *refSectionName = "ref";
-
-/** Save one framed ref-only snapshot (header + "ref" section). */
-void saveRefSnapshot(std::ostream &os, const RefComponent &ref);
-
-/** Restore a ref-only snapshot written by saveRefSnapshot(). */
-void restoreRefSnapshot(std::istream &is, RefComponent &ref);
 
 /**
  * Authoritative guest interpreter + OS.

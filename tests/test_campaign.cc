@@ -335,6 +335,36 @@ TEST(Campaign, JobFailureIsCapturedNotThrown)
     EXPECT_TRUE(res.results[1].ok) << res.results[1].error;
 }
 
+// The controller that computes a --skip prefix image writes no trace
+// or metrics file: an unwritable trace path warns once per job, for
+// the measured controller only.
+TEST(Campaign, SkipPrefixWritesNoTrace)
+{
+    std::vector<std::pair<std::string, guest::Program>> wls = {
+        {"wl-a", smallWorkload("wl-a", 11)}};
+    std::vector<Job> jobs = expandMatrix(
+        wls,
+        presetConfigs({"fullopt"},
+                      {"obs.trace.path=no-such-dir/t.json"}),
+        ~0ull, 5000);
+
+    struct CaptureSink : LogSink
+    {
+        std::vector<std::string> lines;
+        void log(const std::string &l) override { lines.push_back(l); }
+    } sink;
+    LogSink *prev = setLogSink(&sink);
+    RunOptions opts;
+    opts.timing = false;
+    JobResult r = runJob(jobs[0], opts);
+    setLogSink(prev);
+
+    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_EQ(sink.lines.size(), 1u);
+    EXPECT_EQ(sink.lines[0],
+              "obs: cannot write trace to no-such-dir/t.json");
+}
+
 // Two threads storing different complete images under one key: the
 // exclusively-created (pid+tid-named) temp files can never
 // interleave, so every observation of the image — and the file left

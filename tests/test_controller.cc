@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "guest/asm.hh"
 #include "sim/controller.hh"
 #include "sim/debug.hh"
@@ -248,6 +250,141 @@ TEST(DebugToolchain, PinpointsInjectedBug)
     EXPECT_NE(d->stateDiff.find("r2"), std::string::npos)
         << d->stateDiff;
     EXPECT_FALSE(d->disassembly.empty());
+}
+
+TEST(DebugToolchain, PinpointsBugOnSecondCore)
+{
+    // Core 1 has its own memory and reference component; the replay
+    // must compare it like core 0 and name it.
+    guest::Program p = synthesize(smallWorkload(16));
+    bool fired = false;
+    u64 injected_at = 0, seen = 0;
+    auto d = findFirstDivergence(
+        p, testCfg({"cores=2"}), 10'000'000,
+        [&](tol::Tol &t, u64) {
+            // Corrupt core 1 right after a slice that ran on it.
+            u64 now = t.completedInsts(1);
+            if (!fired && now >= 5000 && now != seen) {
+                fired = true;
+                injected_at = now;
+                t.state(1).gpr[RDX] ^= 0x5a5a;
+            }
+            seen = now;
+        });
+    ASSERT_TRUE(d.has_value());
+    ASSERT_TRUE(fired);
+    EXPECT_EQ(d->core, 1u);
+    EXPECT_EQ(d->instTo, injected_at);
+    EXPECT_LT(d->instFrom, d->instTo);
+    EXPECT_NE(d->stateDiff.find("r2"), std::string::npos)
+        << d->stateDiff;
+    EXPECT_FALSE(d->disassembly.empty());
+}
+
+TEST(DebugToolchain, DivergenceAtSyscallIsReported)
+{
+    // A superblock whose guard is dropped (a translator bug) commits
+    // the wrong path on the last iteration and ends in a syscall in
+    // the same slice. Even with syscall validation off in the config,
+    // the replay must report the divergence, not fail in the syscall
+    // sync (the reference is not at a syscall) or let the reference
+    // execute it on diverged state.
+    Assembler a;
+    auto loop = a.newLabel(), rare = a.newLabel(), back = a.newLabel();
+    a.movri(RSI, 40);
+    a.movri(RDX, 0);
+    a.bind(loop);
+    a.cmpri(RSI, 1);
+    a.jcc(GCond::EQ, rare); // biased: taken on the last pass only
+    a.addri(RDX, 3);
+    a.movri(RAX, xemu::sysTime);
+    a.syscall();
+    a.bind(back);
+    a.dec(RSI);
+    a.jcc(GCond::NE, loop);
+    a.movri(RCX, 0);
+    a.movri(RAX, sysExit);
+    a.syscall();
+    a.bind(rare);
+    a.addri(RDX, 1000);
+    a.jmp(back);
+    guest::Program p = a.finish("dropguard");
+
+    auto d = findFirstDivergence(
+        p,
+        testCfg({"debug.drop_guard=true", "sync.validate_syscalls=false"}),
+        1'000'000);
+    ASSERT_TRUE(d.has_value());
+    EXPECT_EQ(d->core, 0u);
+    EXPECT_LT(d->instFrom, d->instTo);
+    EXPECT_NE(d->stateDiff.find("r2"), std::string::npos)
+        << d->stateDiff;
+}
+
+TEST(Controller, FastForwardStartsCold)
+{
+    // Every core's reference runs to n; the co-designed side restarts
+    // there with nothing translated and no page resident, whatever it
+    // had done before.
+    const u64 n = 20'000;
+    Controller ctl(testCfg({"cores=2"}));
+    ctl.load(synthesize(smallWorkload(20)));
+    ctl.run(6'000);
+    ctl.fastForward(n);
+    EXPECT_EQ(ctl.tol().completedInsts(), 2 * n);
+    EXPECT_EQ(ctl.tol().translationCount(), 0u);
+    for (u32 c = 0; c < 2; ++c) {
+        EXPECT_EQ(ctl.tol().completedInsts(c), n);
+        EXPECT_EQ(ctl.ref(c).instCount(), n);
+        EXPECT_EQ(ctl.emulatedMemory(c).pageCount(), 0u);
+        EXPECT_EQ(ctl.validateState(c), "");
+    }
+    // n must lie ahead of every reference, inside the program.
+    EXPECT_THROW(ctl.fastForward(n - 1), PanicError);
+}
+
+TEST(Controller, FastForwardedRunCompletesValidated)
+{
+    // From n the sync protocol is unchanged: pages cross at the
+    // cores' absolute counts and the end validation passes.
+    guest::Program p = synthesize(smallWorkload(21));
+    Controller full(testCfg());
+    full.load(p);
+    full.run();
+
+    Controller ff(testCfg());
+    ff.load(p);
+    ff.fastForward(15'000);
+    ASSERT_NO_THROW(ff.run());
+    EXPECT_TRUE(ff.finished());
+    EXPECT_EQ(ff.exitCode(), full.exitCode());
+    EXPECT_EQ(ff.tol().completedInsts(), full.tol().completedInsts());
+    EXPECT_GT(ff.stats().value("sync.pages_transferred"), 0u);
+    EXPECT_GT(ff.stats().value("sync.pages_validated"), 0u);
+}
+
+TEST(Controller, FastForwardCheckpointRoundTrips)
+{
+    guest::Program p = synthesize(smallWorkload(22));
+    Controller a(testCfg({"cores=2"}));
+    a.load(p);
+    a.fastForward(10'000);
+    std::stringstream img;
+    a.saveCheckpoint(img);
+
+    Controller b(testCfg({"cores=2"}));
+    b.restoreCheckpoint(img);
+    EXPECT_EQ(b.tol().translationCount(), 0u);
+    for (u32 c = 0; c < 2; ++c)
+        EXPECT_EQ(b.tol().completedInsts(c), 10'000u);
+
+    a.run();
+    b.run();
+    EXPECT_TRUE(b.finished());
+    EXPECT_EQ(b.exitCode(), a.exitCode());
+    EXPECT_EQ(b.tol().completedInsts(), a.tol().completedInsts());
+    EXPECT_EQ(b.stats().value("tol.guest_sbm"),
+              a.stats().value("tol.guest_sbm"));
 }
 
 TEST(Controller, DoubleLoadRestartsCleanly)

@@ -9,7 +9,9 @@
  *
  * This mirrors the paper's correctness architecture (Section V-D):
  * the x86 component's authoritative state validates the co-designed
- * component's emulated state.
+ * component's emulated state. The co-designed side runs under a
+ * Controller (its own validation stays on); the comparisons below are
+ * against a separate golden reference run.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +19,7 @@
 #include <memory>
 
 #include "common/schema.hh"
-#include "tol/tol.hh"
+#include "sim/controller.hh"
 #include "workloads/synth.hh"
 #include "xemu/ref_component.hh"
 
@@ -101,8 +103,6 @@ TEST_P(Differential, CoDesignedMatchesReference)
     ref.runToCompletion(100'000'000);
     ASSERT_TRUE(ref.finished());
 
-    PagedMemory mem(MissPolicy::AllocateZero);
-    StatGroup stats("tol");
     Config cfg(c.cfg);
     cfg.set("seed", s64(c.seed));
     if (!cfg.has("tol.bb_threshold"))
@@ -111,9 +111,10 @@ TEST_P(Differential, CoDesignedMatchesReference)
         cfg.set("tol.sb_threshold", s64(12));
     if (!cfg.has("tol.min_edge_total"))
         cfg.set("tol.min_edge_total", s64(8));
-    Tol tol(mem, cfg, stats);
-    tol.setState(prog.load(mem));
-    tol.run();
+    sim::Controller ctl(cfg);
+    ctl.load(prog);
+    ctl.run();
+    Tol &tol = ctl.tol();
     ASSERT_TRUE(tol.finished());
 
     EXPECT_TRUE(ref.state() == tol.state())
@@ -121,6 +122,7 @@ TEST_P(Differential, CoDesignedMatchesReference)
     EXPECT_EQ(ref.instCount(), tol.completedInsts());
     EXPECT_EQ(ref.bbCount(), tol.completedBBs());
 
+    PagedMemory &mem = ctl.emulatedMemory();
     for (GAddr page : mem.residentPages()) {
         std::vector<u8> mine(pageSizeBytes), theirs(pageSizeBytes);
         mem.readBlock(page, mine.data(), pageSizeBytes);
@@ -132,8 +134,9 @@ TEST_P(Differential, CoDesignedMatchesReference)
     // The point of the exercise: the optimized path must actually be
     // exercised, not accidentally interpreted (unless the config
     // deliberately disables SBM).
-    if (conf::getBool(cfg, "tol.enable_sbm"))
-        EXPECT_GT(stats.value("tol.guest_sbm"), 0u);
+    if (conf::getBool(cfg, "tol.enable_sbm")) {
+        EXPECT_GT(ctl.stats().value("tol.guest_sbm"), 0u);
+    }
 }
 
 static std::vector<DiffCase>

@@ -179,3 +179,21 @@ TEST(Sampling, TimingIpcAvailableWhenRequested)
     EXPECT_GT(m.ipc, 0.05);
     EXPECT_LT(m.ipc, 4.0);
 }
+
+TEST(Sampling, TwoCoreRunsComplete)
+{
+    // Every core fast-forwards its own reference component and gets
+    // its own co-designed memory; budgets count both cores.
+    guest::Program p = longWorkload();
+    Config c = cfg();
+    c.set("cores", s64(2));
+    const SampleSpec two{100'000, 30'000};
+    SampleMetrics auth = runAuthoritative(p, c, two, true);
+    SampleMetrics m = runSample(p, c, two, 20'000, 8, true);
+    for (const SampleMetrics *x : {&auth, &m}) {
+        EXPECT_NEAR(x->imFrac + x->bbmFrac + x->sbmFrac, 1.0, 1e-9);
+        EXPECT_GT(x->ipc, 0.05);
+    }
+    EXPECT_EQ(m.ffInsts, 80'000u);
+    EXPECT_GT(auth.translationsAtSampleStart, 0u);
+}

@@ -16,8 +16,8 @@
  *  - the served checkpoint store deduplicates the fast-forward prefix
  *    across jobs and shares per-simpoint images across campaigns over
  *    the wire, and keeps hostile keys from escaping its directory;
- *  - the bounded dispatch window applies backpressure but never
- *    deadlocks.
+ *  - a worker that asks for work while every remaining job is leased
+ *    is told to wait.
  *
  * Fault injection speaks the raw wire protocol through net::Socket
  * directly, so the tests cover exactly what a hostile or crashing
@@ -671,28 +671,43 @@ TEST(ServiceStore, SampledJobsSharePerSimpointImages)
     std::filesystem::remove_all(dir);
 }
 
-TEST(ServiceBackpressure, WindowOfOneStillCompletes)
+TEST(ServiceDispatch, IdleWorkerIsToldToWait)
 {
+    // One job, leased to a first worker (the lease runs for minutes):
+    // a second worker asking for work must be told to wait, with no
+    // timing involved. Once the holder drops, the job is reassigned
+    // and the campaign completes.
     std::vector<Job> jobs = matrix6();
-
+    jobs.resize(1);
     ServiceOptions svc;
-    svc.window = 1;      // fully serial dispatch
     svc.waitDelayMs = 20;
     Coordinator coord(jobs, svc);
-    int rc1 = -1, rc2 = -1;
-    std::thread w1 = spawnWorker(coord.port(), "a", &rc1);
-    std::thread w2 = spawnWorker(coord.port(), "b", &rc2);
-    CampaignResult res = coord.wait();
-    w1.join();
-    w2.join();
 
-    EXPECT_EQ(rc1, 0);
-    EXPECT_EQ(rc2, 0);
-    for (const JobResult &r : res.results)
-        EXPECT_TRUE(r.ok) << r.error;
-    // With two workers racing one dispatch slot, the loser was told
-    // to wait at least once.
-    EXPECT_GE(coord.waitsIssued(), 1u);
+    RawClient holder, idle;
+    holder.connect(coord.port(), "holder");
+    idle.connect(coord.port(), "idle");
+    if (::testing::Test::HasFatalFailure())
+        return;
+    EXPECT_EQ(holder.takeJob(), 0u);
+    net::sendFrame(idle.sock, wire::encode(wire::msg::next));
+    std::string payload;
+    ASSERT_EQ(net::recvFrame(idle.sock, payload, 5000),
+              net::RecvStatus::Ok);
+    wire::Decoder m(payload);
+    EXPECT_EQ(m.type, wire::msg::wait);
+    EXPECT_EQ(m.d.r64(), 20u);
+    EXPECT_EQ(coord.waitsIssued(), 1u);
+    idle.sock.close();
+    holder.sock.close();
+
+    int rc = -1;
+    std::thread w = spawnWorker(coord.port(), "finisher", &rc);
+    CampaignResult res = coord.wait();
+    w.join();
+    EXPECT_EQ(rc, 0);
+    ASSERT_EQ(res.results.size(), 1u);
+    EXPECT_TRUE(res.results[0].ok) << res.results[0].error;
+    EXPECT_EQ(res.results[0].workerId, "finisher");
 }
 
 TEST(Wire, JobAndResultRoundTrip)

@@ -366,11 +366,22 @@ TEST(SnapshotRefOnly, RefComponentRoundTrip)
     a.runUntilInstCount(50'000);
 
     std::stringstream img;
-    xemu::saveRefSnapshot(img, a);
+    {
+        snapshot::Serializer s(img);
+        s.beginSection("ref");
+        a.save(s);
+        s.endSection();
+        s.finish();
+    }
 
     xemu::RefComponent b(1);
     img.seekg(0);
-    xemu::restoreRefSnapshot(img, b);
+    {
+        snapshot::Deserializer d(img);
+        d.expectSection("ref");
+        b.restore(d);
+        d.endSection();
+    }
     EXPECT_EQ(b.instCount(), a.instCount());
     EXPECT_TRUE(b.state() == a.state());
     expectSameMemory(a, b);

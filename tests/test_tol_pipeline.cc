@@ -1,9 +1,10 @@
 /**
  * @file
  * End-to-end TOL tests: whole guest programs through the co-designed
- * path (standalone mode) compared against the reference interpreter;
- * mode promotion, chaining, superblock formation, loop unrolling,
- * speculation-failure recreation, IBTC.
+ * path (a Controller, so pages cross on demand and syscalls run in
+ * the reference component) compared against a separate reference
+ * interpreter run; mode promotion, chaining, superblock formation,
+ * loop unrolling, speculation-failure recreation, IBTC.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,7 @@
 #include <sstream>
 
 #include "guest/asm.hh"
-#include "tol/tol.hh"
+#include "sim/controller.hh"
 #include "workloads/suite.hh"
 #include "xemu/ref_component.hh"
 
@@ -27,13 +28,11 @@ using darco::xemu::sysWrite;
 namespace
 {
 
-/** Standalone co-designed rig (no controller; zero-fill memory). */
+/** Co-designed rig: a Controller built at load() from `cfg`. */
 struct TolRig
 {
-    PagedMemory mem{MissPolicy::AllocateZero};
-    StatGroup stats{"tol"};
     Config cfg;
-    std::unique_ptr<Tol> tol;
+    std::unique_ptr<sim::Controller> ctl;
 
     explicit TolRig(std::vector<std::string> extra = {})
     {
@@ -45,20 +44,23 @@ struct TolRig
             cfg.set("tol.sb_threshold", s64(12));
         if (!cfg.has("tol.min_edge_total"))
             cfg.set("tol.min_edge_total", s64(8));
-        tol = std::make_unique<Tol>(mem, cfg, stats);
     }
 
     void
     load(const Program &p)
     {
-        tol->setState(p.load(mem));
+        ctl = std::make_unique<sim::Controller>(cfg);
+        ctl->load(p);
     }
 
     void
     run()
     {
-        tol->run();
+        ctl->run();
     }
+
+    Tol &tol() { return ctl->tol(); }
+    StatGroup &stats() { return ctl->stats(); }
 };
 
 /** Run a program on both paths and require identical final state. */
@@ -74,22 +76,22 @@ differential(const Program &p, std::vector<std::string> cfg = {},
     TolRig rig(std::move(cfg));
     // Match the OS seed so syscalls agree.
     rig.cfg.set("seed", s64(seed));
-    rig.tol = std::make_unique<Tol>(rig.mem, rig.cfg, rig.stats);
     rig.load(p);
     rig.run();
-    ASSERT_TRUE(rig.tol->finished());
+    ASSERT_TRUE(rig.tol().finished());
 
     // Architectural state must match exactly.
     CpuState a = ref.state();
-    CpuState b = rig.tol->state();
+    CpuState b = rig.tol().state();
     EXPECT_TRUE(a == b) << "state diverged: " << a.diff(b);
-    EXPECT_EQ(ref.instCount(), rig.tol->completedInsts());
-    EXPECT_EQ(ref.bbCount(), rig.tol->completedBBs());
+    EXPECT_EQ(ref.instCount(), rig.tol().completedInsts());
+    EXPECT_EQ(ref.bbCount(), rig.tol().completedBBs());
 
     // All guest memory pages the co-designed side touched must match.
-    for (GAddr page : rig.mem.residentPages()) {
+    PagedMemory &mem = rig.ctl->emulatedMemory();
+    for (GAddr page : mem.residentPages()) {
         std::vector<u8> mine(pageSizeBytes), theirs(pageSizeBytes);
-        rig.mem.readBlock(page, mine.data(), pageSizeBytes);
+        mem.readBlock(page, mine.data(), pageSizeBytes);
         ref.memory().readBlock(page, theirs.data(), pageSizeBytes);
         ASSERT_EQ(mine, theirs) << "page 0x" << std::hex << page;
     }
@@ -174,13 +176,13 @@ TEST(TolPipeline, HotLoopReachesSbm)
     rig.load(hotLoop(200, 8));
     rig.run();
     // The inner loop must have been promoted to a superblock.
-    EXPECT_GT(rig.stats.value("tol.translations_bb"), 0u);
-    EXPECT_GT(rig.stats.value("tol.translations_sb"), 0u);
-    EXPECT_GT(rig.stats.value("tol.guest_sbm"), 0u);
+    EXPECT_GT(rig.stats().value("tol.translations_bb"), 0u);
+    EXPECT_GT(rig.stats().value("tol.translations_sb"), 0u);
+    EXPECT_GT(rig.stats().value("tol.guest_sbm"), 0u);
     // SBM should dominate dynamic execution for a hot loop.
-    u64 im = rig.stats.value("tol.guest_im");
-    u64 bbm = rig.stats.value("tol.guest_bbm");
-    u64 sbm = rig.stats.value("tol.guest_sbm");
+    u64 im = rig.stats().value("tol.guest_im");
+    u64 bbm = rig.stats().value("tol.guest_bbm");
+    u64 sbm = rig.stats().value("tol.guest_sbm");
     EXPECT_GT(sbm, (im + bbm) * 2) << "im=" << im << " bbm=" << bbm
                                    << " sbm=" << sbm;
 }
@@ -195,7 +197,7 @@ TEST(TolPipeline, UnrolledCountedLoop)
     TolRig rig;
     rig.load(hotLoop(300, 32));
     rig.run();
-    EXPECT_GT(rig.stats.value("tol.unrolled_loops"), 0u)
+    EXPECT_GT(rig.stats().value("tol.unrolled_loops"), 0u)
         << "dec/jnz self-loop must trigger unrolling";
 }
 
@@ -204,7 +206,7 @@ TEST(TolPipeline, ChainingHappens)
     TolRig rig;
     rig.load(hotLoop(200, 8));
     rig.run();
-    EXPECT_GT(rig.stats.value("tol.chains"), 0u);
+    EXPECT_GT(rig.stats().value("tol.chains"), 0u);
 }
 
 TEST(TolPipeline, ModesDisabledFallbacks)
@@ -255,7 +257,7 @@ TEST(TolPipeline, CallsAndReturnsThroughIbtc)
     TolRig rig;
     rig.load(p);
     rig.run();
-    EXPECT_GT(rig.tol->hostEmu().ibtc().hits(), 0u)
+    EXPECT_GT(rig.tol().hostEmu().ibtc().hits(), 0u)
         << "RET must hit the IBTC once warm";
 }
 
@@ -293,8 +295,8 @@ TEST(TolPipeline, BiasedBranchesBecomeAsserts)
     TolRig rig;
     rig.load(p);
     rig.run();
-    EXPECT_GT(rig.stats.value("tol.translations_sb"), 0u);
-    EXPECT_GT(rig.stats.value("tol.assert_fails"), 0u)
+    EXPECT_GT(rig.stats().value("tol.translations_sb"), 0u);
+    EXPECT_GT(rig.stats().value("tol.assert_fails"), 0u)
         << "rare path must fail asserts";
 }
 
@@ -330,7 +332,7 @@ TEST(TolPipeline, AssertStormTriggersRecreation)
     TolRig rig({"tol.max_assert_fails=8"});
     rig.load(p);
     rig.run();
-    EXPECT_GT(rig.stats.value("tol.sb_recreated_noassert"), 0u)
+    EXPECT_GT(rig.stats().value("tol.sb_recreated_noassert"), 0u)
         << "flipped branch must force assert-free recreation";
 }
 
@@ -449,22 +451,17 @@ TEST(TolPipeline, DivisionFaultIsPrecise)
 
 TEST(TolPipeline, ThresholdScalingSpeedsPromotion)
 {
-    TolRig slow, fast;
-    slow.cfg.set("tol.bb_threshold", s64(64));
-    slow.cfg.set("tol.sb_threshold", s64(512));
-    slow.tol = std::make_unique<Tol>(slow.mem, slow.cfg, slow.stats);
-    fast.cfg.set("tol.bb_threshold", s64(64));
-    fast.cfg.set("tol.sb_threshold", s64(512));
-    fast.tol = std::make_unique<Tol>(fast.mem, fast.cfg, fast.stats);
-    fast.tol->scaleThresholds(16); // warm-up downscaling (VI-E)
+    TolRig slow({"tol.bb_threshold=64", "tol.sb_threshold=512"});
+    TolRig fast({"tol.bb_threshold=64", "tol.sb_threshold=512"});
 
     Program p = hotLoop(300, 8);
     slow.load(p);
     slow.run();
     fast.load(p);
+    fast.tol().scaleThresholds(16); // warm-up downscaling (VI-E)
     fast.run();
-    EXPECT_GT(fast.stats.value("tol.guest_sbm"),
-              slow.stats.value("tol.guest_sbm"))
+    EXPECT_GT(fast.stats().value("tol.guest_sbm"),
+              slow.stats().value("tol.guest_sbm"))
         << "downscaled thresholds must promote earlier";
 }
 
@@ -475,17 +472,17 @@ TEST(TolPipeline, RunBudgetPausesAndResumes)
     TolRig rig({"tol.host_chunk=4000"});
     rig.load(hotLoop(500, 16));
     int rounds = 0;
-    while (rig.tol->run(2000) == Tol::RunResult::Budget)
+    while (rig.ctl->run(2000))
         ++rounds;
     EXPECT_GT(rounds, 2);
-    EXPECT_TRUE(rig.tol->finished());
+    EXPECT_TRUE(rig.tol().finished());
 
     // Must still be correct.
     RefComponent ref;
     ref.load(hotLoop(500, 16));
     ref.runToCompletion();
-    EXPECT_TRUE(ref.state() == rig.tol->state())
-        << ref.state().diff(rig.tol->state());
+    EXPECT_TRUE(ref.state() == rig.tol().state())
+        << ref.state().diff(rig.tol().state());
 }
 
 TEST(TolPipeline, IndirectJumpTableDifferential)
@@ -552,7 +549,7 @@ TEST(TolPipeline, IndirectJumpTableDifferential)
     TolRig rig;
     rig.load(p);
     rig.run();
-    EXPECT_GT(rig.tol->hostEmu().ibtc().hits(), 0u);
+    EXPECT_GT(rig.tol().hostEmu().ibtc().hits(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -574,16 +571,16 @@ TEST(TolPipeline, EvictionReclaimsWithoutFlushing)
     TolRig rig({"cc.capacity_words=1500"});
     rig.load(evictionWorkload(7));
     rig.run();
-    ASSERT_TRUE(rig.tol->finished());
-    EXPECT_GE(rig.stats.value("cc.evictions"), 10u);
-    EXPECT_EQ(rig.stats.value("cc.flushes"), 0u);
-    EXPECT_GT(rig.stats.value("cc.bytes_reclaimed"), 0u);
+    ASSERT_TRUE(rig.tol().finished());
+    EXPECT_GE(rig.stats().value("cc.evictions"), 10u);
+    EXPECT_EQ(rig.stats().value("cc.flushes"), 0u);
+    EXPECT_GT(rig.stats().value("cc.bytes_reclaimed"), 0u);
     // Chain sites into evicted regions were restored to EXITBs.
-    EXPECT_GT(rig.stats.value("cc.evict_unchains"), 0u);
+    EXPECT_GT(rig.stats().value("cc.evict_unchains"), 0u);
     // The surviving chain graph must be fully consistent.
-    EXPECT_EQ(rig.tol->registry().checkInvariants(), "");
-    EXPECT_LE(rig.tol->codeCache().used(),
-              rig.tol->codeCache().capacity());
+    EXPECT_EQ(rig.tol().registry().checkInvariants(), "");
+    EXPECT_LE(rig.tol().codeCache().used(),
+              rig.tol().codeCache().capacity());
 }
 
 TEST(TolPipeline, FlushPolicyStillAvailable)
@@ -591,9 +588,9 @@ TEST(TolPipeline, FlushPolicyStillAvailable)
     TolRig rig({"cc.capacity_words=1500", "cc.policy=flush"});
     rig.load(evictionWorkload(7));
     rig.run();
-    ASSERT_TRUE(rig.tol->finished());
-    EXPECT_GT(rig.stats.value("cc.flushes"), 0u);
-    EXPECT_EQ(rig.stats.value("cc.evictions"), 0u);
+    ASSERT_TRUE(rig.tol().finished());
+    EXPECT_GT(rig.stats().value("cc.flushes"), 0u);
+    EXPECT_EQ(rig.stats().value("cc.evictions"), 0u);
 }
 
 TEST(TolPipeline, AmpleCacheNeverEvicts)
@@ -601,9 +598,9 @@ TEST(TolPipeline, AmpleCacheNeverEvicts)
     TolRig rig; // default 4M-word cache
     rig.load(evictionWorkload(7));
     rig.run();
-    EXPECT_EQ(rig.stats.value("cc.evictions"), 0u);
-    EXPECT_EQ(rig.stats.value("cc.flushes"), 0u);
-    EXPECT_EQ(rig.tol->registry().checkInvariants(), "");
+    EXPECT_EQ(rig.stats().value("cc.evictions"), 0u);
+    EXPECT_EQ(rig.stats().value("cc.flushes"), 0u);
+    EXPECT_EQ(rig.tol().registry().checkInvariants(), "");
 }
 
 TEST(TolPipeline, ChainTargetsTouchedAtRetire)
@@ -615,9 +612,9 @@ TEST(TolPipeline, ChainTargetsTouchedAtRetire)
     TolRig rig;
     rig.load(evictionWorkload(7));
     rig.run();
-    ASSERT_TRUE(rig.tol->finished());
-    ASSERT_GT(rig.stats.value("tol.chains"), 0u);
-    EXPECT_GT(rig.stats.value("tol.chain_target_touches"), 0u);
+    ASSERT_TRUE(rig.tol().finished());
+    ASSERT_GT(rig.stats().value("tol.chains"), 0u);
+    EXPECT_GT(rig.stats().value("tol.chain_target_touches"), 0u);
 }
 
 TEST(TolPipeline, NoChainTouchesWithChainingDisabled)
@@ -627,8 +624,8 @@ TEST(TolPipeline, NoChainTouchesWithChainingDisabled)
     TolRig rig({"tol.chaining=false", "tol.unroll=false"});
     rig.load(evictionWorkload(7));
     rig.run();
-    ASSERT_TRUE(rig.tol->finished());
-    EXPECT_EQ(rig.stats.value("tol.chain_target_touches"), 0u);
+    ASSERT_TRUE(rig.tol().finished());
+    EXPECT_EQ(rig.stats().value("tol.chain_target_touches"), 0u);
 }
 
 TEST(TolPipeline, EvictionStormStaysCorrectWithChainTouches)

@@ -13,7 +13,7 @@
 
 #include <sstream>
 
-#include "tol/tol.hh"
+#include "sim/controller.hh"
 #include "workloads/synth.hh"
 
 using namespace darco;
@@ -52,16 +52,15 @@ struct RunResult
 RunResult
 runOnce(const Program &prog, u64 seed)
 {
-    PagedMemory mem(MissPolicy::AllocateZero);
-    StatGroup stats("tol");
     Config cfg;
     cfg.set("seed", s64(seed));
     cfg.set("tol.bb_threshold", s64(4));
     cfg.set("tol.sb_threshold", s64(12));
     cfg.set("tol.min_edge_total", s64(8));
-    tol::Tol tol(mem, cfg, stats);
-    tol.setState(prog.load(mem));
-    tol.run();
+    sim::Controller ctl(cfg);
+    ctl.load(prog);
+    ctl.run();
+    tol::Tol &tol = ctl.tol();
     EXPECT_TRUE(tol.finished());
 
     RunResult r;
@@ -69,7 +68,7 @@ runOnce(const Program &prog, u64 seed)
     r.insts = tol.completedInsts();
     r.bbs = tol.completedBBs();
     std::ostringstream os;
-    stats.dump(os);
+    ctl.stats().dump(os);
     r.stats = os.str();
     return r;
 }

@@ -31,7 +31,6 @@
  *                     only the remainder
  *   --lease-ms N      per-job lease before reassignment
  *   --dead-after-ms N silence threshold declaring a worker dead
- *   --window N        in-flight dispatch window (backpressure bound)
  *
  * --checkpoint-dir D names the campaign's one checkpoint store in
  * every mode (campaign::DirStore, images named by content key): a
@@ -49,8 +48,8 @@
  * simpoint.hh).
  *
  * Exit code: 0 when every job succeeded, 1 on any job failure, 2 on
- * usage errors, which include flags that the chosen mode would
- * ignore: service knobs without --serve, --checkpoint-dir with
+ * usage errors, which include a --workloads, --configs or --cores
+ * list with no item and flags that the chosen mode would ignore: service knobs without --serve, --checkpoint-dir with
  * --worker, and --trace-out with --serve, --worker or --sample-mode
  * simpoint. A trace the run cannot honour is a usage error too:
  * -c obs.trace.path or -c obs.metrics.path names one file, so it is
@@ -154,8 +153,6 @@ usage(const char *argv0)
         "    --lease-ms N        per-job lease (default 300000)\n"
         "    --dead-after-ms N   worker-death silence threshold\n"
         "                        (default 10000)\n"
-        "    --window N          in-flight dispatch window "
-        "(default 64)\n"
         "  --worker HOST:PORT  run as a campaign-service worker for\n"
         "                      the coordinator at HOST:PORT (jobs, run\n"
         "                      options and checkpoint store all come\n"
@@ -209,11 +206,15 @@ parseArgs(int argc, char **argv, Options &o)
             if (!v)
                 return false;
             o.workloads = splitCommas(v);
+            if (o.workloads.empty())
+                return false;
         } else if (a == "--configs") {
             const char *v = next();
             if (!v)
                 return false;
             o.configs = splitCommas(v);
+            if (o.configs.empty())
+                return false;
         } else if (a == "--cores") {
             const char *v = next();
             if (!v)
@@ -295,8 +296,7 @@ parseArgs(int argc, char **argv, Options &o)
         } else if (a == "--serve") {
             o.serve = true;
         } else if (a == "--bind" || a == "--port" || a == "--manifest" ||
-                   a == "--lease-ms" || a == "--dead-after-ms" ||
-                   a == "--window") {
+                   a == "--lease-ms" || a == "--dead-after-ms") {
             const char *v = next();
             if (!v)
                 return false;
@@ -313,13 +313,9 @@ parseArgs(int argc, char **argv, Options &o)
             } else if (a == "--lease-ms") {
                 if (!number(v, svc.leaseMs) || svc.leaseMs == 0)
                     return false;
-            } else if (a == "--dead-after-ms") {
-                if (!number(v, svc.deadAfterMs) || svc.deadAfterMs == 0)
-                    return false;
-            } else {
-                if (!number(v, n) || n == 0)
-                    return false;
-                svc.window = unsigned(n);
+            } else if (!number(v, svc.deadAfterMs) ||
+                       svc.deadAfterMs == 0) {
+                return false;
             }
         } else if (a == "--worker") {
             const char *v = next();
