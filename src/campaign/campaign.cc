@@ -139,27 +139,62 @@ expandMatrix(const std::vector<std::pair<std::string,
     return jobs;
 }
 
+namespace
+{
+
+/** One named config preset. */
+struct Preset
+{
+    std::string name;
+    std::vector<std::string> overrides;
+};
+
+const std::vector<Preset> &
+presets()
+{
+    static const std::vector<Preset> table = {
+        {"interp", {"tol.enable_bbm=false", "tol.enable_sbm=false"}},
+        {"noopt",
+         {"tol.opt=false", "tol.sched=false", "tol.spec_mem=false",
+          "tol.unroll=false", "tol.fuse_flags=false",
+          "tol.chaining=false"}},
+        {"fullopt", {}}, // defaults
+        // Region sizes are bounded (tol.max_sb_insts) well below the
+        // capacity, so the pressure produces evictions, never a
+        // region-exceeds-cache panic.
+        {"tinycc",
+         {"cc.capacity_words=768", "cc.policy=evict",
+          "tol.max_sb_insts=120"}},
+        {"async", {"tol.async.threads=2", "tol.async.vthreads=2"}},
+    };
+    return table;
+}
+
+} // namespace
+
+const std::vector<std::string> &
+presetNames()
+{
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const Preset &p : presets())
+            out.push_back(p.name);
+        return out;
+    }();
+    return names;
+}
+
 std::vector<std::string>
 presetOverrides(const std::string &name)
 {
-    if (name == "interp")
-        return {"tol.enable_bbm=false", "tol.enable_sbm=false"};
-    if (name == "noopt")
-        return {"tol.opt=false", "tol.sched=false", "tol.spec_mem=false",
-                "tol.unroll=false", "tol.fuse_flags=false",
-                "tol.chaining=false"};
-    if (name == "fullopt")
-        return {}; // defaults
-    // Region sizes are bounded (tol.max_sb_insts) well below the
-    // capacity, so the pressure produces evictions, never a
-    // region-exceeds-cache panic.
-    if (name == "tinycc")
-        return {"cc.capacity_words=768", "cc.policy=evict",
-                "tol.max_sb_insts=120"};
-    if (name == "async")
-        return {"tol.async.threads=2", "tol.async.vthreads=2"};
-    fatal("unknown config preset '", name,
-          "' (expected interp|noopt|fullopt|tinycc|async)");
+    std::string expected;
+    for (const Preset &p : presets()) {
+        if (p.name == name)
+            return p.overrides;
+        expected += (expected.empty() ? "" : "|") + p.name;
+    }
+    fatal("unknown config preset '", name, "' (expected ", expected,
+          ")");
 }
 
 std::vector<std::pair<std::string, Config>>
@@ -556,7 +591,7 @@ runJob(const Job &job, const RunOptions &opts)
  * SimPoint-sampled execution of one job:
  *
  *  1. a functional BBV-profiling Controller run over the whole
- *     budget (tol.bbv_interval = opts.sampleInterval) supplies the
+ *     budget (tol.bbv_interval = opts.simpoint.interval) supplies the
  *     job's functional results (insts, bbs, exit code, stats) and
  *     the phase profile;
  *  2. pickSimPoints clusters the profile (seeded, deterministic);
@@ -599,7 +634,7 @@ runSampledJob(const Job &job, const RunOptions &opts)
 
         // --- 1: BBV profiling (functional) --------------------------
         Config pcfg = job.config;
-        pcfg.set("tol.bbv_interval", s64(opts.sampleInterval));
+        pcfg.set("tol.bbv_interval", s64(opts.simpoint.interval));
         sampling::BbvProfile profile;
         {
             sim::Controller prof(pcfg);
@@ -618,11 +653,8 @@ runSampledJob(const Job &job, const RunOptions &opts)
         }
 
         // --- 2: phase selection -------------------------------------
-        sampling::SimPointOptions so;
-        so.interval = opts.sampleInterval;
-        so.maxK = opts.sampleMaxK;
-        so.seed = opts.sampleSeed;
-        sampling::SimPointResult sp = sampling::pickSimPoints(profile, so);
+        sampling::SimPointResult sp =
+            sampling::pickSimPoints(profile, opts.simpoint);
         r.simpoints = u32(sp.points.size());
 
         // --- 3: detailed measurement over each simpoint -------------
@@ -664,7 +696,7 @@ runSampledJob(const Job &job, const RunOptions &opts)
                                    : 0;
                 lastImage = fetchOrCompute(
                     opts.store,
-                    simpointKey(job, opts.sampleInterval,
+                    simpointKey(job, opts.simpoint.interval,
                                 opts.sampleWarmup, p.intervalIndex),
                     r,
                     [&](const std::string &image) {

@@ -86,6 +86,7 @@
 
 #include "common/config.hh"
 #include "guest/program.hh"
+#include "sampling/simpoint.hh"
 
 namespace darco::campaign
 {
@@ -265,10 +266,8 @@ struct RunOptions
     bool timing = true;
     /** Full detailed run vs SimPoint-sampled estimation. */
     SampleMode sampleMode = SampleMode::Full;
-    /** SimPoint knobs (sampled mode only). */
-    u64 sampleInterval = 100'000; //!< BBV interval (guest insts)
-    u32 sampleMaxK = 16;          //!< k-means sweep upper bound
-    u64 sampleSeed = 42;          //!< clustering/projection seed
+    /** BBV interval and clustering knobs (sampled mode only). */
+    sampling::SimPointOptions simpoint;
     /**
      * Detailed (timing-model) warm-up ahead of each measured window:
      * the core model is attached `sampleWarmup` guest instructions
@@ -325,10 +324,16 @@ expandMatrix(const std::vector<std::pair<std::string,
              u64 max_insts, u64 skip);
 
 /**
- * The "key=value" overrides of one named preset: interp, noopt,
- * fullopt, tinycc or async; fatal() on any other name. The one preset
- * table: presetConfigs and the differential fuzzer's matrix
- * (fuzz::defaultMatrix) both build from it.
+ * The config preset names, in their one order: interp, noopt,
+ * fullopt, tinycc, async. darco_campaign --list, darco_verify and the
+ * differential fuzzer's matrix (fuzz::defaultMatrix) all read it.
+ */
+const std::vector<std::string> &presetNames();
+
+/**
+ * The "key=value" overrides of one named preset (see presetNames);
+ * fatal() on any other name. The one preset table: presetConfigs and
+ * fuzz::defaultMatrix both build from it.
  */
 std::vector<std::string> presetOverrides(const std::string &name);
 

@@ -87,9 +87,9 @@ campaignHash(const std::vector<Job> &jobs, const RunOptions &run)
     }
     mix(run.timing ? 1 : 0);
     mix(run.sampleMode == SampleMode::SimPoint ? 1 : 0);
-    mix(run.sampleInterval);
-    mix(run.sampleMaxK);
-    mix(run.sampleSeed);
+    mix(run.simpoint.interval);
+    mix(run.simpoint.maxK);
+    mix(run.simpoint.seed);
     mix(run.sampleWarmup);
     return h;
 }

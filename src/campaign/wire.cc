@@ -195,9 +195,9 @@ writeRunOptions(snapshot::Serializer &s, const RunOptions &o)
 {
     s.wbool(o.timing);
     s.w8(o.sampleMode == SampleMode::SimPoint ? 1 : 0);
-    s.w64(o.sampleInterval);
-    s.w32(o.sampleMaxK);
-    s.w64(o.sampleSeed);
+    s.w64(o.simpoint.interval);
+    s.w32(o.simpoint.maxK);
+    s.w64(o.simpoint.seed);
     s.w64(o.sampleWarmup);
 }
 
@@ -207,9 +207,9 @@ readRunOptions(snapshot::Deserializer &d, RunOptions &o)
     o.timing = d.rbool();
     o.sampleMode =
         d.r8() ? SampleMode::SimPoint : SampleMode::Full;
-    o.sampleInterval = d.r64();
-    o.sampleMaxK = d.r32();
-    o.sampleSeed = d.r64();
+    o.simpoint.interval = d.r64();
+    o.simpoint.maxK = d.r32();
+    o.simpoint.seed = d.r64();
     o.sampleWarmup = d.r64();
 }
 

@@ -209,13 +209,6 @@ ParamSpec::fuzzToggle()
     return *this;
 }
 
-ParamSpec &
-ParamSpec::alias(const std::string &old_key)
-{
-    aliases.push_back(old_key);
-    return *this;
-}
-
 std::string
 ParamSpec::defaultString() const
 {
@@ -357,20 +350,14 @@ ConfigSchema::ConfigSchema()
     declBool("sync.validate_end", true,
              "full state comparison at end of application")
         .cosmetic();
-    declBool("sync.validate_memory", true,
-             "include resident pages in the end-of-application "
-             "comparison")
-        .cosmetic();
 
     // --- TOL: promotion thresholds & region limits ---------------------
     declUint("tol.bb_threshold", 10, 1, 1u << 20,
              "interpreter executions of a BB before promotion to BBM "
              "(basic-block translation)")
-        .alias("tol.basicblock_threshold")
         .fuzz(u64(1), u64(64));
     declUint("tol.sb_threshold", 50, 1, 1u << 20,
              "BB executions before superblock (SBM) promotion")
-        .alias("tol.superblock_threshold")
         .fuzz(u64(2), u64(128));
     declFloat("tol.bias_threshold", 0.85, 0.0, 1.0,
               "edge bias required to extend a superblock through a "
@@ -469,7 +456,6 @@ ConfigSchema::ConfigSchema()
     // --- code cache ----------------------------------------------------
     declUint("cc.capacity_words", 1u << 22, 256, 1u << 28,
              "code-cache capacity in host words")
-        .alias("cc.capacity")
         .fuzz(u64(2048), u64(32'768));
     declEnum("cc.policy", "evict", {"evict", "flush"},
              "code-cache replacement: region-granular second-chance "
@@ -511,8 +497,6 @@ ConfigSchema::ConfigSchema()
              "indirect-branch translation cache entries")
         .pow2()
         .fuzz(u64(8), u64(4096));
-    declUint("hemu.local_mem_bytes", 1u << 20, 65'536, 1u << 30,
-             "TOL-local (concealed) memory size in bytes");
     declUint("hemu.ibtc_hit_cost", 6, 0, 1'000'000,
              "host-cycle cost charged per IBTC hit")
         .fuzz(u64(1), u64(16));
@@ -526,21 +510,9 @@ ConfigSchema::ConfigSchema()
              "from generated code (verifier self-test)");
 
     // --- translation verification --------------------------------------
-    declEnum("tol.verify", "off", {"off", "install", "final"},
-             "per-translation symbolic equivalence proofs: check each "
-             "region at publish time (install) or accumulate and prove "
-             "at verifyFinal (final)")
-        .cosmetic();
-    declUint("verify.concretize", 4096, 1, 1u << 24,
-             "exhaustive-concretization budget (max assignments "
-             "enumerated per residual proof term)")
-        .cosmetic();
-    declUint("verify.witness", 128, 1, 1'000'000,
-             "randomized counterexample-search tries per undecided "
-             "proof term")
-        .cosmetic();
-    declUint("verify.paths", 256, 1, 1'000'000,
-             "symbolic host-path limit per verified region")
+    declBool("tol.verify", false,
+             "prove each translation symbolically equivalent to its "
+             "guest path as it is published")
         .cosmetic();
 
     // --- observability (measurement only) ------------------------------
@@ -679,16 +651,6 @@ ConfigSchema::ConfigSchema()
     declFloat("power.freq_ghz", 2.0, 0.1, 100.0,
               "core clock frequency, GHz")
         .cosmetic();
-
-    // Register the alias -> canonical index.
-    for (const auto &[key, spec] : params_) {
-        for (const std::string &a : spec.aliases) {
-            darco_assert(params_.count(a) == 0 &&
-                             aliases_.count(a) == 0,
-                         "alias collides with a declared key: ", a);
-            aliases_[a] = key;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -699,12 +661,7 @@ const ParamSpec *
 ConfigSchema::find(const std::string &key) const
 {
     auto it = params_.find(key);
-    if (it != params_.end())
-        return &it->second;
-    auto al = aliases_.find(key);
-    if (al != aliases_.end())
-        return &params_.at(al->second);
-    return nullptr;
+    return it != params_.end() ? &it->second : nullptr;
 }
 
 const ParamSpec &
@@ -732,17 +689,13 @@ ConfigSchema::suggest(const std::string &key) const
 {
     std::string best;
     std::size_t bestDist = ~std::size_t(0);
-    auto consider = [&](const std::string &cand) {
+    for (const auto &[cand, spec] : params_) {
         std::size_t d = editDistance(key, cand);
-        if (d < bestDist || (d == bestDist && cand < best)) {
+        if (d < bestDist) { // keys iterate sorted: ties keep the first
             bestDist = d;
             best = cand;
         }
-    };
-    for (const auto &[k, spec] : params_)
-        consider(k);
-    for (const auto &[a, canon] : aliases_)
-        consider(a);
+    }
     // Only suggest a plausible typo, not an arbitrary nearest key.
     std::size_t limit = std::max<std::size_t>(2, key.size() / 4);
     return bestDist <= limit ? best : "";
@@ -831,21 +784,8 @@ ConfigSchema::validationErrors(const Config &cfg) const
             continue;
         }
         std::string bad = checkValue(*spec, value);
-        if (!bad.empty()) {
+        if (!bad.empty())
             errs.push_back(std::move(bad));
-            continue;
-        }
-        // Alias + canonical both set: refuse a silent winner unless
-        // they agree (canonically — "0x1000" and "4096" are the same
-        // value).
-        if (key != spec->key && cfg.has(spec->key) &&
-            canonicalValue(*spec, cfg.getString(spec->key)) !=
-                canonicalValue(*spec, value)) {
-            errs.push_back("config key '" + key +
-                           "' (deprecated alias of '" + spec->key +
-                           "') conflicts with an explicit '" +
-                           spec->key + "'");
-        }
     }
     return errs;
 }
@@ -877,14 +817,8 @@ ConfigSchema::normalize(const Config &cfg) const
     Config out;
     for (const auto &[key, value] : cfg.entries()) {
         const ParamSpec *spec = find(key);
-        if (!spec) {
-            out.set(key, value); // carried for diagnostics
-            continue;
-        }
-        // Canonical key wins when both spellings are present.
-        if (key != spec->key && cfg.has(spec->key))
-            continue;
-        out.set(spec->key, canonicalValue(*spec, value));
+        // Unknown keys are carried for diagnostics.
+        out.set(key, spec ? canonicalValue(*spec, value) : value);
     }
     return out;
 }
@@ -942,16 +876,6 @@ ConfigSchema::referenceMarkdown() const
            << (p->relevantToExecution ? "exec" : "-") << " | "
            << p->help << " |\n";
     }
-    bool anyAlias = false;
-    for (const auto &[a, canon] : aliases_) {
-        if (!anyAlias)
-            os << "\nDeprecated aliases: ";
-        os << (anyAlias ? ", " : "") << '`' << a << "` → `" << canon
-           << '`';
-        anyAlias = true;
-    }
-    if (anyAlias)
-        os << "\n";
     return os.str();
 }
 
@@ -1037,22 +961,14 @@ namespace
 {
 
 /**
- * The explicitly-set value for `spec` in `cfg` (canonical spelling
- * wins over aliases), validated against the schema; nullptr when the
- * parameter is unset and the default applies.
+ * The explicitly-set value for `spec` in `cfg`, validated against the
+ * schema; nullptr when the parameter is unset and the default applies.
  */
 const std::string *
 boundValue(const Config &cfg, const ParamSpec &spec)
 {
     const std::map<std::string, std::string> &e = cfg.entries();
     auto it = e.find(spec.key);
-    if (it == e.end()) {
-        for (const std::string &a : spec.aliases) {
-            it = e.find(a);
-            if (it != e.end())
-                break;
-        }
-    }
     if (it == e.end())
         return nullptr;
     std::string bad = schema().checkValue(spec, it->second);

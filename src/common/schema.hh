@@ -89,9 +89,6 @@ struct ParamSpec
     // Enum domain.
     std::vector<std::string> domain;
 
-    // Deprecated spellings accepted (and normalized) for this key.
-    std::vector<std::string> aliases;
-
     // Random-config sampling (darco_fuzz --rand-config): only
     // fuzzable parameters are drawn, inside [fuzzMin*, fuzzMax*]
     // (numeric) or the enum domain / {true,false}.
@@ -109,8 +106,6 @@ struct ParamSpec
     ParamSpec &fuzz(double lo, double hi);
     /** Enable random-config sampling (bool toggle / enum domain). */
     ParamSpec &fuzzToggle();
-    /** Register a deprecated spelling that maps to this parameter. */
-    ParamSpec &alias(const std::string &old_key);
 
     /** Canonical rendering of the default value. */
     std::string defaultString() const;
@@ -128,7 +123,7 @@ class ConfigSchema
     /** Declares every DARCO parameter (the single source of truth). */
     ConfigSchema();
 
-    /** Look up a key (canonical or alias); nullptr when unknown. */
+    /** Look up a key; nullptr when unknown. */
     const ParamSpec *find(const std::string &key) const;
 
     /** Look up a key a component owns; panics when undeclared. */
@@ -140,8 +135,8 @@ class ConfigSchema
     std::size_t size() const { return params_.size(); }
 
     /**
-     * Nearest declared key (or alias) by edit distance; empty when
-     * nothing is plausibly close.
+     * Nearest declared key by edit distance; empty when nothing is
+     * plausibly close.
      */
     std::string suggest(const std::string &key) const;
 
@@ -153,8 +148,8 @@ class ConfigSchema
                            const std::string &value) const;
 
     /**
-     * Every problem in `cfg`: unknown keys (with suggestion), bad
-     * values, and alias/canonical conflicts. Empty when valid.
+     * Every problem in `cfg`: unknown keys (with suggestion) and bad
+     * values. Empty when valid.
      */
     std::vector<std::string> validationErrors(const Config &cfg) const;
 
@@ -166,17 +161,17 @@ class ConfigSchema
                   const std::string &context = "") const;
 
     /**
-     * Alias-resolved, canonically-rendered copy of the explicitly set
-     * entries. Tolerant: unknown keys and malformed values are
-     * carried through unchanged (validate() is the gate; normalize()
-     * must work on anything for diagnostics).
+     * Canonically-rendered copy of the explicitly set entries.
+     * Tolerant: unknown keys and malformed values are carried through
+     * unchanged (validate() is the gate; normalize() must work on
+     * anything for diagnostics).
      */
     Config normalize(const Config &cfg) const;
 
     /**
      * The full effective config: every declared parameter mapped to
-     * its canonical value — the explicitly set one when present
-     * (aliases resolved), the declared default otherwise.
+     * its canonical value — the explicitly set one when present,
+     * the declared default otherwise.
      */
     std::map<std::string, std::string> effective(const Config &cfg) const;
 
@@ -217,7 +212,6 @@ class ConfigSchema
     friend struct ParamSpec;
 
     std::map<std::string, ParamSpec> params_;
-    std::map<std::string, std::string> aliases_; // alias -> canonical
 };
 
 /** The process-wide schema (all parameters declared). */
@@ -229,7 +223,7 @@ const ConfigSchema &schema();
  * (panics otherwise — that is a DARCO bug, not a user error); a
  * present value is validated against the declared range/domain
  * (fatal on violation); an absent value resolves to the declared
- * default. Aliases of the key are honoured.
+ * default.
  */
 bool getBool(const Config &cfg, const std::string &key);
 u64 getUint(const Config &cfg, const std::string &key);

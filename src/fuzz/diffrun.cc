@@ -23,7 +23,7 @@ defaultMatrix()
     // The campaign presets. async must be architecturally identical
     // to fullopt; only timing differs.
     std::vector<DiffConfig> matrix;
-    for (const char *name : {"interp", "noopt", "fullopt", "tinycc", "async"})
+    for (const std::string &name : campaign::presetNames())
         matrix.push_back({name, campaign::presetOverrides(name)});
     // Two guest cores sharing one TOL over a tiny code cache:
     // cross-core eviction storms and cross-core chaining, each core
@@ -166,7 +166,7 @@ diffRun(const Program &prog, u64 seed, const DiffOptions &opts)
     // explicit -c tol.verify=... still wins (extra applies later).
     std::vector<std::string> extra = opts.extra;
     if (opts.proofs)
-        extra.insert(extra.begin(), "tol.verify=install");
+        extra.insert(extra.begin(), "tol.verify=true");
 
     // --- config matrix --------------------------------------------------
     for (const DiffConfig &cell : matrix) {
@@ -192,11 +192,6 @@ diffRun(const Program &prog, u64 seed, const DiffOptions &opts)
             ctl.run(budget);
         } catch (const sim::DivergenceError &de) {
             out.error = std::string("divergence: ") + de.what();
-        } catch (const GuestFault &gf) {
-            std::ostringstream os;
-            os << "guest fault at pc 0x" << std::hex << gf.pc << ": "
-               << gf.msg;
-            out.error = os.str();
         } catch (const std::exception &e) {
             out.error = e.what();
         }
@@ -326,9 +321,8 @@ diffRun(const Program &prog, u64 seed, const DiffOptions &opts)
             ctl.tol().verifyEnabled()) {
             std::string proofErr;
             try {
-                // Drains+publishes due async work, then discharges
-                // anything still accumulated (install mode verifies
-                // eagerly, so this mostly covers end-of-run stragglers).
+                // Publishes (and so proves) the async jobs that are
+                // due at the end of the run.
                 ctl.tol().verifyFinal();
             } catch (const std::exception &e) {
                 proofErr = e.what();

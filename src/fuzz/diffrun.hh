@@ -121,7 +121,7 @@ struct DiffOptions
     bool pinpoint = false;
     /**
      * Discharge a symbolic equivalence proof for every translation
-     * each cell installs (tol.verify=install) and cross-check the
+     * each cell installs (tol.verify=true) and cross-check the
      * verdicts against the differential oracle: a refuted/unknown
      * proof on a cell the oracle passed is a failure (a silent
      * miscompile the end-to-end comparison happened to miss), and an

@@ -3,11 +3,30 @@
 #include <algorithm>
 #include <cfenv>
 #include <cmath>
+#include <sstream>
 
 #include "common/logging.hh"
 
 namespace darco::guest
 {
+
+namespace
+{
+
+std::string
+faultText(GAddr pc, const char *msg)
+{
+    std::ostringstream os;
+    os << "guest fault at pc 0x" << std::hex << pc << ": " << msg;
+    return os.str();
+}
+
+} // namespace
+
+GuestFault::GuestFault(GAddr pc, const char *msg)
+    : std::runtime_error(faultText(pc, msg)), pc(pc), msg(msg)
+{
+}
 
 u8
 flagsAdd(u32 a, u32 b, u32 r)

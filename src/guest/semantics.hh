@@ -19,6 +19,8 @@
 #ifndef DARCO_GUEST_SEMANTICS_HH
 #define DARCO_GUEST_SEMANTICS_HH
 
+#include <stdexcept>
+
 #include "guest/gisa.hh"
 #include "guest/memory.hh"
 #include "guest/state.hh"
@@ -46,9 +48,14 @@ struct ExecOut
     const char *faultMsg = nullptr;
 };
 
-/** An architectural guest fault (division by zero, bad opcode...). */
-struct GuestFault
+/**
+ * An architectural guest fault (division by zero, bad opcode...).
+ * what() reads "guest fault at pc 0x<pc>: <msg>".
+ */
+struct GuestFault : std::runtime_error
 {
+    GuestFault(GAddr pc, const char *msg);
+
     GAddr pc;
     const char *msg;
 };

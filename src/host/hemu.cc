@@ -102,7 +102,7 @@ HostEmu::HostEmu(CodeCache &cache, guest::PagedMemory &guest_mem,
     : cache_(cache),
       mem_(&guest_mem),
       ibtc_(u32(conf::getUint(cfg, "hemu.ibtc_entries"))),
-      localMem_(conf::getUint(cfg, "hemu.local_mem_bytes"), 0),
+      localMem_(localMemBytes, 0),
       ibtcHitCost_(u32(conf::getUint(cfg, "hemu.ibtc_hit_cost")))
 {
 }

@@ -129,17 +129,15 @@ struct HostContext
 };
 
 /**
- * Functional emulator for HISA.
- *
- * Configuration keys:
- *  - hemu.local_mem_bytes (default 1 MiB): TOL-local memory size
- *  - hemu.ibtc_entries (default 512)
- *  - hemu.ibtc_hit_cost (default 6): host instructions charged per
- *    inlined IBTC probe (represents the hash/compare/jump sequence)
+ * Functional emulator for HISA. Its parameters (hemu.*) and their
+ * defaults are listed in docs/CONFIG.md.
  */
 class HostEmu
 {
   public:
+    /** TOL-local (concealed) memory size in bytes. */
+    static constexpr u32 localMemBytes = 1u << 20;
+
     HostEmu(CodeCache &cache, guest::PagedMemory &guest_mem,
             const Config &cfg = Config());
 

@@ -36,8 +36,7 @@ Controller::Controller(const Config &cfg)
       stats_("darco"),
       cores_(u32(conf::getUint(cfg_, "cores"))),
       validateSyscalls_(conf::getBool(cfg_, "sync.validate_syscalls")),
-      validateEnd_(conf::getBool(cfg_, "sync.validate_end")),
-      validateMemory_(conf::getBool(cfg_, "sync.validate_memory"))
+      validateEnd_(conf::getBool(cfg_, "sync.validate_end"))
 {
     // One reference component and one demand-paged memory image per
     // guest core. Core i's reference is seeded seed+i, so every core
@@ -211,8 +210,6 @@ Controller::validateFinal()
                 std::to_string(tol_->completedInsts(core)));
         }
 
-        if (!validateMemory_)
-            continue;
         for (GAddr page : mem.residentPages()) {
             const u8 *mine = mem.page(page);
             const u8 *theirs = ref.memory().page(page);

@@ -193,7 +193,6 @@ class Controller : public tol::Tol::Env
     std::unique_ptr<obs::Session> obs_;
     bool validateSyscalls_;
     bool validateEnd_;
-    bool validateMemory_;
 };
 
 } // namespace darco::sim

@@ -30,12 +30,6 @@ class Gshare
         mispredicts_ = &stats.counter("bpred.mispredicts");
     }
 
-    bool
-    predict(u32 pc) const
-    {
-        return table_[index(pc)] >= 2;
-    }
-
     /** Update with the outcome; returns true on mispredict. */
     bool
     update(u32 pc, bool taken)

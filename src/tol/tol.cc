@@ -100,17 +100,7 @@ Tol::Tol(Env &env, PagedMemory &mem, const Config &cfg,
     flipCondExits_ = conf::getBool(cfg, "debug.flip_cond_exits");
     dropGuard_ = conf::getBool(cfg, "debug.drop_guard");
 
-    {
-        const std::string &vm = conf::getEnum(cfg, "tol.verify");
-        verifyMode_ = vm == "install" ? VerifyMode::Install
-                      : vm == "final" ? VerifyMode::Final
-                                      : VerifyMode::Off;
-        verifyOpts_.concretizeBudget =
-            u32(conf::getUint(cfg, "verify.concretize"));
-        verifyOpts_.sampleTries =
-            u32(conf::getUint(cfg, "verify.witness"));
-        verifyOpts_.pathLimit = u32(conf::getUint(cfg, "verify.paths"));
-    }
+    verify_ = conf::getBool(cfg, "tol.verify");
 
     ccEvict_ = conf::getEnum(cfg, "cc.policy") == "evict";
     // The classic policy never reclaims invalidated regions: they
@@ -907,7 +897,7 @@ Tol::installPrepared(TranslationJob &job, u32 pinned_tid, bool conc)
         // layout codegen committed to. The construction inputs (path,
         // trip, end) are attached by noteInstall once publish has
         // fully completed.
-        if (verifyMode_ != VerifyMode::Off) {
+        if (verify_) {
             verify::VerifyUnit u;
             u.entry = region.entryPc;
             u.mode = mode;
@@ -1330,16 +1320,14 @@ drainedCall(host::TracePipeline &pipe, Body body)
 }
 } // namespace
 
-Tol::RunResult
+void
 Tol::run(u64 max_guest_insts)
 {
     host::TracePipeline::Running running;
-    RunResult r;
-    drainedCall(tracePipeline_, [&] { r = dispatch(max_guest_insts); });
-    return r;
+    drainedCall(tracePipeline_, [&] { dispatch(max_guest_insts); });
 }
 
-Tol::RunResult
+void
 Tol::dispatch(u64 max_guest_insts)
 {
     if (!initCharged_) {
@@ -1352,7 +1340,7 @@ Tol::dispatch(u64 max_guest_insts)
 
     while (!finished()) {
         if (completedInsts_ >= runTarget_)
-            return RunResult::Budget;
+            return;
         // Publish async translations that completed (in virtual time)
         // by now. Not while a budget pause left a region mid-flight:
         // a publish can evict the very region about to be resumed,
@@ -1401,7 +1389,6 @@ Tol::dispatch(u64 max_guest_insts)
             obsNoteMode(0);
         interpretStep();
     }
-    return RunResult::Finished;
 }
 
 // ---------------------------------------------------------------------
@@ -1439,7 +1426,7 @@ Tol::finishRegion()
         // guaranteed their outputs are complete. Off the verify path
         // the legacy publish-nothing contract (and its checkpoint
         // timing) is preserved.
-        if (verifyMode_ != VerifyMode::Off)
+        if (verify_)
             pumpAsyncPublishes();
     }
 }
@@ -1451,25 +1438,16 @@ Tol::finishRegion()
 void
 Tol::noteInstall(const TranslationJob &job)
 {
-    if (verifyMode_ == VerifyMode::Off || !lastInstall_)
+    if (!verify_ || !lastInstall_)
         return;
     verify::VerifyUnit u = std::move(*lastInstall_);
     lastInstall_.reset();
     u.path = job.path;
     u.trip = job.recipe.trip;
     u.end = job.recipe.end;
-    if (verifyMode_ == VerifyMode::Final)
-        verifyUnits_.push_back(std::move(u));
-    else
-        prove(u);
-}
-
-void
-Tol::prove(const verify::VerifyUnit &u)
-{
     verify::VerifyResult r;
     try {
-        r = verify::verifyUnit(u, verifyOpts_);
+        r = verify::verifyUnit(u);
     } catch (const std::exception &e) {
         r.verdict = verify::Verdict::Unknown;
         r.entry = u.entry;
@@ -1487,13 +1465,8 @@ Tol::prove(const verify::VerifyUnit &u)
 void
 Tol::verifyFinal()
 {
-    if (verifyMode_ == VerifyMode::Off)
-        return;
-    quiesce();
-    std::vector<verify::VerifyUnit> units;
-    units.swap(verifyUnits_);
-    for (const verify::VerifyUnit &u : units)
-        prove(u);
+    if (verify_)
+        quiesce();
 }
 
 void

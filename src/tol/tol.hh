@@ -81,48 +81,8 @@ struct BBInfo
 };
 
 /**
- * The TOL.
- *
- * Config keys (defaults in parentheses):
- *   tol.bb_threshold (10)      IM->BBM repetition threshold
- *   tol.sb_threshold (50)      BBM->SBM execution threshold
- *   tol.bias_threshold (0.85)  branch bias to extend a superblock
- *   tol.cum_threshold (0.40)   min cumulative path probability
- *   tol.min_edge_total (16)    edge samples needed to trust a bias
- *   tol.max_sb_insts (200)     superblock size caps
- *   tol.max_sb_bbs (16)
- *   tol.max_bb_insts (128)
- *   tol.max_assert_fails (6)   recreate SB without asserts beyond this
- *   tol.max_alias_fails (6)    recreate SB without speculation
- *   tol.unroll (true)          unroll single-BB counted loops
- *   tol.unroll_factor (4)
- *   tol.enable_bbm (true)      ablation switches
- *   tol.enable_sbm (true)
- *   tol.chaining (true)
- *   tol.spec_mem (true)
- *   tol.sched (true)
- *   tol.opt (true)
- *   tol.fuse_flags (true)
- *   tol.bbv_interval (0)       BBV profiling interval in guest insts
- *                              (0 disables; see Profiler BBV hooks)
- *   tol.async.threads (0)      background translator workers
- *                              (0 = translate synchronously inline)
- *   tol.async.vthreads (1)     modeled concurrent translator threads
- *                              (virtual-time completion divisor)
- *   tol.async.queue (16)       bounded queue capacity (full queue
- *                              falls back to inline translation)
- *   tol.async.rate (8)         modeled translator host insts retired
- *                              per guest instruction
- *   tol.verify ("off")         per-translation equivalence proofs:
- *                              "install" proves each region as it is
- *                              published, "final" accumulates units
- *                              and proves them in verifyFinal()
- *   verify.concretize (4096)   exhaustive-concretization budget
- *   verify.witness (128)       counterexample sampling tries
- *   verify.paths (256)         host symbolic path limit per region
- *   cc.capacity_words (1<<22)
- *   cc.policy ("evict")        full cache: "evict" cold regions one
- *                              at a time, or "flush" everything
+ * The TOL. Its parameters and their defaults are listed in
+ * docs/CONFIG.md, which is generated from the schema.
  */
 class Tol : public host::RetireSink
 {
@@ -145,12 +105,6 @@ class Tol : public host::RetireSink
          * co-designed state. @return false when the program exited.
          */
         virtual bool syscall(u32 core, u64 completed_insts) = 0;
-    };
-
-    enum class RunResult
-    {
-        Finished,
-        Budget,
     };
 
     /**
@@ -196,7 +150,7 @@ class Tol : public host::RetireSink
     /** Execute up to max_guest_insts more guest instructions
      *  (multi-core: total across all cores). Returns, normally or by
      *  an exception, with the trace sink drained. */
-    RunResult run(u64 max_guest_insts = ~0ull);
+    void run(u64 max_guest_insts = ~0ull);
 
     /** All cores finished? */
     bool
@@ -311,16 +265,15 @@ class Tol : public host::RetireSink
     }
 
     // --- translation verification (tol.verify) ---------------------------
-    /** Equivalence proofs enabled (tol.verify != off)? */
-    bool verifyEnabled() const { return verifyMode_ != VerifyMode::Off; }
+    /** Equivalence proofs enabled (tol.verify)? */
+    bool verifyEnabled() const { return verify_; }
     /**
-     * Discharge every accumulated proof obligation (tol.verify=final).
-     * Quiesces first so install-time capture observed only fully
-     * published regions; also flushes the due part of the async
-     * publish queue for the same reason. Idempotent.
+     * Quiesce, which with proofs on also publishes the async jobs
+     * that are due, so every translation that is virtually complete
+     * has been proved. No-op with proofs off. Idempotent.
      */
     void verifyFinal();
-    /** Proof outcomes so far (populated per tol.verify mode). */
+    /** Proof outcomes so far, one per published translation. */
     const verify::VerifyReport &verifyReport() const
     {
         return verifyReport_;
@@ -340,7 +293,7 @@ class Tol : public host::RetireSink
             profiler_.recordBbvRetire(entry, insts);
     }
     /** run() without the trace drain. */
-    RunResult dispatch(u64 max_guest_insts);
+    void dispatch(u64 max_guest_insts);
     /** quiesce() without the trace drain. */
     void finishRegion();
     void interpretStep();
@@ -401,15 +354,12 @@ class Tol : public host::RetireSink
     // --- verification -----------------------------------------------------
     /**
      * Attach the job's construction inputs to the VerifyUnit
-     * installPrepared captured and hand it to the verifier (install
-     * mode) or the accumulator (final mode). Called by publish on the
-     * main thread, after the install — including the superblock
-     * residual chaining — is fully published, so the proof never
-     * observes a half-installed region.
+     * installPrepared captured, prove it and record the verdict.
+     * Called by publish on the main thread, after the install —
+     * including the superblock residual chaining — is fully
+     * published, so the proof never observes a half-installed region.
      */
     void noteInstall(const TranslationJob &job);
-    /** Prove one unit and record the verdict. */
-    void prove(const verify::VerifyUnit &u);
 
     // --- observability -----------------------------------------------------
     /** Open/extend/close the current mode span (0=IM 1=BBM 2=SBM). */
@@ -510,11 +460,8 @@ class Tol : public host::RetireSink
     u64 hostChunk_;
 
     // Translation verification (tol.verify).
-    enum class VerifyMode : u8 { Off, Install, Final };
-    VerifyMode verifyMode_ = VerifyMode::Off;
-    verify::VerifyOptions verifyOpts_;
+    bool verify_ = false;
     verify::VerifyReport verifyReport_;
-    std::vector<verify::VerifyUnit> verifyUnits_; //!< final mode
     /** Machine-level half of a unit, set by installPrepared and
      *  consumed by noteInstall right after the publish completes. */
     std::optional<verify::VerifyUnit> lastInstall_;

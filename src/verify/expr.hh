@@ -234,9 +234,9 @@ class Ctx
 
     // --- proving ----------------------------------------------------------
     /** Concretization budget (max joint enumeration size). */
-    u32 concretizeBudget = 4096;
-    /** Refutation sampling attempts. */
-    u32 sampleTries = 128;
+    static constexpr u32 concretizeBudget = 4096;
+    /** Refutation sampling attempts per undecided obligation. */
+    static constexpr u32 sampleTries = 128;
 
     /**
      * Is `a == b` under `facts`? Proved only by structural equality,

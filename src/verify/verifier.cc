@@ -14,6 +14,9 @@ namespace
 
 using tol::RegionMode;
 
+/** Symbolic host paths enumerated per region before giving up. */
+constexpr u32 hostPathLimit = 256;
+
 /** One obligation outcome folded into the unit verdict. */
 struct Oblig
 {
@@ -25,12 +28,7 @@ struct Oblig
 class UnitVerifier
 {
   public:
-    UnitVerifier(const VerifyUnit &unit, const VerifyOptions &opts)
-        : unit_(unit), opts_(opts)
-    {
-        ctx_.concretizeBudget = opts.concretizeBudget;
-        ctx_.sampleTries = opts.sampleTries;
-    }
+    explicit UnitVerifier(const VerifyUnit &unit) : unit_(unit) {}
 
     VerifyResult
     run()
@@ -43,7 +41,7 @@ class UnitVerifier
         // Host first: alias-guard pass facts recorded while walking
         // the paths must be visible to the guest chain walk.
         SymHostResult host = symExecHost(ctx_, unit_.words,
-                                         unit_.fpPool, opts_.pathLimit);
+                                         unit_.fpPool, hostPathLimit);
         if (!host.error.empty()) {
             res.verdict = Verdict::Unknown;
             res.detail = "host enumeration: " + host.error;
@@ -427,7 +425,6 @@ class UnitVerifier
     }
 
     const VerifyUnit &unit_;
-    const VerifyOptions &opts_;
     Ctx ctx_;
 };
 
@@ -443,9 +440,9 @@ VerifyReport::summary() const
 }
 
 VerifyResult
-verifyUnit(const VerifyUnit &unit, const VerifyOptions &opts)
+verifyUnit(const VerifyUnit &unit)
 {
-    return UnitVerifier(unit, opts).run();
+    return UnitVerifier(unit).run();
 }
 
 } // namespace darco::verify

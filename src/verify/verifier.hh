@@ -73,13 +73,6 @@ struct VerifyUnit
     u32 tid = ~0u;
 };
 
-struct VerifyOptions
-{
-    u32 concretizeBudget = 4096; //!< verify.concretize
-    u32 sampleTries = 128;       //!< verify.witness
-    u32 pathLimit = 256;         //!< verify.paths
-};
-
 enum class Verdict : u8
 {
     Proved,
@@ -119,8 +112,7 @@ struct VerifyReport
 };
 
 /** Prove one translation equivalent to its guest path. */
-VerifyResult verifyUnit(const VerifyUnit &unit,
-                        const VerifyOptions &opts);
+VerifyResult verifyUnit(const VerifyUnit &unit);
 
 } // namespace darco::verify
 

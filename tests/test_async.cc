@@ -264,7 +264,7 @@ TEST(AsyncPipeline, InstallTimeProofsUnderAsyncPublish)
     Config cfg = asyncCfg(4, 2, 2);
     cfg.parseLine("cc.capacity_words=768");
     cfg.parseLine("cc.policy=evict");
-    cfg.parseLine("tol.verify=install");
+    cfg.parseLine("tol.verify=true");
 
     RunResult r = run(cfg);
     r.ctl->tol().verifyFinal();

@@ -18,6 +18,7 @@
 
 #include "campaign/campaign.hh"
 #include "common/logging.hh"
+#include "guest/asm.hh"
 #include "workloads/synth.hh"
 
 using namespace darco;
@@ -157,6 +158,24 @@ TEST(Campaign, ExpandMatrixIsRowMajor)
     EXPECT_EQ(jobs[3].configName, "tinycc");
     EXPECT_EQ(jobs[4].workload, "wl-b");
     EXPECT_EQ(jobs[4].configName, "interp");
+}
+
+// Every listed preset resolves, and the error for any other name
+// lists them all, in order.
+TEST(Campaign, PresetNamesResolve)
+{
+    for (const std::string &name : presetNames())
+        EXPECT_NO_THROW(presetOverrides(name)) << name;
+    try {
+        presetOverrides("bogus");
+        FAIL() << "an unknown preset resolved";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unknown config preset 'bogus' (expected "
+                      "interp|noopt|fullopt|tinycc|async)"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Campaign, ParallelMatchesSerial)
@@ -333,6 +352,34 @@ TEST(Campaign, JobFailureIsCapturedNotThrown)
     EXPECT_NE(res.results[0].error.find("cc.policy"),
               std::string::npos);
     EXPECT_TRUE(res.results[1].ok) << res.results[1].error;
+}
+
+// A guest fault fails its job like any other error, with one pool
+// thread or several: runJob catches it, and the row names the fault.
+TEST(Campaign, GuestFaultFailsTheJob)
+{
+    using namespace guest;
+    Assembler a;
+    a.movri(RAX, 7);
+    a.movri(RBX, 0);
+    a.idivrr(RAX, RBX);
+    a.hlt();
+    std::vector<Job> jobs =
+        expandMatrix({{"div0", a.finish("div0")}},
+                     presetConfigs({"interp", "fullopt"}), ~0ull, 0);
+    for (unsigned workers : {1u, 2u}) {
+        RunOptions opts;
+        opts.jobs = workers;
+        CampaignResult res = runCampaign(jobs, opts);
+        ASSERT_EQ(res.results.size(), 2u);
+        for (const JobResult &r : res.results) {
+            EXPECT_FALSE(r.ok) << r.configName;
+            EXPECT_EQ(r.error,
+                      "guest fault at pc 0x100c: integer division by "
+                      "zero")
+                << r.configName;
+        }
+    }
 }
 
 // The controller that computes a --skip prefix image writes no trace

@@ -1,8 +1,8 @@
 /**
  * @file
  * The schema-registered configuration API (common/schema.hh):
- * unknown-key suggestions, range/enum/pow2 rejection, alias and
- * deprecation mapping, effective-config dump stability, random
+ * unknown-key suggestions, range/enum/pow2 rejection, retired
+ * spellings, effective-config dump stability, random
  * valid-config sampling, and the schema-aware checkpoint cfg-section
  * compatibility contract (cosmetic changes restore; execution-
  * relevant changes refuse naming the parameter).
@@ -194,35 +194,42 @@ TEST(ConfigSchema, ControllerConstructionValidates)
 }
 
 // ---------------------------------------------------------------------
-// Aliases / deprecation mapping
+// Retired spellings and values
 // ---------------------------------------------------------------------
 
-TEST(ConfigSchema, AliasResolvesToCanonicalParameter)
+TEST(ConfigSchema, RetiredKeysAreUnknown)
 {
-    Config cfg;
-    cfg.parseLine("cc.capacity=4096"); // deprecated alias
-    EXPECT_EQ(fatalMessage(cfg), "");
-    EXPECT_EQ(conf::getUint(cfg, "cc.capacity_words"), 4096u);
-
-    Config norm = conf::schema().normalize(cfg);
-    EXPECT_FALSE(norm.has("cc.capacity"));
-    EXPECT_EQ(norm.getString("cc.capacity_words"), "4096");
+    // Each parameter has one spelling: the old aliases, and the keys
+    // that became constants, fail like any typo.
+    for (const std::string key :
+         {"tol.basicblock_threshold", "tol.superblock_threshold",
+          "cc.capacity", "sync.validate_memory", "hemu.local_mem_bytes",
+          "verify.concretize", "verify.witness", "verify.paths"}) {
+        Config cfg;
+        cfg.parseLine(key + "=1");
+        std::string msg = fatalMessage(cfg);
+        EXPECT_NE(msg.find("unknown config key '" + key + "'"),
+                  std::string::npos)
+            << msg;
+    }
 }
 
-TEST(ConfigSchema, AliasConflictingWithCanonicalIsRejected)
+TEST(ConfigSchema, VerifyIsABool)
 {
-    Config cfg;
-    cfg.parseLine("cc.capacity=4096");
-    cfg.parseLine("cc.capacity_words=8192");
-    std::string msg = fatalMessage(cfg);
-    EXPECT_NE(msg.find("conflicts"), std::string::npos) << msg;
+    Config off;
+    off.parseLine("tol.verify=off");
+    EXPECT_EQ(fatalMessage(off), "");
+    EXPECT_FALSE(conf::getBool(off, "tol.verify"));
+    EXPECT_EQ(conf::schema().effective(off).at("tol.verify"), "false");
 
-    // Agreeing spellings are fine (canonical wins in normalize()),
-    // including canonically-equal but differently-spelled values.
-    Config ok;
-    ok.parseLine("cc.capacity=0x1000");
-    ok.parseLine("cc.capacity_words=4096");
-    EXPECT_EQ(fatalMessage(ok), "");
+    for (const char *mode : {"install", "final"}) {
+        Config cfg;
+        cfg.parseLine(std::string("tol.verify=") + mode);
+        std::string msg = fatalMessage(cfg);
+        EXPECT_NE(msg.find("config key 'tol.verify' has non-boolean"),
+                  std::string::npos)
+            << msg;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -279,8 +286,6 @@ TEST(ConfigSchema, GeneratedReferenceCoversEveryParameter)
     for (const conf::ParamSpec *p : conf::schema().params())
         EXPECT_NE(md.find("`" + p->key + "`"), std::string::npos)
             << p->key;
-    // Aliases are documented.
-    EXPECT_NE(md.find("cc.capacity"), std::string::npos);
     // Deterministic output.
     EXPECT_EQ(md, conf::schema().referenceMarkdown());
 }
@@ -355,10 +360,10 @@ TEST(ConfigSchemaCheckpoint, SpellingDifferencesRestore)
     save.parseLine("tol.chaining=yes");
     std::string image = checkpointUnder(save);
 
-    // Same effective config through different spellings — including
-    // a deprecated alias and an explicitly-set default.
+    // Same effective config through different value spellings —
+    // including an explicitly-set default.
     Config restoreCfg;
-    restoreCfg.parseLine("tol.basicblock_threshold=16");
+    restoreCfg.parseLine("tol.bb_threshold=16");
     restoreCfg.parseLine("tol.chaining=1");
     restoreCfg.parseLine("tol.sb_threshold=50"); // the default
     sim::Controller ctl(restoreCfg);

@@ -630,7 +630,7 @@ TEST(ServiceStore, SampledJobsSharePerSimpointImages)
 
     RunOptions sampled;
     sampled.sampleMode = SampleMode::SimPoint;
-    sampled.sampleInterval = 10'000;
+    sampled.simpoint.interval = 10'000;
     sampled.sampleWarmup = 5'000;
     CampaignResult local = runCampaign(jobs, sampled);
     ASSERT_TRUE(local.results[0].ok) << local.results[0].error;

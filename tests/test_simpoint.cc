@@ -71,7 +71,7 @@ sampledOpts(u64 interval, unsigned jobs = 1)
     campaign::RunOptions o;
     o.jobs = jobs;
     o.sampleMode = campaign::SampleMode::SimPoint;
-    o.sampleInterval = interval;
+    o.simpoint.interval = interval;
     return o;
 }
 
@@ -436,14 +436,12 @@ TEST(SampledCampaign, StoresOneRestorableImagePerSimPoint)
 
     // The job's own stage 1 and 2, for its simpoint list.
     Config pcfg = job.config;
-    pcfg.set("tol.bbv_interval", s64(opts.sampleInterval));
+    pcfg.set("tol.bbv_interval", s64(opts.simpoint.interval));
     sim::Controller prof(pcfg);
     prof.load(job.program);
     prof.run();
-    sampling::SimPointOptions so;
-    so.interval = opts.sampleInterval;
     sampling::SimPointResult sp = sampling::pickSimPoints(
-        sampling::harvestBbv(prof.tol().profiler()), so);
+        sampling::harvestBbv(prof.tol().profiler()), opts.simpoint);
     ASSERT_GT(sp.points.size(), 1u);
     EXPECT_EQ(res.results[0].simpoints, sp.points.size());
 
@@ -457,7 +455,7 @@ TEST(SampledCampaign, StoresOneRestorableImagePerSimPoint)
     for (const sampling::SimPoint &p : sp.points) {
         std::string image;
         ASSERT_TRUE(store.fetch(
-            campaign::simpointKey(job, opts.sampleInterval,
+            campaign::simpointKey(job, opts.simpoint.interval,
                                   opts.sampleWarmup, p.intervalIndex),
             &image))
             << "interval " << p.intervalIndex;

@@ -163,7 +163,7 @@ TEST(SnapshotRoundTrip, RestoredTranslationsStillProve)
 {
     guest::Program prog = workload();
     Config cfg = makeCfg("fullopt");
-    cfg.parseLine("tol.verify=final");
+    cfg.parseLine("tol.verify=true");
 
     sim::Controller full(cfg);
     full.load(prog);

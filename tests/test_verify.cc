@@ -555,7 +555,7 @@ verifyCfg()
     // Fast promotion so the run exercises BBM/SBM within test budget.
     Config cfg({"tol.bb_threshold=4", "tol.sb_threshold=12",
                 "tol.min_edge_total=8"});
-    cfg.parseLine("tol.verify=final");
+    cfg.parseLine("tol.verify=true");
     return cfg;
 }
 

@@ -77,13 +77,31 @@ using namespace darco;
 namespace
 {
 
+/** Every preset but the last, async: its rows are fullopt's with
+ *  background translation. */
+std::vector<std::string>
+defaultConfigs()
+{
+    std::vector<std::string> names = campaign::presetNames();
+    names.pop_back();
+    return names;
+}
+
+/** The campaign's run options, on one worker per hardware thread. */
+campaign::RunOptions
+defaultRunOptions()
+{
+    campaign::RunOptions run;
+    run.jobs = std::max(1u, std::thread::hardware_concurrency());
+    return run;
+}
+
 struct Options
 {
-    unsigned jobs = std::max(1u, std::thread::hardware_concurrency());
+    campaign::RunOptions run = defaultRunOptions();
     std::vector<std::string> workloads = {"400.perlbench", "401.bzip2",
                                           "429.mcf"};
-    std::vector<std::string> configs = {"interp", "noopt", "fullopt",
-                                        "tinycc"};
+    std::vector<std::string> configs = defaultConfigs();
     std::vector<std::string> extra;
     std::vector<u64> cores = {1};
     double scale = 0.25;
@@ -92,17 +110,10 @@ struct Options
     std::string checkpointDir;
     std::string csvPath;
     std::string jsonPath;
-    std::string traceDir;
     std::string statsJsonPath;
     bool list = false;
     bool listConfig = false;
     bool quiet = false;
-    bool timing = true;
-    campaign::SampleMode sampleMode = campaign::SampleMode::Full;
-    u64 interval = 100'000;
-    u64 maxK = 16;
-    u64 sampleSeed = 42;
-    u64 sampleWarmup = 25'000;
     std::string worker;   //!< HOST:PORT of a coordinator; "" = local
     std::string workerId; //!< advisory name in worker mode
     bool serve = false;   //!< coordinate remote workers instead
@@ -113,13 +124,17 @@ struct Options
 void
 usage(const char *argv0)
 {
+    const campaign::RunOptions run;
+    const campaign::ServiceOptions svc;
+    std::string presets;
+    for (const std::string &p : campaign::presetNames())
+        presets += (presets.empty() ? "" : "|") + p;
     std::fprintf(
         stderr,
         "usage: %s [options]\n"
         "  --jobs N            worker threads (default: hw cores)\n"
         "  --workloads a,b,c   paper-suite workload names\n"
-        "  --configs c1,c2     presets: "
-        "interp|noopt|fullopt|tinycc|async\n"
+        "  --configs c1,c2     presets: %s\n"
         "  --cores n1,n2       guest core counts; cross-products the\n"
         "                      configs into <config>-c<N> cells "
         "(default: 1)\n"
@@ -132,12 +147,12 @@ usage(const char *argv0)
         "                      --serve, served to the workers\n"
         "  --sample-mode M     full (default) | simpoint\n"
         "  --interval N        BBV interval, guest insts (default "
-        "100000)\n"
-        "  --max-k K           k-means sweep upper bound (default 16)\n"
+        "%llu)\n"
+        "  --max-k K           k-means sweep upper bound (default %u)\n"
         "  --sample-seed S     clustering/projection seed (default "
-        "42)\n"
+        "%llu)\n"
         "  --sample-warmup N   timing warm-up before each sample "
-        "(default 25000)\n"
+        "(default %llu)\n"
         "  --no-timing         skip the timing/power models\n"
         "  --csv PATH          write the CSV report here\n"
         "  --json PATH         write the JSON report here\n"
@@ -150,9 +165,9 @@ usage(const char *argv0)
         "    --port N            listen port (default: ephemeral;\n"
         "                        printed on startup)\n"
         "    --manifest PATH     journal completed jobs for resume\n"
-        "    --lease-ms N        per-job lease (default 300000)\n"
+        "    --lease-ms N        per-job lease (default %llu)\n"
         "    --dead-after-ms N   worker-death silence threshold\n"
-        "                        (default 10000)\n"
+        "                        (default %llu)\n"
         "  --worker HOST:PORT  run as a campaign-service worker for\n"
         "                      the coordinator at HOST:PORT (jobs, run\n"
         "                      options and checkpoint store all come\n"
@@ -163,7 +178,12 @@ usage(const char *argv0)
         "reference\n"
         "  -c key=value        extra config override (repeatable)\n"
         "  -q                  suppress the stdout CSV\n",
-        argv0);
+        argv0, presets.c_str(),
+        (unsigned long long)run.simpoint.interval, run.simpoint.maxK,
+        (unsigned long long)run.simpoint.seed,
+        (unsigned long long)run.sampleWarmup,
+        (unsigned long long)svc.leaseMs,
+        (unsigned long long)svc.deadAfterMs);
 }
 
 std::vector<std::string>
@@ -200,7 +220,7 @@ parseArgs(int argc, char **argv, Options &o)
             const char *v = next();
             if (!v || !number(v, n) || n == 0)
                 return false;
-            o.jobs = unsigned(n);
+            o.run.jobs = unsigned(n);
         } else if (a == "--workloads") {
             const char *v = next();
             if (!v)
@@ -261,7 +281,7 @@ parseArgs(int argc, char **argv, Options &o)
             const char *v = next();
             if (!v)
                 return false;
-            o.traceDir = v;
+            o.run.traceDir = v;
         } else if (a == "--stats-json") {
             const char *v = next();
             if (!v)
@@ -272,26 +292,28 @@ parseArgs(int argc, char **argv, Options &o)
             if (!v)
                 return false;
             if (std::string(v) == "full")
-                o.sampleMode = campaign::SampleMode::Full;
+                o.run.sampleMode = campaign::SampleMode::Full;
             else if (std::string(v) == "simpoint")
-                o.sampleMode = campaign::SampleMode::SimPoint;
+                o.run.sampleMode = campaign::SampleMode::SimPoint;
             else
                 return false;
         } else if (a == "--interval") {
             const char *v = next();
-            if (!v || !number(v, o.interval) || o.interval == 0)
+            u64 &interval = o.run.simpoint.interval;
+            if (!v || !number(v, interval) || interval == 0)
                 return false;
         } else if (a == "--max-k") {
             const char *v = next();
-            if (!v || !number(v, o.maxK) || o.maxK == 0)
+            if (!v || !number(v, n) || n == 0 || n > ~u32(0))
                 return false;
+            o.run.simpoint.maxK = u32(n);
         } else if (a == "--sample-seed") {
             const char *v = next();
-            if (!v || !number(v, o.sampleSeed))
+            if (!v || !number(v, o.run.simpoint.seed))
                 return false;
         } else if (a == "--sample-warmup") {
             const char *v = next();
-            if (!v || !number(v, o.sampleWarmup))
+            if (!v || !number(v, o.run.sampleWarmup))
                 return false;
         } else if (a == "--serve") {
             o.serve = true;
@@ -328,7 +350,7 @@ parseArgs(int argc, char **argv, Options &o)
                 return false;
             o.workerId = v;
         } else if (a == "--no-timing") {
-            o.timing = false;
+            o.run.timing = false;
         } else if (a == "-c") {
             const char *v = next();
             if (!v)
@@ -352,7 +374,7 @@ parseArgs(int argc, char **argv, Options &o)
     bool worker = !o.worker.empty();
     return (o.serve || !o.serviceFlags) && !(o.serve && worker) &&
            !(worker && !o.checkpointDir.empty()) &&
-           !((o.serve || worker) && !o.traceDir.empty());
+           !((o.serve || worker) && !o.run.traceDir.empty());
 }
 
 bool
@@ -403,14 +425,14 @@ main(int argc, char **argv)
                              : "lost the coordinator");
         return rc;
     }
-    const bool sampled = o.sampleMode == campaign::SampleMode::SimPoint;
+    const bool sampled = o.run.sampleMode == campaign::SampleMode::SimPoint;
     if (sampled && o.skip > 0) {
         std::fprintf(stderr,
                      "--skip cannot be combined with --sample-mode "
                      "simpoint (simpoints cover the whole run)\n");
         return 2;
     }
-    if (sampled && !o.traceDir.empty()) {
+    if (sampled && !o.run.traceDir.empty()) {
         std::fprintf(stderr,
                      "--trace-out cannot be combined with --sample-mode "
                      "simpoint (sampled jobs are not traced)\n");
@@ -425,7 +447,10 @@ main(int argc, char **argv)
         for (const auto &b : suite)
             std::printf("  %-18s [%s]\n", b.params.name.c_str(),
                         workloads::suiteGroupName(b.group));
-        std::printf("config presets: interp noopt fullopt tinycc async\n");
+        std::printf("config presets:");
+        for (const std::string &p : campaign::presetNames())
+            std::printf(" %s", p.c_str());
+        std::printf("\n");
         return 0;
     }
 
@@ -491,20 +516,10 @@ main(int argc, char **argv)
         campaign::CheckpointStore *storePtr =
             o.checkpointDir.empty() ? nullptr : &store;
 
-        campaign::RunOptions ropts;
-        ropts.jobs = o.jobs;
-        ropts.traceDir = o.traceDir;
-        ropts.timing = o.timing;
-        ropts.sampleMode = o.sampleMode;
-        ropts.sampleInterval = o.interval;
-        ropts.sampleMaxK = unsigned(o.maxK);
-        ropts.sampleSeed = o.sampleSeed;
-        ropts.sampleWarmup = o.sampleWarmup;
-
         campaign::CampaignResult res;
         std::unique_ptr<campaign::Coordinator> coord;
         if (o.serve) {
-            o.svc.run = ropts;
+            o.svc.run = o.run;
             o.svc.store = storePtr;
             if (!o.quiet) {
                 std::printf(
@@ -527,8 +542,8 @@ main(int argc, char **argv)
                          coord->resumedFromManifest());
             res = coord->wait();
         } else {
-            ropts.store = storePtr;
-            res = campaign::runCampaign(jobs, ropts);
+            o.run.store = storePtr;
+            res = campaign::runCampaign(jobs, o.run);
             if (!o.quiet)
                 std::printf("%s", res.csv().c_str());
         }
@@ -573,7 +588,8 @@ main(int argc, char **argv)
                          "darco_campaign: %zu jobs on %u workers in"
                          " %.0f ms (%u failed, checkpoints: %llu hit /"
                          " %llu stored)\n",
-                         res.results.size(), o.jobs, res.wallMs, failed,
+                         res.results.size(), o.run.jobs, res.wallMs,
+                         failed,
                          (unsigned long long)res.checkpointHits,
                          (unsigned long long)res.checkpointMisses);
         return failed ? 1 : 0;

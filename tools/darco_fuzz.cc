@@ -55,7 +55,6 @@ struct Options
     u64 seedBase = 1;
     unsigned jobs = 1;
     unsigned randConfigs = 0;
-    bool listConfig = false;
     std::string outDir = "fuzz-out";
     std::string replay;
     bool verbose = false;
@@ -80,7 +79,6 @@ usage(const char *argv0)
         "  --proofs          symbolically verify every translation and\n"
         "                    cross-check the verdicts with the oracle\n"
         "  --no-minimize     skip delta debugging on failures\n"
-        "  --list-config     print the generated parameter reference\n"
         "  -c key=value      extra config override (repeatable)\n"
         "  -v                per-seed config matrix detail\n",
         argv0);
@@ -133,8 +131,6 @@ parseArgs(int argc, char **argv, Options &o)
             o.proofs = true;
         } else if (a == "--no-minimize") {
             o.noMinimize = true;
-        } else if (a == "--list-config") {
-            o.listConfig = true;
         } else if (a == "-c") {
             const char *v = next();
             if (!v)
@@ -269,10 +265,6 @@ main(int argc, char **argv)
     if (!parseArgs(argc, argv, o)) {
         usage(argv[0]);
         return 2;
-    }
-    if (o.listConfig) {
-        std::fputs(conf::schema().referenceMarkdown().c_str(), stdout);
-        return 0;
     }
     // Validate -c overrides against the schema before any run: a
     // typo'd key must fail the sweep, not silently run defaults.

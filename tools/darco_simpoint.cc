@@ -43,20 +43,18 @@ struct Options
 {
     std::string workload = "401.bzip2";
     double scale = 0.25;
-    u64 interval = 100'000;
-    u64 maxK = 16;
-    u64 seed = 42;
+    sampling::SimPointOptions simpoint;
     u64 maxInsts = ~0ull;
     std::vector<std::string> extra;
     std::string csvPath;
     std::string traceDir;
     std::string statsJsonPath;
-    bool listConfig = false;
 };
 
 void
 usage(const char *argv0)
 {
+    const sampling::SimPointOptions sp;
     std::fprintf(
         stderr,
         "usage: %s [options]\n"
@@ -64,18 +62,17 @@ usage(const char *argv0)
         "  --scale S         workload dynamic-length scale (default "
         "0.25)\n"
         "  --interval N      BBV interval, guest insts (default "
-        "100000)\n"
-        "  --max-k K         k-means sweep upper bound (default 16)\n"
-        "  --seed S          clustering/projection seed (default 42)\n"
+        "%llu)\n"
+        "  --max-k K         k-means sweep upper bound (default %u)\n"
+        "  --seed S          clustering/projection seed (default %llu)\n"
         "  --max-insts N     profiling budget\n"
         "  --csv PATH        per-interval cluster assignment dump\n"
         "  --trace-out D     Chrome trace + interval metrics of the\n"
         "                    profiling run into D\n"
         "  --stats-json PATH full stats dump of the profiling run\n"
-        "  --list-config     print the generated parameter "
-        "reference\n"
         "  -c key=value      config override (repeatable)\n",
-        argv0);
+        argv0, (unsigned long long)sp.interval, sp.maxK,
+        (unsigned long long)sp.seed);
 }
 
 bool
@@ -105,15 +102,18 @@ parseArgs(int argc, char **argv, Options &o)
                 return false;
         } else if (a == "--interval") {
             const char *v = next();
-            if (!v || !number(v, o.interval) || o.interval == 0)
+            u64 &interval = o.simpoint.interval;
+            if (!v || !number(v, interval) || interval == 0)
                 return false;
         } else if (a == "--max-k") {
             const char *v = next();
-            if (!v || !number(v, o.maxK) || o.maxK == 0)
+            u64 n = 0;
+            if (!v || !number(v, n) || n == 0 || n > ~u32(0))
                 return false;
+            o.simpoint.maxK = u32(n);
         } else if (a == "--seed") {
             const char *v = next();
-            if (!v || !number(v, o.seed))
+            if (!v || !number(v, o.simpoint.seed))
                 return false;
         } else if (a == "--max-insts") {
             const char *v = next();
@@ -139,8 +139,6 @@ parseArgs(int argc, char **argv, Options &o)
             if (!v)
                 return false;
             o.extra.push_back(v);
-        } else if (a == "--list-config") {
-            o.listConfig = true;
         } else {
             return false;
         }
@@ -157,11 +155,6 @@ main(int argc, char **argv)
     if (!parseArgs(argc, argv, o)) {
         usage(argv[0]);
         return 2;
-    }
-
-    if (o.listConfig) {
-        std::fputs(conf::schema().referenceMarkdown().c_str(), stdout);
-        return 0;
     }
 
     try {
@@ -181,7 +174,7 @@ main(int argc, char **argv)
         // The one SimPoint profiler: a functional Controller run with
         // BBV collection on, exactly a sampled campaign's stage 1; the
         // obs.* outputs and the stats dump cover it.
-        cfg.set("tol.bbv_interval", s64(o.interval));
+        cfg.set("tol.bbv_interval", s64(o.simpoint.interval));
         if (!o.traceDir.empty()) {
             std::filesystem::create_directories(o.traceDir);
             cfg.set("obs.trace.path",
@@ -209,12 +202,8 @@ main(int argc, char **argv)
                     profile.numIntervals(),
                     (unsigned long long)profile.interval);
 
-        sampling::SimPointOptions so;
-        so.interval = o.interval;
-        so.maxK = unsigned(o.maxK);
-        so.seed = o.seed;
         sampling::SimPointResult sp =
-            sampling::pickSimPoints(profile, so);
+            sampling::pickSimPoints(profile, o.simpoint);
 
         std::printf("BIC sweep:");
         for (const auto &[k, bic] : sp.bicSweep)

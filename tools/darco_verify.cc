@@ -2,10 +2,10 @@
  * @file
  * darco_verify: prove every translation a workload produces.
  *
- * Runs a matrix of synthetic workloads under the standard config
- * presets (interp/noopt/fullopt/tinycc/async) with `tol.verify=final`,
- * then discharges the accumulated per-translation equivalence proofs
- * and reports the outcome. A Refuted proof prints the failed
+ * Runs a matrix of synthetic workloads under every config preset
+ * (campaign::presetNames) with `tol.verify=true`, which proves each
+ * translation equivalent to its guest path as it is published, and
+ * reports the outcome. A Refuted proof prints the failed
  * obligation plus its minimized concrete counterexample witness; an
  * Unknown proof (the engine could neither prove nor refute an
  * obligation within budget) is also a failure — obligations are never
@@ -38,8 +38,7 @@ namespace
 
 struct Options
 {
-    std::vector<std::string> presets = {"interp", "noopt", "fullopt",
-                                        "tinycc", "async"};
+    std::vector<std::string> presets = campaign::presetNames();
     std::vector<std::string> workloads; // empty = all
     std::vector<std::string> extra;
     u64 maxInsts = 300'000;
@@ -236,7 +235,7 @@ main(int argc, char **argv)
     }
 
     std::vector<std::string> extra = o.extra;
-    extra.push_back("tol.verify=final");
+    extra.push_back("tol.verify=true");
 
     unsigned cells = 0, failed_cells = 0;
     u64 proved = 0, refuted = 0, unknown = 0;
