@@ -9,7 +9,6 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -494,32 +493,24 @@ runJob(const Job &job, const RunOptions &opts)
     }
 
     try {
-        // optional<> so a partially-restored controller can be torn
-        // down and rebuilt in place (Controller is self-referential:
-        // its Tol holds references into it, so it is not movable).
-        std::optional<sim::Controller> holder;
-        auto makeCtl = [&]() {
-            holder.emplace(cfg);
-            if (holder->obsSession())
-                holder->obsSession()->setJobLabel(
-                    job.workload + "/" + job.configName);
-        };
+        sim::Controller ctl(cfg);
+        if (ctl.obsSession())
+            ctl.obsSession()->setJobLabel(job.workload + "/" +
+                                          job.configName);
 
         if (job.skip > 0) {
             // Fetch-or-compute the prefix image: any job with the
             // same execution identity — in this process or, through a
             // served store, on any worker — may already have paid for
             // it, and without a store it is computed all the same.
-            // Either way the measured controller is a fresh one
-            // restored from the image: restore drops chain and IBTC
-            // state, so measuring the live one would make the timing
-            // columns depend on whether a store was given and on its
-            // state.
+            // Either way the measured controller is restored from the
+            // image: restore drops chain and IBTC state, so measuring
+            // the live one would make the timing columns depend on
+            // whether a store was given and on its state.
             fetchOrCompute(
                 opts.store, jobKeyString(job), r,
                 [&](const std::string &image) {
-                    makeCtl();
-                    restoreImage(*holder, image);
+                    restoreImage(ctl, image);
                 },
                 [&](bool) {
                     // Only the measured controller writes the job's
@@ -528,16 +519,14 @@ runJob(const Job &job, const RunOptions &opts)
                     Config prefix = cfg;
                     prefix.set("obs.trace.path", std::string());
                     prefix.set("obs.metrics.path", std::string());
-                    holder.emplace(prefix);
-                    holder->load(job.program);
-                    holder->run(job.skip);
-                    return saveImage(*holder);
+                    sim::Controller pre(prefix);
+                    pre.load(job.program);
+                    pre.run(job.skip);
+                    return saveImage(pre);
                 });
         } else {
-            makeCtl();
-            holder->load(job.program);
+            ctl.load(job.program);
         }
-        sim::Controller &ctl = *holder;
 
         // Detailed models over the measured region (post-prefix).
         // Attaching after the prefix keeps results identical whether
@@ -573,9 +562,6 @@ runJob(const Job &job, const RunOptions &opts)
         }
         for (const auto &[name, c] : ctl.stats().counters())
             r.stats[name] = c.value();
-        std::ostringstream sj;
-        ctl.stats().dumpJson(sj);
-        r.statsJson = sj.str();
     } catch (const std::exception &e) {
         r.ok = false;
         r.error = e.what();
@@ -646,9 +632,6 @@ runSampledJob(const Job &job, const RunOptions &opts)
             r.bbs = prof.tol().completedBBs();
             for (const auto &[name, c] : prof.stats().counters())
                 r.stats[name] = c.value();
-            std::ostringstream sj;
-            prof.stats().dumpJson(sj);
-            r.statsJson = sj.str();
             profile = sampling::harvestBbv(prof.tol().profiler());
         }
 
@@ -659,35 +642,25 @@ runSampledJob(const Job &job, const RunOptions &opts)
 
         // --- 3: detailed measurement over each simpoint -------------
         if (opts.timing && !sp.points.empty()) {
-            std::optional<sim::Controller> holder;
-            holder.emplace(job.config);
-            holder->load(job.program);
+            sim::Controller ctl(job.config);
+            ctl.load(job.program);
 
             // Every sample is measured from checkpoint state at
             // (start - warmup): the image either comes from the store
-            // or is created by walking forward, and is restored in
-            // place either way. Measuring a *walked* runtime instead
-            // would make the estimate depend on whether the
-            // fast-forward was simulated or restored (walked state
-            // carries warm chain/IBTC microstate that a restore
-            // rebuilds lazily — inside the warm-up).
+            // or is created by walking forward, and is restored either
+            // way. Measuring a *walked* runtime instead would make the
+            // estimate depend on whether the fast-forward was
+            // simulated or restored (walked state carries warm
+            // chain/IBTC microstate that a restore rebuilds lazily —
+            // inside the warm-up).
             //
             // `lastImage` is the most recent checkpoint (its position
             // is <= every later point's target): when consecutive
             // sample windows overlap their successors' warm-up
             // leads, the walk resumes from it instead of
-            // instruction 0. A torn store entry leaves the
-            // controller half-restored, so the walk then rebuilds a
-            // fresh one from that nearest good state.
+            // instruction 0. So does the walk after a torn store
+            // entry, which may leave the controller half-restored.
             std::string lastImage;
-            auto rewind = [&](bool fresh) {
-                if (fresh || lastImage.empty())
-                    holder.emplace(job.config);
-                if (lastImage.empty())
-                    holder->load(job.program);
-                else
-                    restoreImage(*holder, lastImage);
-            };
 
             double wSum = 0, wCpi = 0, wHpi = 0, wEpi = 0;
             for (const sampling::SimPoint &p : sp.points) {
@@ -700,21 +673,24 @@ runSampledJob(const Job &job, const RunOptions &opts)
                                 opts.sampleWarmup, p.intervalIndex),
                     r,
                     [&](const std::string &image) {
-                        restoreImage(*holder, image);
+                        restoreImage(ctl, image);
                     },
                     [&](bool torn) {
-                        if (torn)
-                            rewind(true);
-                        // Overlap with the previous sample window:
-                        // back up to the last checkpoint.
-                        if (holder->tol().completedInsts() > ffTarget)
-                            rewind(false);
-                        u64 done = holder->tol().completedInsts();
-                        if (ffTarget > done && !holder->finished())
-                            holder->run(ffTarget - done);
-                        return saveImage(*holder);
+                        // Overlap with the previous sample window, or
+                        // a torn restore: back up to the last
+                        // checkpoint.
+                        if (torn ||
+                            ctl.tol().completedInsts() > ffTarget) {
+                            if (lastImage.empty())
+                                ctl.load(job.program);
+                            else
+                                restoreImage(ctl, lastImage);
+                        }
+                        u64 done = ctl.tol().completedInsts();
+                        if (ffTarget > done && !ctl.finished())
+                            ctl.run(ffTarget - done);
+                        return saveImage(ctl);
                     });
-                sim::Controller &ctl = *holder;
 
                 // Warm-up: detailed models attached, stats discarded
                 // through the delta snapshot below.
@@ -893,6 +869,19 @@ effectiveConfigCell(const JobResult &r)
 } // namespace
 
 std::string
+statsJson(const JobResult &r)
+{
+    if (r.stats.empty())
+        return "null";
+    StatGroup g("darco"); // sim::Controller's group name
+    for (const auto &[name, v] : r.stats)
+        g.counter(name).set(v);
+    std::ostringstream os;
+    g.dumpJson(os);
+    return os.str();
+}
+
+std::string
 CampaignResult::csvHeader()
 {
     std::string h = "workload,config,ok,finished,exit_code,insts,bbs"
@@ -978,8 +967,7 @@ CampaignResult::json() const
                << "\": \"" << jsonEscape(v) << '"';
             first = false;
         }
-        os << "}, \"stats_full\": "
-           << (r.statsJson.empty() ? "null" : r.statsJson)
+        os << "}, \"stats_full\": " << statsJson(r)
            << ", \"error\": \"" << jsonEscape(r.error) << "\"}"
            << (i + 1 < results.size() ? "," : "") << '\n';
     }

@@ -11,13 +11,14 @@
  *
  * Checkpoint integration: a job may declare a `skip` prefix of guest
  * instructions. The state at the end of that prefix is saved through
- * Controller::saveCheckpoint and the job measures a fresh controller
+ * Controller::saveCheckpoint and the job measures its controller
  * restored from those bytes, with or without a store, so its row does
- * not depend on the cache. With a CheckpointStore configured, the
- * image is published under the job's content key (jobKeyString), and
- * any later job with the same execution identity restores it instead
- * of re-simulating the prefix. The store is the campaign's only
- * checkpoint cache:
+ * not depend on the cache (a restore rebuilds the whole controller,
+ * stats included, from the image). With a CheckpointStore configured,
+ * the image is published under the job's content key (jobKeyString),
+ * and any later job with the same execution identity restores it
+ * instead of re-simulating the prefix. The store is the campaign's
+ * only checkpoint cache:
  * DirStore keeps it in a local directory, and the campaign service
  * serves any store to its workers over the wire.
  *
@@ -58,9 +59,9 @@
  *   JSON: an array of objects with the same fields in the same order
  *         ("stats" is a nested object over the stat columns;
  *         "effective_config" is a nested object too), plus
- *         "stats_full": the job's complete StatGroup::dumpJson
- *         snapshot — every counter and histogram, not just the stable
- *         stat columns (null for failed jobs).
+ *         "stats_full": the job's whole stats record (statsJson) —
+ *         every counter, not just the stable stat columns (null for
+ *         a job that failed before its record was taken).
  *
  * effective_config is the job's full default-resolved configuration
  * (every schema parameter mapped to its canonical value, see
@@ -173,14 +174,12 @@ struct JobResult
     u32 simpoints = 0;     //!< representative intervals measured
     u64 sampledInsts = 0;  //!< guest insts under the detailed models
 
-    std::map<std::string, u64> stats; //!< full counter snapshot
-
     /**
-     * The job's full stats as one StatGroup::dumpJson object (every
-     * counter plus histograms); empty for failed jobs. Embedded raw
-     * as "stats_full" in the JSON report.
+     * The job's stats record: every counter of its Controller at the
+     * end of the run (the profiling run in sampled mode); empty when
+     * the job failed before it. Reports render it with statsJson.
      */
-    std::string statsJson;
+    std::map<std::string, u64> stats;
 
     /**
      * The full effective (default-resolved, schema-normalized)
@@ -375,6 +374,13 @@ std::string simpointKey(const Job &job, u64 interval, u64 warmup,
 
 /** One job's CSV report row (no trailing newline). */
 std::string csvRow(const JobResult &r);
+
+/**
+ * The job's stats record as the bytes StatGroup::dumpJson writes for
+ * its Controller, or "null" when it has none: "stats_full" in the
+ * JSON report and darco_campaign --stats-json.
+ */
+std::string statsJson(const JobResult &r);
 
 } // namespace darco::campaign
 

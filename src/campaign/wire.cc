@@ -153,7 +153,6 @@ writeResult(snapshot::Serializer &s, const JobResult &r)
         s.wstr(k);
         s.w64(v);
     }
-    s.wstr(r.statsJson);
     writeStrMap(s, r.effectiveConfig);
 }
 
@@ -185,7 +184,6 @@ readResult(snapshot::Deserializer &d)
         std::string k = d.rstr();
         r.stats[k] = d.r64();
     }
-    r.statsJson = d.rstr();
     r.effectiveConfig = readStrMap(d);
     return r;
 }

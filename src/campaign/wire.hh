@@ -51,7 +51,7 @@ namespace darco::campaign::wire
 {
 
 /** Bumped on any message-vocabulary or field-layout change. */
-constexpr u32 protoVersion = 1;
+constexpr u32 protoVersion = 2;
 
 /** Message-type section names. */
 namespace msg

@@ -1,100 +1,12 @@
 #include "common/stats.hh"
 
-#include <cstdio>
-#include <iomanip>
-
 namespace darco
 {
-
-Histogram::Histogram(std::vector<u64> bucket_limits)
-    : limits_(std::move(bucket_limits)), counts_(limits_.size() + 1)
-{
-}
-
-Histogram::Histogram(const Histogram &o)
-    : limits_(o.limits_), counts_(o.limits_.size() + 1)
-{
-    for (std::size_t i = 0; i < counts_.size(); ++i)
-        counts_[i].store(o.counts_[i].load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    count_.store(o.count(), std::memory_order_relaxed);
-    sum_.store(o.sum(), std::memory_order_relaxed);
-}
-
-Histogram &
-Histogram::operator=(const Histogram &o)
-{
-    if (this == &o)
-        return *this;
-    limits_ = o.limits_;
-    counts_ = std::vector<std::atomic<u64>>(o.limits_.size() + 1);
-    for (std::size_t i = 0; i < counts_.size(); ++i)
-        counts_[i].store(o.counts_[i].load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    count_.store(o.count(), std::memory_order_relaxed);
-    sum_.store(o.sum(), std::memory_order_relaxed);
-    return *this;
-}
-
-Histogram::Histogram(Histogram &&o) noexcept
-    : limits_(std::move(o.limits_)), counts_(std::move(o.counts_))
-{
-    count_.store(o.count(), std::memory_order_relaxed);
-    sum_.store(o.sum(), std::memory_order_relaxed);
-}
-
-Histogram &
-Histogram::operator=(Histogram &&o) noexcept
-{
-    limits_ = std::move(o.limits_);
-    counts_ = std::move(o.counts_);
-    count_.store(o.count(), std::memory_order_relaxed);
-    sum_.store(o.sum(), std::memory_order_relaxed);
-    return *this;
-}
-
-void
-Histogram::sample(u64 v, u64 weight)
-{
-    std::size_t i = 0;
-    while (i < limits_.size() && v > limits_[i])
-        ++i;
-    counts_[i].fetch_add(weight, std::memory_order_relaxed);
-    count_.fetch_add(weight, std::memory_order_relaxed);
-    sum_.fetch_add(v * weight, std::memory_order_relaxed);
-}
-
-void
-Histogram::reset()
-{
-    for (auto &c : counts_)
-        c.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-}
-
-std::vector<u64>
-Histogram::buckets() const
-{
-    std::vector<u64> out(counts_.size());
-    for (std::size_t i = 0; i < counts_.size(); ++i)
-        out[i] = counts_[i].load(std::memory_order_relaxed);
-    return out;
-}
 
 Counter &
 StatGroup::counter(const std::string &name)
 {
     return counters_[name];
-}
-
-Histogram &
-StatGroup::histogram(const std::string &name, std::vector<u64> limits)
-{
-    auto it = histograms_.find(name);
-    if (it == histograms_.end())
-        it = histograms_.emplace(name, Histogram(std::move(limits))).first;
-    return it->second;
 }
 
 u64
@@ -109,22 +21,6 @@ StatGroup::resetAll()
 {
     for (auto &[_, c] : counters_)
         c.reset();
-    for (auto &[_, h] : histograms_)
-        h.reset();
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    os << "---- " << name_ << " ----\n";
-    for (const auto &[k, c] : counters_)
-        os << std::left << std::setw(44) << k << " " << c.value() << "\n";
-    for (const auto &[k, h] : histograms_) {
-        os << std::left << std::setw(44) << (k + ".count") << " "
-           << h.count() << "\n";
-        os << std::left << std::setw(44) << (k + ".mean") << " "
-           << h.mean() << "\n";
-    }
 }
 
 namespace
@@ -156,26 +52,6 @@ StatGroup::dumpJson(std::ostream &os) const
             os << ",";
         first = false;
         os << "\"" << jsonKey(k) << "\":" << c.value();
-    }
-    os << "},\"histograms\":{";
-    first = true;
-    for (const auto &[k, h] : histograms_) {
-        if (!first)
-            os << ",";
-        first = false;
-        char mean[32];
-        std::snprintf(mean, sizeof(mean), "%.6f", h.mean());
-        os << "\"" << jsonKey(k) << "\":{\"count\":" << h.count()
-           << ",\"sum\":" << h.sum() << ",\"mean\":" << mean
-           << ",\"limits\":[";
-        const auto &limits = h.limits();
-        for (std::size_t i = 0; i < limits.size(); ++i)
-            os << (i ? "," : "") << limits[i];
-        os << "],\"buckets\":[";
-        const std::vector<u64> buckets = h.buckets();
-        for (std::size_t i = 0; i < buckets.size(); ++i)
-            os << (i ? "," : "") << buckets[i];
-        os << "]}";
     }
     os << "}}";
 }

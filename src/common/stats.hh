@@ -2,20 +2,19 @@
  * @file
  * Lightweight statistics registry.
  *
- * Components register named scalar counters, averages, and histograms
- * against a StatGroup. The registry supports dumping in a stable text
- * format and resetting (needed by the sampling methodology, which
- * discards warm-up statistics).
+ * Components register named 64-bit counters against a StatGroup; a
+ * group is one map of counters, dumped as JSON in a stable schema.
+ * A Controller's group lives as long as the Controller, but its
+ * contents are rebuilt by every load() and checkpoint restore
+ * (sim/controller.hh).
  */
 
 #ifndef DARCO_COMMON_STATS_HH
 #define DARCO_COMMON_STATS_HH
 
-#include <atomic>
 #include <map>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -44,55 +43,13 @@ class Counter
 };
 
 /**
- * Simple fixed-bucket histogram over u64 samples.
- *
- * Updates are relaxed atomics, so one histogram may be sampled from
- * several threads at once; no ordering is implied between cells. The
- * simulator samples one per superblock publish, far off the per-record
- * and per-dispatch paths, so the atomics cost nothing measurable. The
- * bucket limits are immutable after construction.
- */
-class Histogram
-{
-  public:
-    /** @param bucket_limits ascending upper bounds; a final overflow
-     *  bucket is added implicitly. */
-    explicit Histogram(std::vector<u64> bucket_limits = {});
-    // Copies/moves snapshot the atomics (registration-time only; the
-    // stat registry never moves a histogram while samplers are live).
-    Histogram(const Histogram &o);
-    Histogram &operator=(const Histogram &o);
-    Histogram(Histogram &&o) noexcept;
-    Histogram &operator=(Histogram &&o) noexcept;
-
-    void sample(u64 v, u64 weight = 1);
-    void reset();
-
-    u64 count() const { return count_.load(std::memory_order_relaxed); }
-    u64 sum() const { return sum_.load(std::memory_order_relaxed); }
-    double mean() const
-    {
-        u64 c = count();
-        return c ? double(sum()) / c : 0.0;
-    }
-    /** Per-bucket counts (snapshot by value). */
-    std::vector<u64> buckets() const;
-    const std::vector<u64> &limits() const { return limits_; }
-
-  private:
-    std::vector<u64> limits_;
-    std::vector<std::atomic<u64>> counts_;
-    std::atomic<u64> count_{0};
-    std::atomic<u64> sum_{0};
-};
-
-/**
- * A named collection of counters and histograms.
+ * A named collection of counters.
  *
  * Lookup is by string name; creation is lazy, so components can simply
  * write `stats.counter("tol.chained").inc()`. A returned reference
- * stays valid for the group's lifetime (counters are never erased), so
- * hot paths bind a `Counter*` once instead of looking it up per event.
+ * stays valid until the group is destroyed or assigned over (counters
+ * are never erased), so hot paths bind a `Counter*` once instead of
+ * looking it up per event.
  */
 class StatGroup
 {
@@ -101,20 +58,16 @@ class StatGroup
     {}
 
     Counter &counter(const std::string &name);
-    Histogram &histogram(const std::string &name,
-                         std::vector<u64> limits = {});
 
     /** Read a counter without creating it; 0 if absent. */
     u64 value(const std::string &name) const;
 
+    /** Zero every counter; the key set stays. */
     void resetAll();
-    void dump(std::ostream &os) const;
 
     /**
      * Machine-readable dump with a stable schema:
-     *   {"name": ..., "counters": {k: v, ...},
-     *    "histograms": {k: {"count", "sum", "mean",
-     *                       "limits": [...], "buckets": [...]}}}
+     *   {"name": ..., "counters": {k: v, ...}}
      * Keys are emitted in sorted (map) order.
      */
     void dumpJson(std::ostream &os) const;
@@ -128,7 +81,6 @@ class StatGroup
   private:
     std::string name_;
     std::map<std::string, Counter> counters_;
-    std::map<std::string, Histogram> histograms_;
 };
 
 } // namespace darco

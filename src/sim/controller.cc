@@ -72,6 +72,14 @@ Controller::attachObs()
 }
 
 void
+Controller::dropTol()
+{
+    // The Tol goes first: it holds Counter pointers into the map.
+    tol_.reset();
+    stats_ = StatGroup(stats_.name());
+}
+
+void
 Controller::makeTol()
 {
     // Core 0's memory is bound by the Tol constructor; the extra
@@ -100,6 +108,7 @@ Controller::coldStart()
 void
 Controller::load(const Program &prog)
 {
+    dropTol();
     // Each reference component launches its own instance of the
     // application and produces the initial architectural state.
     for (u32 i = 0; i < cores_; ++i)
@@ -337,6 +346,10 @@ Controller::restoreCheckpoint(std::istream &is)
                 "') is missing from the checkpoint");
     }
 
+    // Nothing of what ran before survives: the Tol and the counters
+    // are rebuilt below, and every other section replaces its state.
+    dropTol();
+
     // Per-core sections. The `cores` parameter is execution-relevant,
     // so the cfg comparison above already refused any count mismatch.
     for (u32 i = 0; i < cores_; ++i) {
@@ -365,8 +378,8 @@ Controller::restoreCheckpoint(std::istream &is)
     if (obs_ && obs_->tracer())
         obs_->tracer()->instant("ckpt", "checkpoint.restore");
 
-    // Last: overwrite every counter the replay bumped with the
-    // checkpointed values.
+    // Last: the counters. The map held only what the replay created
+    // and bumped; zero those and take the checkpointed values.
     d.expectSection("stats");
     stats_.resetAll();
     u64 nstats = d.r64();

@@ -69,9 +69,11 @@ class Controller : public tol::Tol::Env
     ~Controller();
 
     /**
-     * Initialization phase. Builds the co-designed component (Tol):
-     * the controller is inert until the first load(), and loading
-     * again restarts cleanly with a fresh Tol and emulated memory.
+     * Initialization phase. Builds the co-designed component (Tol)
+     * with every counter at zero: the controller is inert until the
+     * first load(), and loading again restarts cleanly with a fresh
+     * Tol, emulated memory and stats map, as a fresh Controller
+     * would.
      */
     void load(const guest::Program &prog);
 
@@ -154,7 +156,10 @@ class Controller : public tol::Tol::Env
     /**
      * Restore a checkpoint written by saveCheckpoint(). Works on a
      * fresh Controller (no load() needed — the memory images carry
-     * the program). The Controller's *execution-relevant* effective
+     * the program) and on a used one alike: the state and the full
+     * stats map are rebuilt from the image alone, so restoring into
+     * a controller that ran anything before equals restoring into a
+     * fresh one. The Controller's *execution-relevant* effective
      * config (see docs/CONFIG.md) must match the checkpoint's
      * exactly; parameters that only affect measurement or validation
      * (sync.*, core.*, power.*, ...) may differ freely. A mismatch
@@ -171,6 +176,11 @@ class Controller : public tol::Tol::Env
   private:
     /** Point the Tol at the session's tracer/metrics (if any). */
     void attachObs();
+    /**
+     * Drop the Tol and start an empty stats map, which the next
+     * makeTol() binds its counters in (load and restore).
+     */
+    void dropTol();
     /** Build a fresh Tol over the current per-core memories. */
     void makeTol();
     /**

@@ -788,8 +788,6 @@ Tol::publish(TranslationJob &job, bool conc)
                 stats_.counter("tol.residual_chains").inc();
             }
         }
-        stats_.histogram("tol.sb_path_len", {2, 4, 8, 16, 32, 64, 128})
-            .sample(job.path.size());
     }
     noteInstall(job);
 

@@ -39,11 +39,13 @@ RefComponent::load(const Program &prog)
 {
     mem_ = PagedMemory(MissPolicy::AllocateZero);
     state_ = prog.load(mem_);
+    os_ = GuestOS(seed_);
     decode_.clear();
     instCount_ = 0;
     bbCount_ = 0;
     finished_ = false;
     exitCode_ = 0;
+    lastDirtied_.clear();
 }
 
 bool

@@ -35,9 +35,9 @@ namespace darco::xemu
 class RefComponent
 {
   public:
-    explicit RefComponent(u64 seed = 1) : os_(seed) {}
+    explicit RefComponent(u64 seed = 1) : seed_(seed), os_(seed) {}
 
-    /** Load a program; resets all execution state. */
+    /** Load a program; resets all execution state, the OS's too. */
     void load(const guest::Program &prog);
 
     /**
@@ -80,6 +80,7 @@ class RefComponent
     void restore(snapshot::Deserializer &d);
 
   private:
+    u64 seed_;
     guest::PagedMemory mem_{guest::MissPolicy::AllocateZero};
     guest::CpuState state_;
     GuestOS os_;

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <thread>
 
 #include <unistd.h>
@@ -19,6 +20,7 @@
 #include "campaign/campaign.hh"
 #include "common/logging.hh"
 #include "guest/asm.hh"
+#include "sim/controller.hh"
 #include "workloads/synth.hh"
 
 using namespace darco;
@@ -301,6 +303,20 @@ TEST(Campaign, ReportsCoverEveryJob)
     std::string json = res.json();
     EXPECT_NE(json.find("\"config\": \"fullopt\""), std::string::npos);
     EXPECT_NE(json.find("\"insts\": "), std::string::npos);
+
+    // A job's stats record renders as the bytes its Controller's
+    // dumpJson writes, in stats_full too; a job without one is null.
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        sim::Controller ctl(jobs[i].config);
+        ctl.load(jobs[i].program);
+        ctl.run();
+        std::ostringstream dump;
+        ctl.stats().dumpJson(dump);
+        EXPECT_EQ(statsJson(res.results[i]), dump.str());
+        EXPECT_NE(json.find("\"stats_full\": " + dump.str() + ","),
+                  std::string::npos);
+    }
+    EXPECT_EQ(statsJson(JobResult{}), "null");
 }
 
 TEST(Campaign, InvalidConfigIsRejectedAtMatrixExpansion)

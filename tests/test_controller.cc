@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "guest/asm.hh"
 #include "sim/controller.hh"
@@ -54,6 +57,31 @@ smallWorkload(u64 seed)
     p.callFrac = 0.08;
     p.indirectFrac = 0.03;
     return p;
+}
+
+/** Every counter of the controller, by name. */
+std::map<std::string, u64>
+statsOf(Controller &ctl)
+{
+    std::map<std::string, u64> m;
+    for (const auto &[name, c] : ctl.stats().counters())
+        m[name] = c.value();
+    return m;
+}
+
+std::string
+saveImage(Controller &ctl)
+{
+    std::ostringstream os;
+    ctl.saveCheckpoint(os);
+    return os.str();
+}
+
+void
+restoreImage(Controller &ctl, const std::string &image)
+{
+    std::istringstream is(image);
+    ctl.restoreCheckpoint(is);
 }
 
 } // namespace
@@ -143,19 +171,13 @@ TEST(Controller, RunAfterFinishChangesNothing)
     ctl.load(synthesize(smallWorkload(15)));
     ctl.run();
     ASSERT_TRUE(ctl.finished());
-    auto counters = [&ctl]() {
-        std::map<std::string, u64> m;
-        for (const auto &[name, c] : ctl.stats().counters())
-            m[name] = c.value();
-        return m;
-    };
-    std::map<std::string, u64> before = counters();
+    std::map<std::string, u64> before = statsOf(ctl);
     EXPECT_GT(ctl.stats().value("sync.pages_validated"), 0u);
 
     // The end-of-application validation ran once, when the program
     // finished; a second run() must not repeat it.
     EXPECT_FALSE(ctl.run());
-    EXPECT_EQ(counters(), before);
+    EXPECT_EQ(statsOf(ctl), before);
 }
 
 TEST(Controller, OutputMatchesReferenceOnlyRun)
@@ -389,10 +411,10 @@ TEST(Controller, FastForwardCheckpointRoundTrips)
 
 TEST(Controller, DoubleLoadRestartsCleanly)
 {
-    // Regression: the constructor used to build a Tol that load()
-    // immediately discarded; the Tol is now built lazily in load(),
-    // and loading a second program must restart cleanly even after a
-    // partial run of the first.
+    // The Tol is built lazily in load(), and loading a second program
+    // must restart cleanly even after a partial run of the first: the
+    // run then equals a fresh Controller's, counter for counter, and
+    // so does the guest OS (time, output) it ran against.
     guest::Program p1 = synthesize(smallWorkload(18));
     guest::Program p2 = synthesize(smallWorkload(19));
 
@@ -405,7 +427,8 @@ TEST(Controller, DoubleLoadRestartsCleanly)
     EXPECT_FALSE(reused.finished());
     reused.load(p1);
     EXPECT_TRUE(reused.loaded());
-    reused.tol().run(2000); // abandon p1 mid-flight
+    reused.run(20'000); // abandon p1 mid-flight, past some syscalls
+    ASSERT_GT(reused.stats().value("sync.syscalls"), 0u);
     reused.load(p2);
     ASSERT_NO_THROW(reused.run());
     EXPECT_TRUE(reused.finished());
@@ -413,6 +436,57 @@ TEST(Controller, DoubleLoadRestartsCleanly)
     EXPECT_EQ(reused.tol().completedInsts(),
               fresh.tol().completedInsts());
     EXPECT_EQ(reused.validateState(), "");
+    EXPECT_EQ(statsOf(reused), statsOf(fresh));
+    EXPECT_EQ(reused.ref().os().output(), fresh.ref().os().output());
+}
+
+TEST(Controller, RestoreIntoUsedControllerEqualsFresh)
+{
+    // A restore rebuilds the whole controller from the image. Into a
+    // controller that has run a program past the image's point, this
+    // one or another, it must give what a fresh Controller gives: the
+    // same stats map, and the same bytes when saved again at once.
+    guest::Program saved = synthesize(smallWorkload(20));
+    guest::Program other = synthesize(smallWorkload(21));
+    const std::vector<std::vector<std::string>> variants = {
+        {},
+        {"cores=2"},
+        {"tol.async.threads=2", "tol.async.vthreads=2",
+         "tol.async.rate=1"},
+    };
+    for (const std::vector<std::string> &extra : variants) {
+        SCOPED_TRACE(extra.empty() ? "cores=1" : extra.front());
+        Config cfg = testCfg(extra);
+        const bool async = cfg.has("tol.async.threads");
+
+        // The async image is saved with translations in flight.
+        Controller src(cfg);
+        src.load(saved);
+        u64 at = 15'000;
+        src.run(at);
+        while (async && !src.finished() && src.tol().asyncPending() == 0)
+            src.run(500);
+        ASSERT_FALSE(src.finished());
+        std::string image = saveImage(src);
+        if (async) {
+            ASSERT_GT(src.tol().asyncPending(), 0u);
+        }
+
+        Controller fresh(cfg);
+        restoreImage(fresh, image);
+        std::map<std::string, u64> freshStats = statsOf(fresh);
+        std::string freshImage = saveImage(fresh);
+
+        for (const guest::Program *prog : {&saved, &other}) {
+            SCOPED_TRACE(prog->name);
+            Controller used(cfg);
+            used.load(*prog);
+            used.run(3 * at);
+            restoreImage(used, image);
+            EXPECT_EQ(statsOf(used), freshStats);
+            EXPECT_TRUE(saveImage(used) == freshImage);
+        }
+    }
 }
 
 TEST(Controller, DisabledValidationSkipsChecks)

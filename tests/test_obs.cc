@@ -1,7 +1,7 @@
 /**
  * @file
  * Observability tests (ctest labels: observability, concurrency —
- * the histogram hammer is a TSan target).
+ * the traced async runs are a TSan target).
  *
  * - Tracer/MetricsWriter units: recording, clocks, export shape;
  * - trace JSON validity: the exported Chrome trace and every metrics
@@ -14,19 +14,17 @@
  * - determinism: the virtual-time trace and metrics streams are
  *   byte-identical across positive tol.async.threads counts;
  * - isolation: enabling tracing changes no simulated statistic;
- * - Histogram thread-safety hammer and StatGroup::dumpJson schema;
+ * - the StatGroup::dumpJson schema;
  * - warnings: one formatted line per warn() to the installed sink.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cctype>
 #include <cstring>
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/logging.hh"
@@ -449,41 +447,6 @@ TEST(Determinism, TracingEnabledChangesNoSimulatedStat)
               on->stats().counters().size());
 }
 
-// --- histogram thread safety -----------------------------------------
-
-TEST(HistogramHammer, ConcurrentSamplersLoseNothing)
-{
-    StatGroup g("hammer");
-    Histogram &h = g.histogram("lat", {8, 64, 512, 4096});
-
-    constexpr unsigned kThreads = 8;
-    constexpr u64 kIters = 20'000;
-    std::atomic<bool> go{false};
-    std::vector<std::thread> ts;
-    for (unsigned i = 0; i < kThreads; ++i) {
-        ts.emplace_back([&h, &go, i]() {
-            while (!go.load(std::memory_order_acquire)) {
-            }
-            for (u64 k = 0; k < kIters; ++k)
-                h.sample((k * (i + 1)) % 6000);
-        });
-    }
-    go.store(true, std::memory_order_release);
-    for (std::thread &t : ts)
-        t.join();
-
-    EXPECT_EQ(h.count(), u64(kThreads) * kIters);
-    u64 expectSum = 0;
-    for (unsigned i = 0; i < kThreads; ++i)
-        for (u64 k = 0; k < kIters; ++k)
-            expectSum += (k * (i + 1)) % 6000;
-    EXPECT_EQ(h.sum(), expectSum);
-    u64 bucketed = 0;
-    for (u64 b : h.buckets())
-        bucketed += b;
-    EXPECT_EQ(bucketed, h.count());
-}
-
 // --- stats JSON -------------------------------------------------------
 
 TEST(StatsJson, DumpJsonIsValidAndStable)
@@ -491,17 +454,15 @@ TEST(StatsJson, DumpJsonIsValidAndStable)
     StatGroup g("grp");
     g.counter("b.two").inc(2);
     g.counter("a.one").inc(1);
-    g.histogram("h", {10, 20}).sample(15);
 
     std::ostringstream os;
     g.dumpJson(os);
     std::string j = os.str();
     EXPECT_TRUE(validJson(j)) << j;
-    EXPECT_NE(j.find("\"name\""), std::string::npos);
-    EXPECT_NE(j.find("\"counters\""), std::string::npos);
-    EXPECT_NE(j.find("\"histograms\""), std::string::npos);
-    // Sorted (map) key order makes the dump diffable.
-    EXPECT_LT(j.find("a.one"), j.find("b.two"));
+    // The whole schema: the group's name and its counters, in sorted
+    // (map) key order, which makes the dump diffable.
+    EXPECT_EQ(j, "{\"name\":\"grp\","
+                 "\"counters\":{\"a.one\":1,\"b.two\":2}}");
 
     std::ostringstream os2;
     g.dumpJson(os2);

@@ -138,7 +138,6 @@ expectIdenticalResults(const CampaignResult &local,
         EXPECT_EQ(x.simpoints, y.simpoints);
         EXPECT_EQ(x.sampledInsts, y.sampledInsts);
         EXPECT_EQ(x.stats, y.stats);
-        EXPECT_EQ(x.statsJson, y.statsJson);
         EXPECT_EQ(x.effectiveConfig, y.effectiveConfig);
     }
 }
@@ -748,7 +747,6 @@ TEST(Wire, JobAndResultRoundTrip)
     r.cycles = 1e6;
     r.ipc = 1.25;
     r.stats = {{"tol.guest_im", 7}, {"cc.flushes", 1}};
-    r.statsJson = "{\"a\": 1}";
     r.effectiveConfig = {{"cores", "1"}};
     {
         std::string payload = wire::encode(
@@ -770,7 +768,6 @@ TEST(Wire, JobAndResultRoundTrip)
         EXPECT_EQ(back.cycles, r.cycles);
         EXPECT_EQ(back.ipc, r.ipc);
         EXPECT_EQ(back.stats, r.stats);
-        EXPECT_EQ(back.statsJson, r.statsJson);
         EXPECT_EQ(back.effectiveConfig, r.effectiveConfig);
     }
 }

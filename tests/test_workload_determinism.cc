@@ -68,7 +68,7 @@ runOnce(const Program &prog, u64 seed)
     r.insts = tol.completedInsts();
     r.bbs = tol.completedBBs();
     std::ostringstream os;
-    ctl.stats().dump(os);
+    ctl.stats().dumpJson(os);
     r.stats = os.str();
     return r;
 }

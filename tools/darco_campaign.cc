@@ -56,6 +56,7 @@
  * refused for a matrix of more than one job and in sampled mode.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -251,8 +252,9 @@ parseArgs(int argc, char **argv, Options &o)
             const char *v = next();
             if (!v)
                 return false;
-            o.scale = std::atof(v);
-            if (o.scale <= 0)
+            char *end = nullptr;
+            o.scale = std::strtod(v, &end);
+            if (*end != '\0' || !std::isfinite(o.scale) || o.scale <= 0)
                 return false;
         } else if (a == "--max-insts") {
             const char *v = next();
@@ -553,15 +555,13 @@ main(int argc, char **argv)
         if (!o.jsonPath.empty() && !writeFile(o.jsonPath, res.json()))
             return 2;
         if (!o.statsJsonPath.empty()) {
-            // One array entry per job: the full StatGroup::dumpJson
-            // snapshot (every counter and histogram).
+            // One array entry per job: its whole stats record.
             std::string out = "[\n";
             for (std::size_t i = 0; i < res.results.size(); ++i) {
                 const auto &r = res.results[i];
                 out += "  {\"workload\": \"" + r.workload +
                        "\", \"config\": \"" + r.configName +
-                       "\", \"stats\": " +
-                       (r.statsJson.empty() ? "null" : r.statsJson) +
+                       "\", \"stats\": " + campaign::statsJson(r) +
                        "}";
                 out += (i + 1 < res.results.size()) ? ",\n" : "\n";
             }

@@ -19,6 +19,7 @@
  * Exit code: 0 on success, 2 on usage errors or failures.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -97,8 +98,9 @@ parseArgs(int argc, char **argv, Options &o)
             const char *v = next();
             if (!v)
                 return false;
-            o.scale = std::atof(v);
-            if (o.scale <= 0)
+            char *end = nullptr;
+            o.scale = std::strtod(v, &end);
+            if (*end != '\0' || !std::isfinite(o.scale) || o.scale <= 0)
                 return false;
         } else if (a == "--interval") {
             const char *v = next();

@@ -18,16 +18,20 @@
  *   darco_verify --list                   # show the matrix
  *
  * Exit code: 0 when every proof succeeded, 1 on any refuted/unknown
- * proof (or a run failure), 2 on usage errors.
+ * proof (or a run failure), 2 on usage errors: an unknown preset,
+ * workload or -c key, and a --max-insts that is not a positive
+ * number.
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.hh"
 #include "common/logging.hh"
+#include "common/schema.hh"
 #include "sim/controller.hh"
 #include "workloads/synth.hh"
 
@@ -144,6 +148,11 @@ usage(const char *argv0)
 bool
 parseArgs(int argc, char **argv, Options &o)
 {
+    auto number = [](const char *v, u64 &out) {
+        char *end = nullptr;
+        out = std::strtoull(v, &end, 0);
+        return *v != '\0' && end && *end == '\0';
+    };
     bool presets_reset = false;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -166,9 +175,8 @@ parseArgs(int argc, char **argv, Options &o)
             o.workloads.push_back(v);
         } else if (a == "--max-insts") {
             const char *v = next();
-            if (!v)
+            if (!v || !number(v, o.maxInsts) || o.maxInsts == 0)
                 return false;
-            o.maxInsts = std::strtoull(v, nullptr, 0);
         } else if (a == "--list") {
             o.list = true;
         } else if (a == "-c") {
@@ -223,6 +231,20 @@ main(int argc, char **argv)
         suite.swap(picked);
     }
 
+    // An unknown preset or -c key is a usage error, found before any
+    // cell runs: exit 1 means a proof or a run failed.
+    std::vector<std::string> extra = o.extra;
+    extra.push_back("tol.verify=true");
+    std::vector<std::pair<std::string, Config>> configs;
+    try {
+        configs = campaign::presetConfigs(o.presets, extra);
+        for (const auto &[preset, cfg] : configs)
+            conf::schema().validate(cfg, "darco_verify -c");
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "darco_verify: %s\n", e.what());
+        return 2;
+    }
+
     if (o.list) {
         std::printf("workloads:");
         for (const auto &p : suite)
@@ -234,14 +256,10 @@ main(int argc, char **argv)
         return 0;
     }
 
-    std::vector<std::string> extra = o.extra;
-    extra.push_back("tol.verify=true");
-
     unsigned cells = 0, failed_cells = 0;
     u64 proved = 0, refuted = 0, unknown = 0;
 
     try {
-        auto configs = campaign::presetConfigs(o.presets, extra);
         for (const auto &wp : suite) {
             guest::Program prog = workloads::synthesize(wp);
             for (const auto &[preset, cfg] : configs) {
