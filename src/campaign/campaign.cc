@@ -395,6 +395,52 @@ sanitize(const std::string &s)
 }
 
 /**
+ * The config of the job's one traced controller: with a trace
+ * directory, the (cosmetic, so checkpoint-compatible) obs.* paths of
+ * the job's files, unless the job config already names its own.
+ */
+Config
+tracedConfig(const Job &job, const RunOptions &opts)
+{
+    Config cfg = job.config;
+    if (!opts.traceDir.empty()) {
+        std::error_code ec;
+        std::filesystem::create_directories(opts.traceDir, ec);
+        std::string base = opts.traceDir + '/' +
+                           sanitize(job.workload) + '-' +
+                           sanitize(job.configName);
+        if (conf::getString(cfg, "obs.trace.path").empty())
+            cfg.set("obs.trace.path", base + ".trace.json");
+        if (conf::getString(cfg, "obs.metrics.path").empty())
+            cfg.set("obs.metrics.path", base + ".metrics.jsonl");
+    }
+    return cfg;
+}
+
+/** Label the traced controller's outputs `<workload>/<config>`. */
+void
+labelTrace(sim::Controller &ctl, const Job &job)
+{
+    if (ctl.obsSession())
+        ctl.obsSession()->setJobLabel(job.workload + "/" +
+                                      job.configName);
+}
+
+/**
+ * The job's config with both obs.* paths cleared, for its other
+ * controllers, so that the traced one alone writes the job's trace
+ * and metrics files; both keys are cosmetic, so images are the same.
+ */
+Config
+untraced(const Job &job)
+{
+    Config cfg = job.config;
+    cfg.set("obs.trace.path", std::string());
+    cfg.set("obs.metrics.path", std::string());
+    return cfg;
+}
+
+/**
  * The one fetch-or-compute rule for checkpoint images, prefix and
  * per-simpoint alike. Fetch `key` from `store` and hand the bytes to
  * `restore`; a hit needs nothing else. A restore that throws
@@ -476,27 +522,10 @@ runJob(const Job &job, const RunOptions &opts)
     r.effectiveConfig = conf::schema().effective(job.config);
     auto t0 = std::chrono::steady_clock::now();
 
-    // Per-job observability outputs: with a trace directory, inject
-    // the (cosmetic, so checkpoint-compatible) obs.* paths unless the
-    // job config already names its own.
-    Config cfg = job.config;
-    if (!opts.traceDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(opts.traceDir, ec);
-        std::string base = opts.traceDir + '/' +
-                           sanitize(job.workload) + '-' +
-                           sanitize(job.configName);
-        if (conf::getString(cfg, "obs.trace.path").empty())
-            cfg.set("obs.trace.path", base + ".trace.json");
-        if (conf::getString(cfg, "obs.metrics.path").empty())
-            cfg.set("obs.metrics.path", base + ".metrics.jsonl");
-    }
-
     try {
-        sim::Controller ctl(cfg);
-        if (ctl.obsSession())
-            ctl.obsSession()->setJobLabel(job.workload + "/" +
-                                          job.configName);
+        // The measured controller is the traced one.
+        sim::Controller ctl(tracedConfig(job, opts));
+        labelTrace(ctl, job);
 
         if (job.skip > 0) {
             // Fetch-or-compute the prefix image: any job with the
@@ -513,13 +542,7 @@ runJob(const Job &job, const RunOptions &opts)
                     restoreImage(ctl, image);
                 },
                 [&](bool) {
-                    // Only the measured controller writes the job's
-                    // trace and metrics files; both keys are
-                    // cosmetic, so the image is the same.
-                    Config prefix = cfg;
-                    prefix.set("obs.trace.path", std::string());
-                    prefix.set("obs.metrics.path", std::string());
-                    sim::Controller pre(prefix);
+                    sim::Controller pre(untraced(job));
                     pre.load(job.program);
                     pre.run(job.skip);
                     return saveImage(pre);
@@ -579,8 +602,9 @@ runJob(const Job &job, const RunOptions &opts)
  *  1. a functional BBV-profiling Controller run over the whole
  *     budget (tol.bbv_interval = opts.simpoint.interval) supplies the
  *     job's functional results (insts, bbs, exit code, stats) and
- *     the phase profile;
- *  2. pickSimPoints clusters the profile (seeded, deterministic);
+ *     the phase profile; it is the job's traced controller;
+ *  2. pickSimPoints clusters the profile (seeded, deterministic)
+ *     into the job's plan, JobResult::plan;
  *  3. a measurement pass walks the simpoints in ascending order,
  *     fetching each one's checkpoint from the store (simpointKey) or
  *     fast-forwarding functionally and publishing it, then running
@@ -618,12 +642,12 @@ runSampledJob(const Job &job, const RunOptions &opts)
                 "sampled (simpoint) mode does not support a skip "
                 "prefix: simpoints cover the whole run");
 
-        // --- 1: BBV profiling (functional) --------------------------
-        Config pcfg = job.config;
-        pcfg.set("tol.bbv_interval", s64(opts.simpoint.interval));
-        sampling::BbvProfile profile;
+        // --- 1-2: BBV profiling (functional), the plan -------------
         {
+            Config pcfg = tracedConfig(job, opts);
+            pcfg.set("tol.bbv_interval", s64(opts.simpoint.interval));
             sim::Controller prof(pcfg);
+            labelTrace(prof, job);
             prof.load(job.program);
             prof.run(job.maxInsts);
             r.finished = prof.finished();
@@ -632,17 +656,15 @@ runSampledJob(const Job &job, const RunOptions &opts)
             r.bbs = prof.tol().completedBBs();
             for (const auto &[name, c] : prof.stats().counters())
                 r.stats[name] = c.value();
-            profile = sampling::harvestBbv(prof.tol().profiler());
+            r.plan = sampling::pickSimPoints(
+                sampling::harvestBbv(prof.tol().profiler()),
+                opts.simpoint);
         }
 
-        // --- 2: phase selection -------------------------------------
-        sampling::SimPointResult sp =
-            sampling::pickSimPoints(profile, opts.simpoint);
-        r.simpoints = u32(sp.points.size());
-
         // --- 3: detailed measurement over each simpoint -------------
+        const sampling::SimPointResult &sp = r.plan;
         if (opts.timing && !sp.points.empty()) {
-            sim::Controller ctl(job.config);
+            sim::Controller ctl(untraced(job));
             ctl.load(job.program);
 
             // Every sample is measured from checkpoint state at
@@ -708,8 +730,8 @@ runSampledJob(const Job &job, const RunOptions &opts)
                 for (const auto &[name, c] : tstats.counters())
                     snap[name] = c.value();
 
-                u64 end = std::min(p.startInst + profile.interval,
-                                   profile.totalInsts);
+                u64 end = std::min(p.startInst + sp.interval,
+                                   sp.totalInsts);
                 if (end > at && !ctl.finished())
                     ctl.run(end - at);
                 ctl.tol().setTraceSink(nullptr);
@@ -740,7 +762,7 @@ runSampledJob(const Job &job, const RunOptions &opts)
             }
 
             if (wSum > 0) {
-                double total = double(profile.totalInsts);
+                double total = double(sp.totalInsts);
                 r.cycles = wCpi / wSum * total;
                 // IPC as the ratio of estimated totals (host insts /
                 // cycles), matching the full-run definition.
@@ -853,6 +875,38 @@ timingCells(const JobResult &r, char sep)
     return os.str();
 }
 
+/**
+ * A sampled row's "simpoint_plan" object, or "null" for a job that
+ * failed before its plan. BIC values carry 1 decimal and weights 4.
+ */
+std::string
+planJson(const JobResult &r)
+{
+    const sampling::SimPointResult &p = r.plan;
+    if (p.interval == 0)
+        return "null";
+    std::ostringstream os;
+    os << "{\"interval\": " << p.interval
+       << ", \"total_insts\": " << p.totalInsts << ", \"k\": " << p.k
+       << ", \"bic\": " << fmtF(p.bic, 1) << ", \"bic_sweep\": [";
+    for (std::size_t i = 0; i < p.bicSweep.size(); ++i)
+        os << (i ? ", " : "") << "{\"k\": " << p.bicSweep[i].first
+           << ", \"bic\": " << fmtF(p.bicSweep[i].second, 1) << '}';
+    os << "], \"points\": [";
+    for (std::size_t i = 0; i < p.points.size(); ++i) {
+        const sampling::SimPoint &sp = p.points[i];
+        os << (i ? ", " : "") << "{\"interval_index\": "
+           << sp.intervalIndex << ", \"start_inst\": " << sp.startInst
+           << ", \"cluster\": " << sp.cluster
+           << ", \"weight\": " << fmtF(sp.weight, 4) << '}';
+    }
+    os << "], \"assignment\": [";
+    for (std::size_t i = 0; i < p.assignment.size(); ++i)
+        os << (i ? ", " : "") << p.assignment[i];
+    os << "]}";
+    return os.str();
+}
+
 /** The full effective config as one CSV cell ("k=v;k=v;..."). */
 std::string
 effectiveConfigCell(const JobResult &r)
@@ -900,7 +954,8 @@ csvRow(const JobResult &r)
     os << r.workload << ',' << r.configName << ',' << (r.ok ? 1 : 0)
        << ',' << (r.finished ? 1 : 0) << ',' << r.exitCode << ','
        << r.insts << ',' << r.bbs << ',' << timingCells(r, ',') << ','
-       << r.sampleMode << ',' << r.simpoints << ',' << r.sampledInsts;
+       << r.sampleMode << ',' << r.plan.points.size() << ','
+       << r.sampledInsts;
     for (const std::string &s : reportStats)
         os << ',' << statOr0(r, s);
     os << ',' << effectiveConfigCell(r) << ','
@@ -946,7 +1001,7 @@ CampaignResult::json() const
            << ", \"energy_j\": " << fmtF(r.energyJ * 1e6, 3) << "e-06"
            << ", \"avg_w\": " << fmtF(r.avgPowerW, 4)
            << ", \"sample_mode\": \"" << r.sampleMode
-           << "\", \"simpoints\": " << r.simpoints
+           << "\", \"simpoints\": " << r.plan.points.size()
            << ", \"sampled_insts\": " << r.sampledInsts
            << ", \"checkpoint\": \""
            << (r.checkpointHit ? "hit"
@@ -967,8 +1022,10 @@ CampaignResult::json() const
                << "\": \"" << jsonEscape(v) << '"';
             first = false;
         }
-        os << "}, \"stats_full\": " << statsJson(r)
-           << ", \"error\": \"" << jsonEscape(r.error) << "\"}"
+        os << "}, \"stats_full\": " << statsJson(r);
+        if (r.sampleMode == "simpoint")
+            os << ", \"simpoint_plan\": " << planJson(r);
+        os << ", \"error\": \"" << jsonEscape(r.error) << "\"}"
            << (i + 1 < results.size() ? "," : "") << '\n';
     }
     os << "]\n";

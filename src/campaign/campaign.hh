@@ -36,7 +36,9 @@
  * simpointKey on first use, restored afterwards). The reported
  * cycles/energy are weight-combined whole-program estimates; results
  * are byte-identical across worker counts and checkpoint-cache
- * states.
+ * states, torn entries included, because an image holds functional
+ * state only. Each sampled row carries its plan (JobResult::plan);
+ * with RunOptions::timing off the job stops after the plan.
  *
  * Report schema (the column order is stable and covered by a
  * regression test; new columns are only ever appended *within* their
@@ -61,7 +63,13 @@
  *         "effective_config" is a nested object too), plus
  *         "stats_full": the job's whole stats record (statsJson) —
  *         every counter, not just the stable stat columns (null for
- *         a job that failed before its record was taken).
+ *         a job that failed before its record was taken) — and, in
+ *         sampled rows only, "simpoint_plan": {"interval",
+ *         "total_insts", "k", "bic", "bic_sweep": [{"k", "bic"}],
+ *         "points": [{"interval_index", "start_inst", "cluster",
+ *         "weight"}], "assignment": [cluster per interval]} (null
+ *         for a job that failed before its plan). BIC values carry
+ *         1 decimal and weights 4.
  *
  * effective_config is the job's full default-resolved configuration
  * (every schema parameter mapped to its canonical value, see
@@ -171,8 +179,15 @@ struct JobResult
     double avgPowerW = 0;
 
     std::string sampleMode = "full"; //!< "full" | "simpoint"
-    u32 simpoints = 0;     //!< representative intervals measured
     u64 sampledInsts = 0;  //!< guest insts under the detailed models
+
+    /**
+     * A sampled job's SimPoint plan (sampling/simpoint.hh stages
+     * 1-4); empty (interval 0) in full mode and for a sampled job
+     * that failed before it. The `simpoints` report cell is its
+     * point count.
+     */
+    sampling::SimPointResult plan;
 
     /**
      * The job's stats record: every counter of its Controller at the
@@ -254,11 +269,12 @@ struct RunOptions
     CheckpointStore *store = nullptr;
     /**
      * Directory for per-job observability outputs; empty disables.
-     * Full-mode jobs get `<workload>-<config>.trace.json` (Chrome
-     * trace events) and `<workload>-<config>.metrics.jsonl`
-     * (interval metrics) unless the job config already sets its own
-     * obs.* paths. Sampled jobs are not traced (one job runs many
-     * short Controllers that would overwrite one file).
+     * Every job gets `<workload>-<config>.trace.json` (Chrome trace
+     * events) and `<workload>-<config>.metrics.jsonl` (interval
+     * metrics) unless the job config already sets its own obs.*
+     * paths. They cover one controller: the measured one in full
+     * mode, the profile pass (whose counters are the job's stats) in
+     * sampled mode. The job's other controllers run untraced.
      */
     std::string traceDir;
     /** Attach the timing + power models (cycles/ipc/energy columns). */

@@ -65,6 +65,55 @@ readStrMap(snapshot::Deserializer &d)
     return m;
 }
 
+void
+writePlan(snapshot::Serializer &s, const sampling::SimPointResult &p)
+{
+    s.w64(p.interval);
+    s.w64(p.totalInsts);
+    s.w32(p.k);
+    s.wf64(p.bic);
+    s.w64(p.bicSweep.size());
+    for (const auto &[k, bic] : p.bicSweep) {
+        s.w32(k);
+        s.wf64(bic);
+    }
+    s.w64(p.points.size());
+    for (const sampling::SimPoint &sp : p.points) {
+        s.w32(sp.intervalIndex);
+        s.w32(sp.cluster);
+        s.wf64(sp.weight);
+        s.w64(sp.startInst);
+    }
+    s.w64(p.assignment.size());
+    for (u32 c : p.assignment)
+        s.w32(c);
+}
+
+sampling::SimPointResult
+readPlan(snapshot::Deserializer &d)
+{
+    sampling::SimPointResult p;
+    p.interval = d.r64();
+    p.totalInsts = d.r64();
+    p.k = d.r32();
+    p.bic = d.rf64();
+    for (u64 i = 0, n = d.r64(); i < n; ++i) {
+        u32 k = d.r32();
+        p.bicSweep.emplace_back(k, d.rf64());
+    }
+    for (u64 i = 0, n = d.r64(); i < n; ++i) {
+        sampling::SimPoint sp;
+        sp.intervalIndex = d.r32();
+        sp.cluster = d.r32();
+        sp.weight = d.rf64();
+        sp.startInst = d.r64();
+        p.points.push_back(sp);
+    }
+    for (u64 i = 0, n = d.r64(); i < n; ++i)
+        p.assignment.push_back(d.r32());
+    return p;
+}
+
 } // namespace
 
 void
@@ -146,8 +195,8 @@ writeResult(snapshot::Serializer &s, const JobResult &r)
     s.wf64(r.energyJ);
     s.wf64(r.avgPowerW);
     s.wstr(r.sampleMode);
-    s.w32(r.simpoints);
     s.w64(r.sampledInsts);
+    writePlan(s, r.plan);
     s.w64(r.stats.size());
     for (const auto &[k, v] : r.stats) {
         s.wstr(k);
@@ -177,8 +226,8 @@ readResult(snapshot::Deserializer &d)
     r.energyJ = d.rf64();
     r.avgPowerW = d.rf64();
     r.sampleMode = d.rstr();
-    r.simpoints = d.r32();
     r.sampledInsts = d.r64();
+    r.plan = readPlan(d);
     u64 nstats = d.r64();
     for (u64 i = 0; i < nstats; ++i) {
         std::string k = d.rstr();

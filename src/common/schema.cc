@@ -30,6 +30,22 @@ typeName(ParamType t)
     }
 }
 
+bool
+parseU64(const std::string &s, u64 &out)
+{
+    // strtoull skips leading whitespace and then silently negates a
+    // signed value (" -5" wraps to 2^64-5): reject '-' anywhere.
+    if (s.empty() || s.find('-') != std::string::npos)
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    u64 v = std::strtoull(s.c_str(), &end, 0);
+    if (end == s.c_str() || *end != '\0' || errno == ERANGE)
+        return false;
+    out = v;
+    return true;
+}
+
 namespace
 {
 
@@ -50,22 +66,6 @@ fmtFloat(double v)
             break;
     }
     return buf;
-}
-
-bool
-parseU64(const std::string &s, u64 &out)
-{
-    // strtoull skips leading whitespace and then silently negates a
-    // signed value (" -5" wraps to 2^64-5): reject '-' anywhere.
-    if (s.empty() || s.find('-') != std::string::npos)
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    u64 v = std::strtoull(s.c_str(), &end, 0);
-    if (end == s.c_str() || *end != '\0' || errno == ERANGE)
-        return false;
-    out = v;
-    return true;
 }
 
 bool

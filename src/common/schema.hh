@@ -55,6 +55,14 @@ enum class ParamType
 /** "bool", "uint", ... (docs, error messages). */
 const char *typeName(ParamType t);
 
+/**
+ * Parse a whole unsigned number (decimal, 0x hex or 0 octal) into
+ * `out`: false on an empty string, a minus sign, trailing text or a
+ * value above 2^64-1. The one parser of uint config values and of
+ * the tools' numeric flags.
+ */
+bool parseU64(const std::string &s, u64 &out);
+
 /** One declared configuration parameter. */
 struct ParamSpec
 {

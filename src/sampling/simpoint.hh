@@ -31,7 +31,9 @@
  *     controller to each simpoint's warm-up start through the
  *     campaign's checkpoint store (campaign::simpointKey, fetched or
  *     computed), then runs the detailed models over the window.
- *     This header covers stages 1-4; darco_simpoint prints them.
+ *     This header covers stages 1-4, a sampled job's plan: the
+ *     campaign reports it (JobResult::plan, "simpoint_plan" in the
+ *     JSON report), and with timing off the job stops after it.
  *
  * Every stage is deterministic for a fixed seed: repeated runs, runs
  * after a profiler snapshot round-trip, and runs on different worker

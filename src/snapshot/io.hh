@@ -63,8 +63,11 @@ constexpr u32 snapshotMagic = 0x30435244u;
  *     dispatch-interleaver RNG state and current core; the controller
  *     writes one `ref<i>`/`emem<i>` section pair per extra core
  *     (core 0 keeps the unsuffixed names).
+ * v6: the cost model drops its synthesized-stream cursor from the
+ *     `tol` section: an image holds functional state only, so
+ *     attaching a timing sink before a save never changes it.
  */
-constexpr u32 snapshotVersion = 5;
+constexpr u32 snapshotVersion = 6;
 
 /**
  * Upper bound on a section name. Real names are a handful of bytes

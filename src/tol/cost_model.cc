@@ -213,7 +213,6 @@ CostModel::save(snapshot::Serializer &s) const
     s.w64(totals_.size());
     for (u64 v : totals_)
         s.w64(v);
-    s.w32(synthPc_);
 }
 
 void
@@ -224,7 +223,6 @@ CostModel::restore(snapshot::Deserializer &d)
         throw snapshot::SnapshotError("overhead category count changed");
     for (u64 &v : totals_)
         v = d.r64();
-    synthPc_ = d.r32();
 }
 
 } // namespace darco::tol

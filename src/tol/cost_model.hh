@@ -137,6 +137,8 @@ class CostModel
      *  counter key set is the same as with a lookup per charge. */
     std::array<Counter *, unsigned(Overhead::NumCats)> ovCounters_{};
     host::TraceSink *sink_ = nullptr;
+    /** Cursor of the synthesized stream: timing state, so never
+     *  saved; a fresh Tol starts the stream at its base. */
     u32 synthPc_ = 0;
 
     u64 cInterpInst_, cInterpDispatch_;

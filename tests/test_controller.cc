@@ -16,6 +16,7 @@
 #include "guest/asm.hh"
 #include "sim/controller.hh"
 #include "sim/debug.hh"
+#include "timing/core.hh"
 #include "workloads/suite.hh"
 
 using namespace darco;
@@ -487,6 +488,31 @@ TEST(Controller, RestoreIntoUsedControllerEqualsFresh)
             EXPECT_TRUE(saveImage(used) == freshImage);
         }
     }
+}
+
+TEST(Controller, TimingSinkLeavesImageUnchanged)
+{
+    // An image holds functional state only. A run that had the timing
+    // model attached for a while saves the bytes of one that never
+    // had it: the synthesized TOL-code stream feeding the model is
+    // timing state, and a restored run starts it afresh.
+    guest::Program prog = synthesize(smallWorkload(22));
+    auto imageAfter = [&prog](bool timed) {
+        Config cfg = testCfg();
+        Controller ctl(cfg);
+        ctl.load(prog);
+        StatGroup tstats("timing");
+        timing::InOrderCore core(cfg, tstats);
+        if (timed)
+            ctl.tol().setTraceSink(&core);
+        ctl.run(50'000);
+        ctl.tol().setTraceSink(nullptr);
+        ctl.run(50'000);
+        EXPECT_FALSE(ctl.finished());
+        EXPECT_EQ(core.cycles() > 0, timed);
+        return saveImage(ctl);
+    };
+    EXPECT_TRUE(imageAfter(true) == imageAfter(false));
 }
 
 TEST(Controller, DisabledValidationSkipsChecks)

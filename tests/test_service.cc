@@ -108,10 +108,30 @@ spawnWorker(u16 port, const std::string &id, int *rc)
     });
 }
 
+/** Two SimPoint plans, field by field. */
+void
+expectSamePlan(const sampling::SimPointResult &a,
+               const sampling::SimPointResult &b)
+{
+    EXPECT_EQ(a.interval, b.interval);
+    EXPECT_EQ(a.totalInsts, b.totalInsts);
+    EXPECT_EQ(a.k, b.k);
+    EXPECT_EQ(a.bic, b.bic);
+    EXPECT_EQ(a.bicSweep, b.bicSweep);
+    EXPECT_EQ(a.assignment, b.assignment);
+    ASSERT_EQ(a.points.size(), b.points.size());
+    for (std::size_t i = 0; i < a.points.size(); ++i) {
+        EXPECT_EQ(a.points[i].intervalIndex, b.points[i].intervalIndex);
+        EXPECT_EQ(a.points[i].cluster, b.points[i].cluster);
+        EXPECT_EQ(a.points[i].weight, b.points[i].weight);
+        EXPECT_EQ(a.points[i].startInst, b.points[i].startInst);
+    }
+}
+
 /**
  * Everything that must be byte-identical between a local and a
  * distributed run: every result field except the provenance pair
- * (workerId, wallMs), including the full stats map.
+ * (workerId, wallMs), including the full stats map and the plan.
  */
 void
 expectIdenticalResults(const CampaignResult &local,
@@ -135,8 +155,8 @@ expectIdenticalResults(const CampaignResult &local,
         EXPECT_EQ(x.energyJ, y.energyJ);
         EXPECT_EQ(x.avgPowerW, y.avgPowerW);
         EXPECT_EQ(x.sampleMode, y.sampleMode);
-        EXPECT_EQ(x.simpoints, y.simpoints);
         EXPECT_EQ(x.sampledInsts, y.sampledInsts);
+        expectSamePlan(x.plan, y.plan);
         EXPECT_EQ(x.stats, y.stats);
         EXPECT_EQ(x.effectiveConfig, y.effectiveConfig);
     }
@@ -633,7 +653,7 @@ TEST(ServiceStore, SampledJobsSharePerSimpointImages)
     sampled.sampleWarmup = 5'000;
     CampaignResult local = runCampaign(jobs, sampled);
     ASSERT_TRUE(local.results[0].ok) << local.results[0].error;
-    ASSERT_GT(local.results[0].simpoints, 0u);
+    ASSERT_GT(local.results[0].plan.points.size(), 0u);
 
     DirStore store(dir + "/store");
     std::vector<CampaignResult> runs;
@@ -657,10 +677,10 @@ TEST(ServiceStore, SampledJobsSharePerSimpointImages)
     EXPECT_FALSE(cold.checkpointHit);
     EXPECT_TRUE(warm.checkpointHit);
     EXPECT_EQ(filesUnder(dir + "/store").size(),
-              std::size_t(local.results[0].simpoints));
+              local.results[0].plan.points.size());
     const JobResult &base = local.results[0];
     for (const JobResult *r : {&cold, &warm}) {
-        EXPECT_EQ(r->simpoints, base.simpoints);
+        expectSamePlan(r->plan, base.plan);
         EXPECT_EQ(r->cycles, base.cycles);
         EXPECT_EQ(r->ipc, base.ipc);
         EXPECT_EQ(r->energyJ, base.energyJ);
@@ -748,6 +768,14 @@ TEST(Wire, JobAndResultRoundTrip)
     r.ipc = 1.25;
     r.stats = {{"tol.guest_im", 7}, {"cc.flushes", 1}};
     r.effectiveConfig = {{"cores", "1"}};
+    r.sampleMode = "simpoint";
+    r.plan.interval = 1000;
+    r.plan.totalInsts = 2500;
+    r.plan.k = 2;
+    r.plan.bic = -12.34;
+    r.plan.bicSweep = {{1, -20.06}, {2, -12.34}};
+    r.plan.points = {{0, 1, 0.8, 0}, {2, 0, 0.2, 2000}};
+    r.plan.assignment = {1, 1, 0};
     {
         std::string payload = wire::encode(
             wire::msg::result, [&](snapshot::Serializer &s) {
@@ -769,5 +797,7 @@ TEST(Wire, JobAndResultRoundTrip)
         EXPECT_EQ(back.ipc, r.ipc);
         EXPECT_EQ(back.stats, r.stats);
         EXPECT_EQ(back.effectiveConfig, r.effectiveConfig);
+        EXPECT_EQ(back.sampleMode, r.sampleMode);
+        expectSamePlan(back.plan, r.plan);
     }
 }

@@ -13,16 +13,20 @@
  *   cycles/energy estimates must land within SIMPOINT_ERROR_BOUND of
  *   the full detailed run (the bound documented in DESIGN.md);
  * - campaign determinism: sampled jobs=N byte-identical to jobs=1,
- *   and independent of the checkpoint-cache state; the store holds
- *   one image per simpoint, each restoring at its warm-up start;
- * - report schema: the CSV/JSON column order is pinned, and the
- *   timing/power columns are populated for the interp/fullopt
- *   presets.
+ *   and independent of the checkpoint-cache state, torn entries
+ *   included; the store holds one image per simpoint, each restoring
+ *   at its warm-up start; a sampled job's trace covers its profile
+ *   pass;
+ * - report schema: the CSV/JSON column order is pinned, a sampled
+ *   row's plan rendering is pinned, and the timing/power columns are
+ *   populated for the interp/fullopt presets.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -115,7 +119,11 @@ void
 expectSameSimPoints(const sampling::SimPointResult &a,
                     const sampling::SimPointResult &b)
 {
+    EXPECT_EQ(a.interval, b.interval);
+    EXPECT_EQ(a.totalInsts, b.totalInsts);
     EXPECT_EQ(a.k, b.k);
+    EXPECT_EQ(a.bic, b.bic);
+    EXPECT_EQ(a.bicSweep, b.bicSweep);
     EXPECT_EQ(a.assignment, b.assignment);
     ASSERT_EQ(a.points.size(), b.points.size());
     for (std::size_t i = 0; i < a.points.size(); ++i) {
@@ -298,7 +306,7 @@ TEST(Accuracy, SampledEstimatesWithinBoundOfFullRun)
         EXPECT_EQ(f.exitCode, s.exitCode);
         ASSERT_GT(f.cycles, 0.0);
         ASSERT_GT(f.energyJ, 0.0);
-        EXPECT_GT(s.simpoints, 0u);
+        EXPECT_GT(s.plan.points.size(), 0u);
         // The point of sampling: detailed simulation over a strict
         // subset of the program. Meaningful once the workload has
         // more intervals than the clusterer can pick as simpoints
@@ -446,7 +454,7 @@ TEST(SampledCampaign, StoresOneRestorableImagePerSimPoint)
     sampling::SimPointResult sp = sampling::pickSimPoints(
         sampling::harvestBbv(prof.tol().profiler()), opts.simpoint);
     ASSERT_GT(sp.points.size(), 1u);
-    EXPECT_EQ(res.results[0].simpoints, sp.points.size());
+    expectSameSimPoints(res.results[0].plan, sp);
 
     // One image per simpoint, under its simpointKey, each restoring
     // into a fresh controller at the warm-up start (quiesce may
@@ -487,34 +495,22 @@ TEST(SampledCampaign, CheckpointCacheDoesNotChangeEstimates)
     campaign::CampaignResult none =
         campaign::runCampaign(jobs, sampledOpts(10'000, 2));
 
-    // Tear the first image each job's walk computes, in its last
-    // section, stats, which claims one counter more than it holds: the
-    // restore throws after the Tol was rebuilt, and the walk rewinds
-    // the half-restored controller in place, by load(). It must
-    // recompute the cold run's bytes, and every later simpoint still
-    // hits.
+    // Tear every image in its last section, stats, which claims one
+    // counter more than it holds: each restore throws after the Tol
+    // was rebuilt, and the walk rewinds the half-restored controller
+    // in place, by load() for a job's first simpoint and to the
+    // image it recomputed last for the others. Where the cold walk
+    // reached an image from a controller that had just measured a
+    // window, this one walks untimed, so every recomputed image must
+    // equal its cold bytes: an image holds no timing state.
     std::map<std::filesystem::path, std::string> images;
     for (const auto &e : std::filesystem::directory_iterator(dir)) {
         std::ifstream in(e.path(), std::ios::binary);
         images[e.path()] = {std::istreambuf_iterator<char>(in), {}};
     }
-    for (const campaign::Job &job : jobs) {
-        Config pcfg = job.config;
-        pcfg.set("tol.bbv_interval", s64(opts.simpoint.interval));
-        sim::Controller prof(pcfg);
-        prof.load(job.program);
-        prof.run();
-        sampling::SimPointResult sp = sampling::pickSimPoints(
-            sampling::harvestBbv(prof.tol().profiler()), opts.simpoint);
-        ASSERT_FALSE(sp.points.empty());
-        std::filesystem::path path =
-            std::filesystem::path(dir) /
-            (campaign::simpointKey(job, opts.simpoint.interval,
-                                   opts.sampleWarmup,
-                                   sp.points.front().intervalIndex) +
-             ".ckpt");
-        ASSERT_TRUE(images.count(path)) << path;
-        std::string bytes = images[path];
+    ASSERT_GT(images.size(), jobs.size());
+    for (const auto &[path, cold] : images) {
+        std::string bytes = cold;
         std::size_t at = bytes.rfind(std::string("\x05\x00stats", 7));
         ASSERT_NE(at, std::string::npos);
         char &count = bytes[at + 7 + 8]; // low byte, after the length
@@ -540,20 +536,112 @@ TEST(SampledCampaign, CheckpointCacheDoesNotChangeEstimates)
         EXPECT_TRUE(c.checkpointStored) << c.workload;
         EXPECT_TRUE(w.checkpointHit) << w.workload;
         EXPECT_TRUE(t.checkpointStored) << t.workload;
+        EXPECT_FALSE(t.checkpointHit) << t.workload;
         for (const campaign::JobResult *x : {&w, &n, &t}) {
-            EXPECT_DOUBLE_EQ(c.cycles, x->cycles) << c.workload;
-            EXPECT_DOUBLE_EQ(c.ipc, x->ipc) << c.workload;
-            EXPECT_DOUBLE_EQ(c.energyJ, x->energyJ) << c.workload;
+            EXPECT_EQ(c.cycles, x->cycles) << c.workload;
+            EXPECT_EQ(c.ipc, x->ipc) << c.workload;
+            EXPECT_EQ(c.energyJ, x->energyJ) << c.workload;
             EXPECT_EQ(c.sampledInsts, x->sampledInsts);
-            EXPECT_EQ(c.simpoints, x->simpoints);
+            expectSameSimPoints(c.plan, x->plan);
         }
     }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SampledCampaign, TraceCoversTheProfilePass)
+{
+    // A sampled job is traced like a full-mode one: one trace and one
+    // metrics file, written by its profile pass, whose counters are
+    // the job's stats. The measuring controller writes neither.
+    std::string dir = scratchDir();
+    std::vector<std::pair<std::string, guest::Program>> wls = {
+        {"sp-trace", phasedWorkload("sp-trace", 9)},
+    };
+    std::vector<std::string> extra = {"tol.bb_threshold=4",
+                                      "tol.sb_threshold=12",
+                                      "tol.min_edge_total=8"};
+    std::vector<campaign::Job> jobs = campaign::expandMatrix(
+        wls, campaign::presetConfigs({"fullopt"}, extra), ~0ull, 0);
+    campaign::RunOptions opts = sampledOpts(10'000);
+    opts.traceDir = dir;
+    campaign::CampaignResult res = campaign::runCampaign(jobs, opts);
+    const campaign::JobResult &r = res.results[0];
+    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_FALSE(r.plan.points.empty());
+    EXPECT_GT(r.sampledInsts, 0u);
+
+    std::vector<std::string> files;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        files.push_back(e.path().filename().string());
+    std::sort(files.begin(), files.end());
+    EXPECT_EQ(files, (std::vector<std::string>{
+                         "sp-trace-fullopt.metrics.jsonl",
+                         "sp-trace-fullopt.trace.json"}));
+
+    // The metrics rows tile the whole profile pass.
+    std::ifstream in(dir + "/sp-trace-fullopt.metrics.jsonl");
+    u64 rows = 0, modes = 0;
+    for (std::string line; std::getline(in, line); ++rows) {
+        for (const char *key : {"\"im\":", "\"bbm\":", "\"sbm\":"}) {
+            std::size_t at = line.find(key);
+            ASSERT_NE(at, std::string::npos) << line;
+            modes += std::stoull(line.substr(at + std::strlen(key)));
+        }
+    }
+    EXPECT_GT(rows, 1u);
+    EXPECT_EQ(modes, r.insts);
     std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------
 // Report schema
 // ---------------------------------------------------------------------
+
+TEST(Report, SampledRowsCarryTheirPlan)
+{
+    campaign::CampaignResult res;
+    res.results.resize(3);
+    campaign::JobResult &sampled = res.results[0];
+    sampled.sampleMode = "simpoint";
+    sampled.plan.interval = 1000;
+    sampled.plan.totalInsts = 2500;
+    sampled.plan.k = 2;
+    sampled.plan.bic = -12.34;
+    sampled.plan.bicSweep = {{1, -20.06}, {2, -12.34}};
+    sampled.plan.points = {{0, 1, 0.79996, 0}, {2, 0, 0.2, 2000}};
+    sampled.plan.assignment = {1, 1, 0};
+    res.results[1].sampleMode = "simpoint"; // failed before its plan
+    res.results[2].sampleMode = "full";
+
+    std::string json = res.json();
+    EXPECT_NE(json.find(
+                  "\"stats_full\": null, \"simpoint_plan\": "
+                  "{\"interval\": 1000, \"total_insts\": 2500, \"k\": 2, "
+                  "\"bic\": -12.3, \"bic_sweep\": [{\"k\": 1, \"bic\": "
+                  "-20.1}, {\"k\": 2, \"bic\": -12.3}], \"points\": "
+                  "[{\"interval_index\": 0, \"start_inst\": 0, "
+                  "\"cluster\": 1, \"weight\": 0.8000}, "
+                  "{\"interval_index\": 2, \"start_inst\": 2000, "
+                  "\"cluster\": 0, \"weight\": 0.2000}], "
+                  "\"assignment\": [1, 1, 0]}, \"error\": \"\"}"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"simpoint_plan\": null, \"error\""),
+              std::string::npos);
+    // One plan per sampled row; a full-mode row has none, and its
+    // simpoints cell stays 0.
+    std::size_t plans = 0;
+    for (std::size_t at = 0;
+         (at = json.find("simpoint_plan", at)) != std::string::npos;
+         ++at)
+        ++plans;
+    EXPECT_EQ(plans, 2u);
+    std::string full = json.substr(json.rfind("  {"));
+    EXPECT_EQ(full.find("simpoint_plan"), std::string::npos);
+    EXPECT_NE(full.find("\"simpoints\": 0,"), std::string::npos);
+    EXPECT_NE(json.find("\"simpoints\": 2,"), std::string::npos);
+    EXPECT_NE(res.csv().find(",simpoint,2,"), std::string::npos);
+}
 
 TEST(Report, ColumnOrderIsStableAndDocumented)
 {

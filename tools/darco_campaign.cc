@@ -10,6 +10,8 @@
  *   darco_campaign --workloads 401.bzip2,429.mcf --configs fullopt,interp
  *   darco_campaign --jobs 8 --skip 200000 --checkpoint-dir ckpt
  *   darco_campaign --sample-mode simpoint --interval 100000 --max-k 8
+ *   darco_campaign --workloads 470.lbm --configs fullopt \
+ *                  --sample-mode simpoint --no-timing --json plan.json
  *   darco_campaign --list
  *
  * Serve mode expands the same matrix but, instead of running jobs
@@ -45,15 +47,22 @@
  * --sample-mode simpoint the detailed models run only over
  * SimPoint-selected representative intervals and the report carries
  * weight-combined whole-program estimates (see src/sampling/
- * simpoint.hh).
+ * simpoint.hh). This is the one SimPoint driver: each sampled JSON
+ * row carries its plan ("simpoint_plan": the BIC sweep, the chosen
+ * simpoints and the per-interval cluster assignment), and with
+ * --no-timing the run stops after the plan. --trace-out and
+ * --stats-json cover a sampled job's profile pass.
  *
  * Exit code: 0 when every job succeeded, 1 on any job failure, 2 on
- * usage errors, which include a --workloads, --configs or --cores
- * list with no item and flags that the chosen mode would ignore: service knobs without --serve, --checkpoint-dir with
- * --worker, and --trace-out with --serve, --worker or --sample-mode
- * simpoint. A trace the run cannot honour is a usage error too:
- * -c obs.trace.path or -c obs.metrics.path names one file, so it is
- * refused for a matrix of more than one job and in sampled mode.
+ * usage errors. These include a number that is not a whole unsigned
+ * value fitting its field, a --workloads, --configs or --cores list
+ * with no item, a --max-insts budget that measures nothing (0, or no
+ * more than the --skip prefix), and flags that the chosen mode would
+ * ignore: service knobs without --serve, --checkpoint-dir with
+ * --worker, and --trace-out with --serve or --worker. A trace the run
+ * cannot honour is a usage error too: -c obs.trace.path or
+ * -c obs.metrics.path names one file, so it is refused for a matrix
+ * of more than one job.
  */
 
 #include <cmath>
@@ -158,7 +167,8 @@ usage(const char *argv0)
         "  --csv PATH          write the CSV report here\n"
         "  --json PATH         write the JSON report here\n"
         "  --trace-out D       per-job Chrome trace + interval-metrics\n"
-        "                      files in D (local full-mode jobs)\n"
+        "                      files in D (local runs; a sampled job's\n"
+        "                      cover its profile pass)\n"
         "  --stats-json PATH   write every job's full stats dump here\n"
         "  --serve             serve the matrix to remote workers and\n"
         "                      stream rows as they complete; with:\n"
@@ -206,11 +216,6 @@ splitCommas(const std::string &s)
 bool
 parseArgs(int argc, char **argv, Options &o)
 {
-    auto number = [](const char *v, u64 &out) {
-        char *end = nullptr;
-        out = std::strtoull(v, &end, 0);
-        return *v != '\0' && end && *end == '\0';
-    };
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         auto next = [&]() -> const char * {
@@ -219,7 +224,7 @@ parseArgs(int argc, char **argv, Options &o)
         u64 n = 0;
         if (a == "--jobs") {
             const char *v = next();
-            if (!v || !number(v, n) || n == 0)
+            if (!v || !conf::parseU64(v, n) || n == 0 || n > ~0u)
                 return false;
             o.run.jobs = unsigned(n);
         } else if (a == "--workloads") {
@@ -242,7 +247,7 @@ parseArgs(int argc, char **argv, Options &o)
                 return false;
             o.cores.clear();
             for (const std::string &c : splitCommas(v)) {
-                if (!number(c.c_str(), n) || n == 0)
+                if (!conf::parseU64(c, n) || n == 0)
                     return false;
                 o.cores.push_back(n);
             }
@@ -258,11 +263,11 @@ parseArgs(int argc, char **argv, Options &o)
                 return false;
         } else if (a == "--max-insts") {
             const char *v = next();
-            if (!v || !number(v, o.maxInsts))
+            if (!v || !conf::parseU64(v, o.maxInsts))
                 return false;
         } else if (a == "--skip") {
             const char *v = next();
-            if (!v || !number(v, o.skip))
+            if (!v || !conf::parseU64(v, o.skip))
                 return false;
         } else if (a == "--checkpoint-dir") {
             const char *v = next();
@@ -302,20 +307,20 @@ parseArgs(int argc, char **argv, Options &o)
         } else if (a == "--interval") {
             const char *v = next();
             u64 &interval = o.run.simpoint.interval;
-            if (!v || !number(v, interval) || interval == 0)
+            if (!v || !conf::parseU64(v, interval) || interval == 0)
                 return false;
         } else if (a == "--max-k") {
             const char *v = next();
-            if (!v || !number(v, n) || n == 0 || n > ~u32(0))
+            if (!v || !conf::parseU64(v, n) || n == 0 || n > ~u32(0))
                 return false;
             o.run.simpoint.maxK = u32(n);
         } else if (a == "--sample-seed") {
             const char *v = next();
-            if (!v || !number(v, o.run.simpoint.seed))
+            if (!v || !conf::parseU64(v, o.run.simpoint.seed))
                 return false;
         } else if (a == "--sample-warmup") {
             const char *v = next();
-            if (!v || !number(v, o.run.sampleWarmup))
+            if (!v || !conf::parseU64(v, o.run.sampleWarmup))
                 return false;
         } else if (a == "--serve") {
             o.serve = true;
@@ -329,15 +334,15 @@ parseArgs(int argc, char **argv, Options &o)
             if (a == "--bind") {
                 svc.bind = v;
             } else if (a == "--port") {
-                if (!number(v, n) || n > 65535)
+                if (!conf::parseU64(v, n) || n > 65535)
                     return false;
                 svc.port = u16(n);
             } else if (a == "--manifest") {
                 svc.manifestPath = v;
             } else if (a == "--lease-ms") {
-                if (!number(v, svc.leaseMs) || svc.leaseMs == 0)
+                if (!conf::parseU64(v, svc.leaseMs) || svc.leaseMs == 0)
                     return false;
-            } else if (!number(v, svc.deadAfterMs) ||
+            } else if (!conf::parseU64(v, svc.deadAfterMs) ||
                        svc.deadAfterMs == 0) {
                 return false;
             }
@@ -372,11 +377,13 @@ parseArgs(int argc, char **argv, Options &o)
     // different processes. A worker takes its jobs, run options and
     // checkpoint store from the coordinator, and only local runs write
     // per-job traces: a flag that the chosen mode would ignore is a
-    // usage error, not a silent no-op.
+    // usage error, not a silent no-op. So is a budget that measures
+    // nothing: 0 instructions, or no more than the --skip prefix.
     bool worker = !o.worker.empty();
     return (o.serve || !o.serviceFlags) && !(o.serve && worker) &&
            !(worker && !o.checkpointDir.empty()) &&
-           !((o.serve || worker) && !o.run.traceDir.empty());
+           !((o.serve || worker) && !o.run.traceDir.empty()) &&
+           o.maxInsts > o.skip;
 }
 
 bool
@@ -407,13 +414,10 @@ main(int argc, char **argv)
     }
     if (!o.worker.empty()) {
         std::size_t colon = o.worker.rfind(':');
-        char *end = nullptr;
-        unsigned long port =
-            colon == std::string::npos
-                ? 0
-                : std::strtoul(o.worker.c_str() + colon + 1, &end, 10);
-        if (colon == std::string::npos || colon == 0 || port == 0 ||
-            port > 65535 || !end || *end != '\0') {
+        u64 port = 0;
+        if (colon == std::string::npos || colon == 0 ||
+            !conf::parseU64(o.worker.substr(colon + 1), port) ||
+            port == 0 || port > 65535) {
             std::fprintf(stderr, "--worker wants HOST:PORT\n");
             return 2;
         }
@@ -427,17 +431,10 @@ main(int argc, char **argv)
                              : "lost the coordinator");
         return rc;
     }
-    const bool sampled = o.run.sampleMode == campaign::SampleMode::SimPoint;
-    if (sampled && o.skip > 0) {
+    if (o.run.sampleMode == campaign::SampleMode::SimPoint && o.skip > 0) {
         std::fprintf(stderr,
                      "--skip cannot be combined with --sample-mode "
                      "simpoint (simpoints cover the whole run)\n");
-        return 2;
-    }
-    if (sampled && !o.run.traceDir.empty()) {
-        std::fprintf(stderr,
-                     "--trace-out cannot be combined with --sample-mode "
-                     "simpoint (sampled jobs are not traced)\n");
         return 2;
     }
 
@@ -492,22 +489,18 @@ main(int argc, char **argv)
         std::vector<campaign::Job> jobs = campaign::expandMatrix(
             progs, cells, o.maxInsts, o.skip);
 
-        // An obs.* path names one file. Every job of a larger matrix,
-        // and every Controller of a sampled job, would overwrite it;
-        // --trace-out names one file per job instead. The paths come
-        // from -c, which every job shares.
-        if (jobs.size() > (sampled ? 0u : 1u)) {
+        // An obs.* path names one file, which every job of a larger
+        // matrix would overwrite; --trace-out names one file per job
+        // instead. The paths come from -c, which every job shares.
+        if (jobs.size() > 1) {
             for (const char *key : {"obs.trace.path", "obs.metrics.path"}) {
                 if (conf::getString(jobs.front().config, key).empty())
                     continue;
-                std::fprintf(stderr, "-c %s names one file, which %s\n",
-                             key,
-                             sampled ? "each run of a sampled job would "
-                                       "overwrite (sampled jobs are not "
-                                       "traced)"
-                                     : "each job would overwrite "
-                                       "(--trace-out D writes one file "
-                                       "per job)");
+                std::fprintf(stderr,
+                             "-c %s names one file, which each job would "
+                             "overwrite (--trace-out D writes one file "
+                             "per job)\n",
+                             key);
                 return 2;
             }
         }

@@ -87,11 +87,6 @@ usage(const char *argv0)
 bool
 parseArgs(int argc, char **argv, Options &o)
 {
-    auto number = [](const char *v, u64 &out) {
-        char *end = nullptr;
-        out = std::strtoull(v, &end, 0);
-        return *v != '\0' && end && *end == '\0';
-    };
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         auto next = [&]() -> const char * {
@@ -99,16 +94,16 @@ parseArgs(int argc, char **argv, Options &o)
         };
         if (a == "--seeds") {
             const char *v = next();
-            if (!v || !number(v, o.seeds))
+            if (!v || !conf::parseU64(v, o.seeds))
                 return false;
         } else if (a == "--seed-base") {
             const char *v = next();
-            if (!v || !number(v, o.seedBase))
+            if (!v || !conf::parseU64(v, o.seedBase))
                 return false;
         } else if (a == "--jobs") {
             const char *v = next();
             u64 n = 0;
-            if (!v || !number(v, n) || n == 0)
+            if (!v || !conf::parseU64(v, n) || n == 0 || n > ~0u)
                 return false;
             o.jobs = unsigned(n);
         } else if (a == "--out") {
@@ -124,7 +119,7 @@ parseArgs(int argc, char **argv, Options &o)
         } else if (a == "--rand-config") {
             const char *v = next();
             u64 n = 0;
-            if (!v || !number(v, n) || n > 64)
+            if (!v || !conf::parseU64(v, n) || n > 64)
                 return false;
             o.randConfigs = unsigned(n);
         } else if (a == "--proofs") {

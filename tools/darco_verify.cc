@@ -24,7 +24,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -148,11 +147,6 @@ usage(const char *argv0)
 bool
 parseArgs(int argc, char **argv, Options &o)
 {
-    auto number = [](const char *v, u64 &out) {
-        char *end = nullptr;
-        out = std::strtoull(v, &end, 0);
-        return *v != '\0' && end && *end == '\0';
-    };
     bool presets_reset = false;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -175,7 +169,7 @@ parseArgs(int argc, char **argv, Options &o)
             o.workloads.push_back(v);
         } else if (a == "--max-insts") {
             const char *v = next();
-            if (!v || !number(v, o.maxInsts) || o.maxInsts == 0)
+            if (!v || !conf::parseU64(v, o.maxInsts) || o.maxInsts == 0)
                 return false;
         } else if (a == "--list") {
             o.list = true;
