@@ -9,109 +9,55 @@
 namespace darco::guest
 {
 
-u8 *
+PagedMemory::Page &
+PagedMemory::adopt(GAddr base, std::unique_ptr<Page> &fresh)
+{
+    std::atomic<Dir *> &dslot = dirs_[dirIndex(base)];
+    Dir *d = dslot.load(std::memory_order_acquire);
+    if (!d) {
+        auto nd = std::make_unique<Dir>();
+        // On failure d holds the directory another thread published.
+        if (dslot.compare_exchange_strong(d, nd.get(),
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire))
+            d = nd.release();
+    }
+    std::atomic<Page *> &pslot = d->pages[slotIndex(base)];
+    Page *p = nullptr;
+    if (!pslot.compare_exchange_strong(p, fresh.get(),
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire))
+        return *p;
+    pages_.fetch_add(1, std::memory_order_relaxed);
+    return *fresh.release();
+}
+
+PagedMemory::Page &
+PagedMemory::pageAt(GAddr a)
+{
+    if (Page *p = find(a))
+        return *p;
+    GAddr base = pageBase(a);
+    if (policy_ == MissPolicy::Signal)
+        throw PageMiss{base};
+    auto fresh = std::make_unique<Page>(); // zero-filled
+    return adopt(base, fresh);
+}
+
+const u8 *
 PagedMemory::page(GAddr a)
 {
-    GAddr base = pageBase(a);
-    auto it = pages_.find(base);
-    if (it == pages_.end()) {
-        if (policy_ == MissPolicy::Signal)
-            throw PageMiss{base};
-        auto p = std::make_unique<Page>();
-        p->fill(0);
-        it = pages_.emplace(base, std::move(p)).first;
-    }
-    return it->second->data();
-}
-
-u8 *
-PagedMemory::ptr(GAddr a)
-{
-    return page(a) + pageOffset(a);
-}
-
-namespace
-{
-
-/** True if [a, a+len) stays within one page. */
-inline bool
-samePage(GAddr a, std::size_t len)
-{
-    return pageOffset(a) + len <= pageSizeBytes;
-}
-
-} // namespace
-
-u16
-PagedMemory::read16(GAddr a)
-{
-    if (samePage(a, 2)) {
-        u16 v;
-        std::memcpy(&v, ptr(a), 2);
-        return v;
-    }
-    return u16(read8(a)) | (u16(read8(a + 1)) << 8);
-}
-
-u32
-PagedMemory::read32(GAddr a)
-{
-    if (samePage(a, 4)) {
-        u32 v;
-        std::memcpy(&v, ptr(a), 4);
-        return v;
-    }
-    u32 v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= u32(read8(a + i)) << (8 * i);
-    return v;
-}
-
-u64
-PagedMemory::read64(GAddr a)
-{
-    if (samePage(a, 8)) {
-        u64 v;
-        std::memcpy(&v, ptr(a), 8);
-        return v;
-    }
-    u64 v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= u64(read8(a + i)) << (8 * i);
-    return v;
+    return pageAt(a).data();
 }
 
 void
-PagedMemory::write16(GAddr a, u16 v)
+PagedMemory::checkGuard(GAddr a, std::size_t len) const
 {
-    if (samePage(a, 2)) {
-        std::memcpy(ptr(a), &v, 2);
-        return;
-    }
-    write8(a, u8(v));
-    write8(a + 1, u8(v >> 8));
-}
-
-void
-PagedMemory::write32(GAddr a, u32 v)
-{
-    if (samePage(a, 4)) {
-        std::memcpy(ptr(a), &v, 4);
-        return;
-    }
-    for (int i = 0; i < 4; ++i)
-        write8(a + i, u8(v >> (8 * i)));
-}
-
-void
-PagedMemory::write64(GAddr a, u64 v)
-{
-    if (samePage(a, 8)) {
-        std::memcpy(ptr(a), &v, 8);
-        return;
-    }
-    for (int i = 0; i < 8; ++i)
-        write8(a + i, u8(v >> (8 * i)));
+    if (!guard_->hasPage(a))
+        throw PageMiss{pageBase(a)};
+    GAddr last = a + GAddr(len - 1);
+    if (pageBase(last) != pageBase(a) && !guard_->hasPage(last))
+        throw PageMiss{pageBase(last)};
 }
 
 void
@@ -131,6 +77,11 @@ PagedMemory::readBlock(GAddr a, void *dst, std::size_t len)
 void
 PagedMemory::writeBlock(GAddr a, const void *src, std::size_t len)
 {
+    if (guard_) {
+        for (std::size_t off = 0; off < len;
+             off += pageSizeBytes - pageOffset(GAddr(a + off)))
+            checkGuard(GAddr(a + off), 1);
+    }
     const u8 *in = static_cast<const u8 *>(src);
     while (len > 0) {
         std::size_t chunk =
@@ -146,21 +97,44 @@ void
 PagedMemory::installPage(GAddr page_addr, const u8 *data)
 {
     darco_assert(pageOffset(page_addr) == 0, "unaligned page install");
-    auto p = std::make_unique<Page>();
+    Page *p = find(page_addr);
+    if (!p) {
+        auto fresh = std::make_unique<Page>();
+        std::memcpy(fresh->data(), data, pageSizeBytes);
+        p = &adopt(page_addr, fresh);
+        if (!fresh)
+            return;
+    }
     std::memcpy(p->data(), data, pageSizeBytes);
-    pages_[page_addr] = std::move(p);
+}
+
+void
+PagedMemory::clear()
+{
+    // Every directory holds a page, so an empty memory has none.
+    if (pageCount() == 0)
+        return;
+    for (std::atomic<Dir *> &dslot : dirs_) {
+        Dir *d = dslot.load(std::memory_order_relaxed);
+        if (!d)
+            continue;
+        dslot.store(nullptr, std::memory_order_relaxed);
+        for (std::atomic<Page *> &pslot : d->pages)
+            delete pslot.load(std::memory_order_relaxed);
+        delete d;
+    }
+    pages_.store(0, std::memory_order_relaxed);
 }
 
 void
 PagedMemory::save(snapshot::Serializer &s) const
 {
     s.w8(u8(policy_));
-    s.w64(pages_.size());
-    // Sorted order keeps the byte stream deterministic across runs
-    // (unordered_map iteration order is not).
-    for (GAddr base : residentPages()) {
+    std::vector<GAddr> resident = residentPages();
+    s.w64(resident.size());
+    for (GAddr base : resident) {
         s.w32(base);
-        s.wbytes(pages_.at(base)->data(), pageSizeBytes);
+        s.wbytes(find(base)->data(), pageSizeBytes);
     }
 }
 
@@ -171,7 +145,7 @@ PagedMemory::restore(snapshot::Deserializer &d)
     if (pol > u8(MissPolicy::Signal))
         throw snapshot::SnapshotError("bad memory miss policy");
     policy_ = MissPolicy(pol);
-    pages_.clear();
+    clear();
     u64 n = d.r64();
     for (u64 i = 0; i < n; ++i) {
         GAddr base = d.r32();
@@ -179,18 +153,28 @@ PagedMemory::restore(snapshot::Deserializer &d)
             throw snapshot::SnapshotError("unaligned page in snapshot");
         auto p = std::make_unique<Page>();
         d.rbytes(p->data(), pageSizeBytes);
-        pages_[base] = std::move(p);
+        Page &slot = adopt(base, p);
+        if (p) // a repeated page: the last copy wins
+            slot = *p;
     }
 }
 
 std::vector<GAddr>
 PagedMemory::residentPages() const
 {
+    // Address order falls out of the table walk.
     std::vector<GAddr> out;
-    out.reserve(pages_.size());
-    for (const auto &[base, _] : pages_)
-        out.push_back(base);
-    std::sort(out.begin(), out.end());
+    out.reserve(pageCount());
+    for (u32 di = 0; di < levelSlots; ++di) {
+        Dir *d = dirs_[di].load(std::memory_order_acquire);
+        if (!d)
+            continue;
+        for (u32 si = 0; si < levelSlots; ++si) {
+            if (d->pages[si].load(std::memory_order_acquire))
+                out.push_back(GAddr(di) << (32 - levelBits) |
+                              GAddr(si) * pageSizeBytes);
+        }
+    }
     return out;
 }
 

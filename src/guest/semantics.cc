@@ -179,7 +179,6 @@ ExecOut
 execInst(const GInst &i, CpuState &st, PagedMemory &mem)
 {
     ExecOut out;
-    const GOpInfo &info = i.info();
     u32 *g = st.gpr.data();
     double *f = st.fpr.data();
     const GAddr next = st.pc + i.length;
@@ -220,7 +219,7 @@ execInst(const GInst &i, CpuState &st, PagedMemory &mem)
       case GOp::STOSB:
       case GOp::STOSW: {
         const bool isMov = i.op == GOp::MOVSB || i.op == GOp::MOVSW;
-        const u32 w = info.memWidth;
+        const u32 w = i.op == GOp::MOVSB || i.op == GOp::STOSB ? 1 : 4;
         u64 iters = i.rep ? g[RCX] : 1;
         if (iters > repChunk)
             iters = repChunk;

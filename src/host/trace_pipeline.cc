@@ -11,15 +11,51 @@ namespace darco::host
 
 namespace
 {
-/** Process-wide: simulations inside Tol::run, and started consumers
- *  not yet joined. */
+/** Process-wide: simulations inside Controller::run, and helpers
+ *  holding a spare CPU. */
 std::atomic<int> runningSims{0};
-std::atomic<int> liveConsumers{0};
+std::atomic<int> liveHelpers{0};
 } // namespace
 
 TracePipeline::Running::Running() { runningSims.fetch_add(1); }
 
 TracePipeline::Running::~Running() { runningSims.fetch_sub(1); }
+
+bool
+claimSpareCpu()
+{
+    cpu_set_t cpus;
+    CPU_ZERO(&cpus);
+    if (sched_getaffinity(0, sizeof cpus, &cpus) != 0)
+        return false;
+    const int allowed = CPU_COUNT(&cpus);
+    if (allowed < 2)
+        return false;
+    if (liveHelpers.fetch_add(1) + 1 + runningSims.load() > allowed) {
+        liveHelpers.fetch_sub(1);
+        return false;
+    }
+    return true;
+}
+
+void
+releaseSpareCpu()
+{
+    liveHelpers.fetch_sub(1);
+}
+
+void
+pinHelper(std::thread &t)
+{
+    cpu_set_t cpus;
+    CPU_ZERO(&cpus);
+    if (sched_getaffinity(0, sizeof cpus, &cpus) != 0)
+        return;
+    const int here = sched_getcpu();
+    if (here >= 0 && here < CPU_SETSIZE)
+        CPU_CLR(here, &cpus);
+    pthread_setaffinity_np(t.native_handle(), sizeof cpus, &cpus);
+}
 
 TracePipeline::~TracePipeline()
 {
@@ -31,7 +67,7 @@ TracePipeline::~TracePipeline()
     }
     consumerWake_.notify_one();
     consumer_.join();
-    liveConsumers.fetch_sub(1);
+    releaseSpareCpu();
 }
 
 void
@@ -137,31 +173,15 @@ TracePipeline::deliver(const Block &b)
 bool
 TracePipeline::startConsumer()
 {
-    cpu_set_t cpus;
-    CPU_ZERO(&cpus);
-    if (sched_getaffinity(0, sizeof cpus, &cpus) != 0)
+    if (!claimSpareCpu())
         return false;
-    const int allowed = CPU_COUNT(&cpus);
-    if (allowed < 2)
-        return false;
-    // A CPU is spare while live consumers plus running simulations
-    // stay below the allowed count: with every CPU already running a
-    // simulation, a second thread per simulation only adds hand-offs
-    // and wake-ups.
-    if (liveConsumers.fetch_add(1) + 1 + runningSims.load() > allowed) {
-        liveConsumers.fetch_sub(1);
-        return false;
-    }
-    const int here = sched_getcpu();
-    if (here >= 0 && here < CPU_SETSIZE)
-        CPU_CLR(here, &cpus);
     try {
         consumer_ = std::thread([this] { consume(); });
     } catch (const std::system_error &) {
-        liveConsumers.fetch_sub(1);
+        releaseSpareCpu();
         return false; // no thread to be had: deliver inline
     }
-    pthread_setaffinity_np(consumer_.native_handle(), sizeof cpus, &cpus);
+    pinHelper(consumer_);
     return true;
 }
 

@@ -16,17 +16,14 @@
  *
  * Threads. The simulation thread is the only producer; the consumer
  * is the only thread that calls the sink once it has started, so the
- * sink and its StatGroup keep one writer. The consumer starts at a
- * full block, pinned away from the CPU the simulation thread is on at
- * that moment: left to itself, the scheduler keeps a woken thread on
- * its waker's CPU, and the two stages then take turns instead of
- * overlapping. It starts only while a CPU is spare (see Running), so
- * a host whose CPUs all run simulations, or a thread allowed one CPU,
- * gets no thread: the simulation thread delivers each block itself,
- * through the same delivery function, and checks again at the next
- * full block. The consumer sleeps when the ring is empty and is
- * signalled only while it sleeps; the producer sleeps only when the
- * ring is full and is woken once half of it is free.
+ * sink and its StatGroup keep one writer. The consumer is a helper
+ * thread (claimSpareCpu) started at a full block, so a host whose CPUs
+ * all run simulations, or a thread allowed one CPU, gets no thread:
+ * the simulation thread delivers each block itself, through the same
+ * delivery function, and checks again at the next full block. The
+ * consumer sleeps when the ring is empty and is signalled only while
+ * it sleeps; the producer sleeps only when the ring is full and is
+ * woken once half of it is free.
  */
 
 #ifndef DARCO_HOST_TRACE_PIPELINE_HH
@@ -45,6 +42,25 @@
 
 namespace darco::host
 {
+
+/**
+ * Claim a spare CPU for a helper thread of the calling simulation (a
+ * trace consumer, or a reference component running ahead): one is
+ * spare while live helpers plus running simulations
+ * (TracePipeline::Running) stay within the CPU count the calling
+ * thread is allowed. With every CPU already running a simulation, a
+ * second thread per simulation only adds hand-offs and wake-ups.
+ * @return whether one was spare; the helper then counts until
+ *         releaseSpareCpu().
+ */
+bool claimSpareCpu();
+void releaseSpareCpu();
+/**
+ * Pin a helper off the calling thread's CPU: left to itself, the
+ * scheduler keeps a woken thread on its waker's CPU, and the two
+ * stages then take turns instead of overlapping.
+ */
+void pinHelper(std::thread &t);
 
 /** A TraceSink that forwards, in order, to another sink called on a
  *  consumer thread; see the file comment. */
@@ -93,12 +109,12 @@ class TracePipeline final : public TraceSink
 
     /** Has a consumer thread started? */
     bool threaded() const { return threaded_; }
+    /** Is a sink attached? (The simulation thread's view.) */
+    bool attached() const { return sink_ != nullptr; }
 
     /**
      * Counts a running simulation, process-wide, for as long as it
-     * lives (Tol::run holds one). A consumer starts only while live
-     * consumers plus running simulations stay below the CPU count the
-     * starting thread is allowed.
+     * lives (Controller::run holds one); see claimSpareCpu().
      */
     class Running
     {

@@ -8,10 +8,34 @@
  *     transfer the initial architectural state to the co-designed
  *     component;
  *  2. Execution — the co-designed component (TOL + host emulator)
- *     makes forward progress while the reference component idles;
+ *     makes forward progress. With one core and no trace sink (which
+ *     gets the spare CPU instead), the reference component meanwhile
+ *     runs ahead on a thread of its own, under four rules that keep
+ *     every page transfer and validation as if it had waited:
+ *       1. it stops before writing a page the co-designed memory does
+ *          not hold yet, so such a page holds the same bytes at every
+ *          count from the co-designed side's request to the
+ *          reference's (a store spanning two pages checks both first);
+ *       2. it stops before every SYSCALL and HLT, which the
+ *          controller executes;
+ *       3. it never passes the end of the current run() budget, and
+ *          when run() returns it stands at the co-designed count, as
+ *          it does on the serial path;
+ *       4. if the controller needs it at count n while it is stopped
+ *          at m < n (by rule 1 or 2, or before a faulting
+ *          instruction), the co-designed side diverged: it catches up
+ *          inline, as on the serial path, and raises what that path
+ *          raises.
+ *     A full-state need at n (a syscall, the end of a run) that finds
+ *     the reference already past n is a divergence too, reported with
+ *     a message that does not depend on how far it got. The first
+ *     run() claims the thread while a CPU is spare
+ *     (host::claimSpareCpu); a process allowed one CPU takes the
+ *     serial path, which catches the reference up at each
+ *     synchronization;
  *  3. Synchronization — on data requests (first touch of a guest
  *     page), syscalls (executed only by the reference component), and
- *     end of application. The reference component runs forward to the
+ *     end of application. The reference component is brought to the
  *     same execution point (completed-instruction count), then pages /
  *     syscall effects / final state cross the boundary.
  *
@@ -108,8 +132,8 @@ class Controller : public tol::Tol::Env
     u32 numCores() const { return cores_; }
 
     /**
-     * Compare co-designed vs authoritative state now (both sides must
-     * be at the same completed-instruction count).
+     * Compare co-designed vs authoritative state now. Both sides stand
+     * at the same completed-instruction count after every run().
      * @return empty string if equal, else a diff description.
      */
     std::string validateState(u32 core = 0);
@@ -119,6 +143,9 @@ class Controller : public tol::Tol::Env
     void validateFinal();
 
     xemu::RefComponent &ref(u32 core = 0) { return *refs_[core]; }
+
+    /** Does core 0's reference run ahead on its own thread? */
+    bool threaded() const { return ahead_ != nullptr; }
 
     tol::Tol &
     tol()
@@ -174,6 +201,8 @@ class Controller : public tol::Tol::Env
     bool syscall(u32 core, u64 completed_insts) override;
 
   private:
+    class RunAhead;
+
     /** Point the Tol at the session's tracer/metrics (if any). */
     void attachObs();
     /**
@@ -189,6 +218,26 @@ class Controller : public tol::Tol::Env
      */
     void coldStart();
 
+    /** Core 0's run-ahead thread while run() may use it, else null
+     *  (run-ahead needs cores=1). */
+    RunAhead *live() const;
+    /**
+     * Bring the core's reference to count n, for a need of its whole
+     * state, and own it: it then stands at n, at its end if that came
+     * first (as runUntilInstCount(n) leaves it), or past n if the
+     * run-ahead thread had already passed it.
+     */
+    void reach(u32 core, u64 n);
+    /** Restart a run-ahead thread stopped short of n, if it stopped
+     *  at the run budget or on a page that has arrived since. */
+    bool restart(u32 core, u64 n);
+    /** Hand a stopped run-ahead thread the reference again, while
+     *  the run budget leaves it room. */
+    void resume(u32 core);
+    /** Give the run-ahead thread (stopped) and its CPU back. */
+    void releaseAhead();
+    Counter &bound(Counter *&slot, const char *name);
+
     Config cfg_;
     StatGroup stats_;
     u32 cores_; //!< guest hardware contexts (`cores` parameter)
@@ -203,6 +252,16 @@ class Controller : public tol::Tol::Env
     std::unique_ptr<obs::Session> obs_;
     bool validateSyscalls_;
     bool validateEnd_;
+    /** Sync-path counters, bound on first use in each stats map. */
+    Counter *cPages_ = nullptr, *cSyscalls_ = nullptr,
+            *cValidations_ = nullptr;
+    /** Core 0's reference on its own thread: claimed by the first
+     *  run() without a trace sink after a load, restore or
+     *  fastForward, and given back by the next one of those, a run()
+     *  with a sink, and the destructor. */
+    std::unique_ptr<RunAhead> ahead_;
+    bool aheadTried_ = false;
+    bool inRun_ = false; //!< the thread may run (inside run())
 };
 
 } // namespace darco::sim

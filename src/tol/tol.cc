@@ -454,7 +454,9 @@ Tol::onRetire(u32 exit_id, u64 host_insts)
 void
 Tol::servicePageMiss(GAddr page)
 {
-    stats_.counter("tol.page_requests").inc();
+    if (!cPageRequests_)
+        cPageRequests_ = &stats_.counter("tol.page_requests");
+    cPageRequests_->inc();
     env_->dataRequest(cur_, page, cur().insts);
     darco_assert(curMem().hasPage(page),
                  "controller failed to install requested page");
@@ -463,7 +465,9 @@ Tol::servicePageMiss(GAddr page)
 void
 Tol::handleSyscall()
 {
-    stats_.counter("tol.syscalls").inc();
+    if (!cSyscalls_)
+        cSyscalls_ = &stats_.counter("tol.syscalls");
+    cSyscalls_->inc();
     CoreCtx &c = cur();
     // The syscall instruction is its own dynamic BB; attribute it
     // before the environment rewrites the core's pc.
@@ -534,7 +538,7 @@ Tol::interpretStep()
             ++core.im;
             cGuestIm_->inc();
             cost_.chargeInterp(1);
-            if (gi.isCti()) {
+            if (out.status != ExecStatus::Ok) { // a CTI ends the BB
                 ++completedBBs_;
                 ++core.bbs;
                 cBbIm_->inc();
@@ -1321,7 +1325,6 @@ drainedCall(host::TracePipeline &pipe, Body body)
 void
 Tol::run(u64 max_guest_insts)
 {
-    host::TracePipeline::Running running;
     drainedCall(tracePipeline_, [&] { dispatch(max_guest_insts); });
 }
 

@@ -122,6 +122,7 @@ class Tol : public host::RetireSink
         darco_assert(env, "a Tol needs an environment");
         env_ = env;
     }
+    const Env *env() const { return env_; }
 
     /** Guest hardware contexts sharing this TOL (`cores` param). */
     u32 numCores() const { return u32(cores_.size()); }
@@ -441,6 +442,9 @@ class Tol : public host::RetireSink
     Counter *cBbIm_, *cBbBbm_, *cBbSbm_;
     Counter *cHostBbm_, *cHostSbm_;
     Counter *cChainTouches_;
+    /** Bound on first use, so a run without page requests or
+     *  syscalls keeps these keys out of the stats map. */
+    Counter *cPageRequests_ = nullptr, *cSyscalls_ = nullptr;
 
     // Config snapshot.
     u32 bbThreshold_, sbThreshold_;

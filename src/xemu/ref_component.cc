@@ -37,7 +37,7 @@ RefComponent::restore(snapshot::Deserializer &d)
 void
 RefComponent::load(const Program &prog)
 {
-    mem_ = PagedMemory(MissPolicy::AllocateZero);
+    mem_.clear();
     state_ = prog.load(mem_);
     os_ = GuestOS(seed_);
     decode_.clear();
@@ -48,46 +48,27 @@ RefComponent::load(const Program &prog)
     lastDirtied_.clear();
 }
 
-bool
-RefComponent::step()
+void
+RefComponent::retire(const GInst &inst)
 {
-    if (finished_)
-        return false;
-
-    const GInst &inst = decode_.fetch(mem_, state_.pc);
-
     ExecOut out = execInst(inst, state_, mem_);
     while (out.status == ExecStatus::Again)
         out = execInst(inst, state_, mem_);
 
     switch (out.status) {
       case ExecStatus::Ok:
-      case ExecStatus::CtiNotTaken:
         ++instCount_;
-        if (inst.isCti())
-            ++bbCount_;
-        return true;
+        return;
 
       case ExecStatus::CtiTaken:
+      case ExecStatus::CtiNotTaken:
         ++instCount_;
         ++bbCount_;
-        return true;
-
-      case ExecStatus::Syscall: {
-        SyscallEffect eff = os_.execute(state_, mem_, inst.length);
-        lastDirtied_ = eff.dirtiedPages;
-        ++instCount_;
-        ++bbCount_;
-        if (eff.exited) {
-            finished_ = true;
-            exitCode_ = eff.exitCode;
-        }
-        return !finished_;
-      }
+        return;
 
       case ExecStatus::Halt:
         finished_ = true;
-        return false;
+        return;
 
       case ExecStatus::Fault:
         throw GuestFault{state_.pc, out.faultMsg};
@@ -95,6 +76,64 @@ RefComponent::step()
       default:
         panic("unexpected exec status");
     }
+}
+
+bool
+RefComponent::step()
+{
+    if (finished_)
+        return false;
+
+    const GInst &inst = decode_.fetch(mem_, state_.pc);
+    if (inst.op != GOp::SYSCALL) {
+        retire(inst);
+        return !finished_;
+    }
+
+    SyscallEffect eff = os_.execute(state_, mem_, inst.length);
+    lastDirtied_ = eff.dirtiedPages;
+    ++instCount_;
+    ++bbCount_;
+    if (eff.exited) {
+        finished_ = true;
+        exitCode_ = eff.exitCode;
+    }
+    return !finished_;
+}
+
+RefComponent::Stop
+RefComponent::runAhead(const std::atomic<u64> &limit,
+                       std::atomic<u64> &progress,
+                       const PagedMemory &holder)
+{
+    mem_.setWriteGuard(&holder);
+    Stop stop;
+    try {
+        for (;;) {
+            if (finished_) {
+                stop = Stop::Blocked;
+                break;
+            }
+            if (instCount_ >= limit.load(std::memory_order_relaxed)) {
+                stop = Stop::Limit;
+                break;
+            }
+            const GInst &inst = decode_.fetch(mem_, state_.pc);
+            if (inst.op == GOp::SYSCALL || inst.op == GOp::HLT) {
+                stop = Stop::Blocked;
+                break;
+            }
+            retire(inst);
+            progress.store(instCount_, std::memory_order_release);
+        }
+    } catch (const PageMiss &pm) {
+        guardPage_ = pm.page;
+        stop = Stop::Guard;
+    } catch (...) {
+        stop = Stop::Blocked;
+    }
+    mem_.setWriteGuard(nullptr);
+    return stop;
 }
 
 void

@@ -12,6 +12,8 @@
 #ifndef DARCO_XEMU_REF_COMPONENT_HH
 #define DARCO_XEMU_REF_COMPONENT_HH
 
+#include <atomic>
+
 #include "common/stats.hh"
 #include "guest/decode_cache.hh"
 #include "guest/program.hh"
@@ -54,6 +56,36 @@ class RefComponent
     /** Run to program end (HLT or sysExit), bounded by maxInsts. */
     void runToCompletion(u64 max_insts = ~0ull);
 
+    /** Why runAhead() stopped. */
+    enum class Stop : u8
+    {
+        Limit,   //!< instCount() reached the limit
+        Guard,   //!< before a write to a page `holder` lacks
+        Blocked, //!< before a SYSCALL or HLT (the caller executes
+                 //!< them), before an instruction that raises, or at
+                 //!< the program's end
+    };
+
+    /**
+     * The run-ahead loop (sim/controller.hh): retire instructions
+     * while instCount() is below `limit`, which another thread may
+     * move at any time, and publish the count to `progress` after
+     * each one. Every write is guarded by `holder`
+     * (PagedMemory::setWriteGuard): a write to a page `holder` lacks
+     * stops the loop before any byte of it changes, with the page in
+     * guardPage(). A REP string op may have completed iterations
+     * before that stop, as after a PageMiss in IM; resuming finishes
+     * it. The loop never executes a SYSCALL or an HLT, and stops
+     * before an instruction that raises: runUntilInstCount() raises
+     * the same exception again.
+     */
+    Stop runAhead(const std::atomic<u64> &limit,
+                  std::atomic<u64> &progress,
+                  const guest::PagedMemory &holder);
+
+    /** The page of the last Guard stop. */
+    GAddr guardPage() const { return guardPage_; }
+
     const guest::CpuState &state() const { return state_; }
     guest::CpuState &state() { return state_; }
     guest::PagedMemory &memory() { return mem_; }
@@ -80,6 +112,10 @@ class RefComponent
     void restore(snapshot::Deserializer &d);
 
   private:
+    /** Execute one non-SYSCALL instruction (REP continuations driven
+     *  to completion) and count it. */
+    void retire(const guest::GInst &inst);
+
     u64 seed_;
     guest::PagedMemory mem_{guest::MissPolicy::AllocateZero};
     guest::CpuState state_;
@@ -91,6 +127,7 @@ class RefComponent
     bool finished_ = false;
     u32 exitCode_ = 0;
     std::vector<GAddr> lastDirtied_;
+    GAddr guardPage_ = 0;
 };
 
 } // namespace darco::xemu

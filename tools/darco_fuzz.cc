@@ -251,6 +251,47 @@ replayCase(const Options &o)
     return r.ok ? 0 : 1;
 }
 
+/**
+ * Phase 2 for one seed: print its result and, when it failed, dump and
+ * minimize it. @return whether the seed passed.
+ */
+bool
+report(const Options &o, const fuzz::DiffOptions &dopts, u64 s,
+       const fuzz::ProgramSpec &spec, const fuzz::DiffResult &r)
+{
+    if (r.ok) {
+        if (o.verbose)
+            std::printf("seed %llu: %s", (unsigned long long)s,
+                        r.report().c_str());
+        return true;
+    }
+
+    std::printf("seed %llu: FAIL — %s\n", (unsigned long long)s,
+                spec.describe().c_str());
+    std::printf("%s", r.report().c_str());
+
+    fuzz::DiffOptions topts = dopts;
+    if (o.randConfigs)
+        topts.matrix = fuzz::randomMatrix(s, o.randConfigs);
+    dumpFailureTrace(o, s, r, topts, fuzz::build(spec));
+
+    if (o.noMinimize) {
+        dumpCase(o, "seed" + std::to_string(s), fuzz::build(spec));
+        return false;
+    }
+
+    fuzz::DiffOptions mopts = dopts;
+    if (o.randConfigs)
+        mopts.matrix = fuzz::randomMatrix(s, o.randConfigs);
+    mopts.pinpoint = false; // fast trials while reducing
+    fuzz::ShrinkResult sr = fuzz::shrink(spec, mopts);
+    std::printf("  minimized to %zu static insts in %u trials: %s\n",
+                sr.instructions, sr.attempts, sr.spec.describe().c_str());
+    std::printf("  minimized failure: %s", sr.failure.report().c_str());
+    dumpCase(o, "seed" + std::to_string(s) + ".min", sr.program);
+    return false;
+}
+
 } // namespace
 
 int
@@ -259,6 +300,11 @@ main(int argc, char **argv)
     Options o;
     if (!parseArgs(argc, argv, o)) {
         usage(argv[0]);
+        return 2;
+    }
+    if (o.seeds > 0 && o.seeds - 1 > ~0ull - o.seedBase) {
+        std::fprintf(stderr, "darco_fuzz: --seed-base + --seeds passes "
+                             "the last 64-bit seed\n");
         return 2;
     }
     // Validate -c overrides against the schema before any run: a
@@ -276,67 +322,36 @@ main(int argc, char **argv)
     dopts.extra = o.extra;
     dopts.proofs = o.proofs;
 
-    // Phase 1 — the differential runs, fanned out on the campaign
-    // pool (each seed is an isolated generator + Controller set).
-    std::vector<fuzz::ProgramSpec> specs(o.seeds);
-    std::vector<fuzz::DiffResult> results(o.seeds);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(o.seeds);
-    for (u64 i = 0; i < o.seeds; ++i) {
-        tasks.push_back([i, &o, &dopts, &specs, &results]() {
-            u64 s = o.seedBase + i;
-            fuzz::GenParams gp;
-            gp.seed = s;
-            specs[i] = fuzz::makeSpec(gp);
-            fuzz::DiffOptions d = dopts;
-            if (o.randConfigs)
-                d.matrix = fuzz::randomMatrix(s, o.randConfigs);
-            results[i] =
-                fuzz::diffRun(fuzz::build(specs[i]), s, d);
-        });
-    }
-    campaign::Pool(o.jobs).run(std::move(tasks));
-
-    // Phase 2 — reporting and minimization, serial and in seed order
-    // (byte-identical output whatever the worker count).
+    // Seeds run in batches, so memory stays bounded whatever --seeds
+    // says. Phase 1 of a batch fans the differential runs out on the
+    // campaign pool (each seed is an isolated generator + Controller
+    // set); phase 2 reports and minimizes them serially, in seed
+    // order (byte-identical output whatever the worker count).
+    const u64 batch = std::max<u64>(64, 4 * u64(o.jobs));
     u64 failures = 0;
-    for (u64 i = 0; i < o.seeds; ++i) {
-        u64 s = o.seedBase + i;
-        const fuzz::ProgramSpec &spec = specs[i];
-        const fuzz::DiffResult &r = results[i];
-        if (r.ok) {
-            if (o.verbose)
-                std::printf("seed %llu: %s", (unsigned long long)s,
-                            r.report().c_str());
-            continue;
+    for (u64 first = 0; first < o.seeds;) {
+        const u64 n = std::min(batch, o.seeds - first);
+        std::vector<fuzz::ProgramSpec> specs(n);
+        std::vector<fuzz::DiffResult> results(n);
+        std::vector<std::function<void()>> tasks;
+        tasks.reserve(n);
+        for (u64 i = 0; i < n; ++i) {
+            tasks.push_back([i, s = o.seedBase + first + i, &o, &dopts,
+                             &specs, &results]() {
+                fuzz::GenParams gp;
+                gp.seed = s;
+                specs[i] = fuzz::makeSpec(gp);
+                fuzz::DiffOptions d = dopts;
+                if (o.randConfigs)
+                    d.matrix = fuzz::randomMatrix(s, o.randConfigs);
+                results[i] = fuzz::diffRun(fuzz::build(specs[i]), s, d);
+            });
         }
-
-        ++failures;
-        std::printf("seed %llu: FAIL — %s\n", (unsigned long long)s,
-                    spec.describe().c_str());
-        std::printf("%s", r.report().c_str());
-
-        fuzz::DiffOptions topts = dopts;
-        if (o.randConfigs)
-            topts.matrix = fuzz::randomMatrix(s, o.randConfigs);
-        dumpFailureTrace(o, s, r, topts, fuzz::build(spec));
-
-        if (o.noMinimize) {
-            dumpCase(o, "seed" + std::to_string(s), fuzz::build(spec));
-            continue;
-        }
-
-        fuzz::DiffOptions mopts = dopts;
-        if (o.randConfigs)
-            mopts.matrix = fuzz::randomMatrix(s, o.randConfigs);
-        mopts.pinpoint = false; // fast trials while reducing
-        fuzz::ShrinkResult sr = fuzz::shrink(spec, mopts);
-        std::printf(
-            "  minimized to %zu static insts in %u trials: %s\n",
-            sr.instructions, sr.attempts, sr.spec.describe().c_str());
-        std::printf("  minimized failure: %s",
-                    sr.failure.report().c_str());
-        dumpCase(o, "seed" + std::to_string(s) + ".min", sr.program);
+        campaign::Pool(o.jobs).run(std::move(tasks));
+        for (u64 i = 0; i < n; ++i)
+            failures += !report(o, dopts, o.seedBase + first + i, specs[i],
+                                results[i]);
+        first += n;
     }
 
     std::printf("darco_fuzz: %llu/%llu seeds failed\n",
