@@ -595,7 +595,7 @@ ConfigSchema::ConfigSchema()
              "branch-predictor table entries")
         .pow2()
         .cosmetic();
-    declUint("bpred.history", 8, 1, 64, "global history bits")
+    declUint("bpred.history", 8, 1, 32, "global history bits")
         .cosmetic();
     declUint("btb.entries", 1024, 1, 1u << 24,
              "branch-target-buffer entries")

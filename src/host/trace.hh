@@ -82,6 +82,18 @@ class TraceSink
     virtual void record(const InstRecord &rec) = 0;
 
     /**
+     * `n` consecutive records of the stream, with no recordConcurrent()
+     * between them. A sink that keeps per-record state can take the run
+     * in one call; the default hands each record to record().
+     */
+    virtual void
+    recordBlock(const InstRecord *recs, std::size_t n)
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            record(recs[i]);
+    }
+
+    /**
      * Account host instructions executed by a concurrent translator
      * thread. Unlike record(), these do not join the core's dynamic
      * stream — they run on spare hardware off the guest critical

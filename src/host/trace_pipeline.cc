@@ -158,13 +158,16 @@ TracePipeline::deliver(const Block &b)
     const u32 n = b.n;
     u32 i = 0;
     try {
+        // Each run of records between two recordConcurrent positions
+        // is one recordBlock call.
         for (const Concurrent &c : b.conc) {
-            for (; i < c.pos; ++i)
-                sink->record(recs[i]);
+            if (c.pos > i)
+                sink->recordBlock(recs + i, c.pos - i);
+            i = c.pos;
             sink->recordConcurrent(c.insts);
         }
-        for (; i < n; ++i)
-            sink->record(recs[i]);
+        if (n > i)
+            sink->recordBlock(recs + i, n - i);
     } catch (...) {
         error_ = std::current_exception();
     }

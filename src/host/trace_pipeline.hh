@@ -9,10 +9,11 @@
  * block to one consumer thread, which replays it into the caller's
  * TraceSink in the original order. recordConcurrent() travels
  * in-band: it is delivered at the position in the stream where it was
- * called. drain() returns once every record so far has reached the
- * sink, so a reader that drains first sees exactly the state that
- * direct calls would have produced (Tol::run and Tol::quiesce drain
- * on every return).
+ * called, and each run of records between two such positions reaches
+ * the sink as one recordBlock() call. drain() returns once every
+ * record so far has reached the sink, so a reader that drains first
+ * sees exactly the state that direct calls would have produced
+ * (Tol::run and Tol::quiesce drain on every return).
  *
  * Threads. The simulation thread is the only producer; the consumer
  * is the only thread that calls the sink once it has started, so the

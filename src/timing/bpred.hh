@@ -16,13 +16,16 @@
 namespace darco::timing
 {
 
-/** gshare: global history XOR pc indexing 2-bit counters. */
+/**
+ * gshare: global history XOR pc indexing 2-bit counters. The history
+ * register is a u32, so it keeps 1 to 32 outcomes (`bpred.history`).
+ */
 class Gshare
 {
   public:
     Gshare(u32 entries, u32 history_bits, StatGroup &stats)
         : table_(entries, 1), mask_(entries - 1),
-          histMask_((1u << history_bits) - 1)
+          histMask_(historyMask(history_bits))
     {
         darco_assert((entries & (entries - 1)) == 0,
                      "gshare table must be power-of-two");
@@ -49,6 +52,14 @@ class Gshare
     }
 
   private:
+    static u32
+    historyMask(u32 bits)
+    {
+        darco_assert(bits >= 1 && bits <= 32,
+                     "gshare history must be 1 to 32 bits");
+        return ~0u >> (32 - bits);
+    }
+
     u32
     index(u32 pc) const
     {

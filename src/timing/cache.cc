@@ -14,55 +14,47 @@ isPow2(u32 v)
 
 } // namespace
 
-Cache::Cache(std::string name, u32 size_bytes, u32 assoc,
+Cache::Cache(const std::string &name, u32 size_bytes, u32 assoc,
              u32 line_bytes, Cycle hit_latency, Cycle miss_latency,
              Cache *next, StatGroup &stats)
-    : name_(std::move(name)),
-      assoc_(assoc),
-      numSets_(size_bytes / (line_bytes * assoc)),
+    : assoc_(assoc),
       hitLatency_(hit_latency),
       missLatency_(miss_latency),
       next_(next)
 {
-    darco_assert(isPow2(line_bytes) && isPow2(numSets_),
-                 "cache geometry must be power-of-two: ", name_);
+    if (u64(line_bytes) * assoc > size_bytes)
+        fatal("cache level ", name, " holds less than one set: ", name,
+              ".size=", size_bytes, " < ", name, ".assoc=", assoc,
+              " x cache.line=", line_bytes);
+    darco_assert(assoc > 0 && line_bytes >= 8 && isPow2(line_bytes),
+                 "cache geometry: ", name);
+    numSets_ = size_bytes / (line_bytes * assoc);
+    darco_assert(isPow2(numSets_), "cache set count must be a power of two: ",
+                 name);
     lineShift_ = u32(__builtin_ctz(line_bytes));
     tagShift_ = lineShift_ + u32(__builtin_ctz(numSets_));
     lines_.resize(std::size_t(numSets_) * assoc_);
-    hits_ = &stats.counter(name_ + ".hits");
-    misses_ = &stats.counter(name_ + ".misses");
-    writebacks_ = &stats.counter(name_ + ".writebacks");
-    prefetches_ = &stats.counter(name_ + ".prefetches");
+    hits_ = &stats.counter(name + ".hits");
+    misses_ = &stats.counter(name + ".misses");
+    writebacks_ = &stats.counter(name + ".writebacks");
+    prefetches_ = &stats.counter(name + ".prefetches");
 }
 
 bool
 Cache::probe(u32 addr) const
 {
-    u32 set = setIndex(addr);
-    u64 tag = tagOf(addr);
-    for (u32 w = 0; w < assoc_; ++w) {
-        const Line &l = lines_[std::size_t(set) * assoc_ + w];
-        if (l.valid && l.tag == tag)
-            return true;
-    }
-    return false;
+    return find(&lines_[setOf(addr)], tagOf(addr)) < assoc_;
 }
 
 Cycle
-Cache::fill(u32 set, u64 tag, u32 addr, bool from_prefetch, bool dirty)
+Cache::fill(Line *ways, u32 tag, u32 addr, bool from_prefetch, bool dirty)
 {
-    // Victim: invalid first, else LRU.
-    Line *victim = nullptr;
-    for (u32 w = 0; w < assoc_; ++w) {
-        Line &l = lines_[std::size_t(set) * assoc_ + w];
-        if (!l.valid) {
-            victim = &l;
-            break;
-        }
-        if (!victim || l.lru < victim->lru)
-            victim = &l;
-    }
-    if (victim->valid && victim->dirty)
+    // Victim: the first way with the lowest tick, which is the first
+    // invalid way if there is one, else the least recently used.
+    Line *victim = ways;
+    for (u32 w = 1; w < assoc_; ++w)
+        victim = ways[w].lru < victim->lru ? &ways[w] : victim;
+    if (victim->dirty)
         writebacks_->inc(); // write-back absorbed by write buffers
 
     Cycle lat = 0;
@@ -74,9 +66,8 @@ Cache::fill(u32 set, u64 tag, u32 addr, bool from_prefetch, bool dirty)
     } else {
         lat = missLatency_;
     }
-    victim->valid = true;
-    victim->dirty = dirty;
     victim->tag = tag;
+    victim->dirty = dirty;
     victim->lru = ++lruTick_;
     return lat;
 }
@@ -84,28 +75,28 @@ Cache::fill(u32 set, u64 tag, u32 addr, bool from_prefetch, bool dirty)
 Cycle
 Cache::access(u32 addr, bool write)
 {
-    u32 set = setIndex(addr);
-    u64 tag = tagOf(addr);
-    for (u32 w = 0; w < assoc_; ++w) {
-        Line &l = lines_[std::size_t(set) * assoc_ + w];
-        if (l.valid && l.tag == tag) {
-            hits_->inc();
-            l.lru = ++lruTick_;
-            l.dirty |= write;
-            return hitLatency_;
-        }
+    Line *ways = &lines_[setOf(addr)];
+    u32 tag = tagOf(addr);
+    u32 w = find(ways, tag);
+    if (w < assoc_) {
+        hits_->inc();
+        ways[w].lru = ++lruTick_;
+        ways[w].dirty |= write;
+        return hitLatency_;
     }
     misses_->inc();
-    return hitLatency_ + fill(set, tag, addr, false, write);
+    return hitLatency_ + fill(ways, tag, addr, false, write);
 }
 
 void
 Cache::prefetch(u32 addr)
 {
-    if (probe(addr))
+    Line *ways = &lines_[setOf(addr)];
+    u32 tag = tagOf(addr);
+    if (find(ways, tag) < assoc_)
         return;
     prefetches_->inc();
-    fill(setIndex(addr), tagOf(addr), addr, true, false);
+    fill(ways, tag, addr, true, false);
 }
 
 } // namespace darco::timing

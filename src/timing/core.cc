@@ -1,6 +1,8 @@
 #include "timing/core.hh"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "common/schema.hh"
 
@@ -18,38 +20,28 @@ InOrderCore::InOrderCore(const Config &cfg, StatGroup &stats)
     fetchWidth_ = u32(conf::getUint(cfg, "core.fetch_width"));
     iqSize_ = u32(conf::getUint(cfg, "core.iq_size"));
     frontendDepth_ = u32(conf::getUint(cfg, "core.frontend_depth"));
-    latAlu_ = conf::getUint(cfg, "core.lat_alu");
-    latMul_ = conf::getUint(cfg, "core.lat_mul");
-    latDiv_ = conf::getUint(cfg, "core.lat_div");
-    latFp_ = conf::getUint(cfg, "core.lat_fp");
-    latFpDiv_ = conf::getUint(cfg, "core.lat_fpdiv");
-    latBranch_ = conf::getUint(cfg, "core.lat_branch");
 
     u32 line = u32(conf::getUint(cfg, "cache.line"));
-    l2_ = std::make_unique<Cache>(
-        "l2", u32(conf::getUint(cfg, "l2.size")),
-        u32(conf::getUint(cfg, "l2.assoc")), line,
-        conf::getUint(cfg, "l2.lat"), conf::getUint(cfg, "mem.lat"), nullptr,
-        stats);
-    l1i_ = std::make_unique<Cache>(
-        "l1i", u32(conf::getUint(cfg, "l1i.size")),
-        u32(conf::getUint(cfg, "l1i.assoc")), line,
-        conf::getUint(cfg, "l1i.lat"), 0, l2_.get(), stats);
-    l1d_ = std::make_unique<Cache>(
-        "l1d", u32(conf::getUint(cfg, "l1d.size")),
-        u32(conf::getUint(cfg, "l1d.assoc")), line,
-        conf::getUint(cfg, "l1d.lat"), 0, l2_.get(), stats);
+    auto cache = [&](const std::string &level, Cycle miss_lat,
+                     Cache *next) {
+        return std::make_unique<Cache>(
+            level, u32(conf::getUint(cfg, level + ".size")),
+            u32(conf::getUint(cfg, level + ".assoc")), line,
+            conf::getUint(cfg, level + ".lat"), miss_lat, next, stats);
+    };
+    l2_ = cache("l2", conf::getUint(cfg, "mem.lat"), nullptr);
+    l1i_ = cache("l1i", 0, l2_.get());
+    l1d_ = cache("l1d", 0, l2_.get());
     fetchLineShift_ = l1i_->lineShift();
-    itlb_ = std::make_unique<Tlb>(
-        "itlb", u32(conf::getUint(cfg, "tlb.l1_entries")),
-        u32(conf::getUint(cfg, "tlb.l2_entries")),
-        conf::getUint(cfg, "tlb.l2_lat"), conf::getUint(cfg, "tlb.walk_lat"),
-        stats);
-    dtlb_ = std::make_unique<Tlb>(
-        "dtlb", u32(conf::getUint(cfg, "tlb.l1_entries")),
-        u32(conf::getUint(cfg, "tlb.l2_entries")),
-        conf::getUint(cfg, "tlb.l2_lat"), conf::getUint(cfg, "tlb.walk_lat"),
-        stats);
+    auto tlb = [&](const std::string &name) {
+        return std::make_unique<Tlb>(
+            name, u32(conf::getUint(cfg, "tlb.l1_entries")),
+            u32(conf::getUint(cfg, "tlb.l2_entries")),
+            conf::getUint(cfg, "tlb.l2_lat"),
+            conf::getUint(cfg, "tlb.walk_lat"), stats);
+    };
+    itlb_ = tlb("itlb");
+    dtlb_ = tlb("dtlb");
     gshare_ = std::make_unique<Gshare>(
         u32(conf::getUint(cfg, "bpred.entries")),
         u32(conf::getUint(cfg, "bpred.history")), stats);
@@ -61,17 +53,41 @@ InOrderCore::InOrderCore(const Config &cfg, StatGroup &stats)
         conf::getBool(cfg, "prefetch.enable") ? l1d_.get() : nullptr,
         stats);
 
-    aluPool_.assign(conf::getUint(cfg, "core.num_alu"), 0);
-    complexPool_.assign(conf::getUint(cfg, "core.num_complex"), 0);
-    fpPool_.assign(conf::getUint(cfg, "core.num_fp"), 0);
-    memPool_.assign(conf::getUint(cfg, "core.num_mem_ports"), 0);
+    // Unit pools back to back; each class issues to one of them.
+    auto pool = [&](const char *count) {
+        u32 begin = u32(units_.size());
+        units_.resize(units_.size() + conf::getUint(cfg, count), 0);
+        return std::pair<u32, u32>(begin, u32(units_.size()));
+    };
+    auto [aluB, aluE] = pool("core.num_alu");
+    auto [cpxB, cpxE] = pool("core.num_complex");
+    auto [fpB, fpE] = pool("core.num_fp");
+    auto [memB, memE] = pool("core.num_mem_ports");
+    const Cycle latAlu = conf::getUint(cfg, "core.lat_alu");
+    const Cycle latMul = conf::getUint(cfg, "core.lat_mul");
+    const Cycle latDiv = conf::getUint(cfg, "core.lat_div");
+    const Cycle latFp = conf::getUint(cfg, "core.lat_fp");
+    const Cycle latFpDiv = conf::getUint(cfg, "core.lat_fpdiv");
+    const Cycle latBranch = conf::getUint(cfg, "core.lat_branch");
+    auto rule = [&](InstClass c) -> IssueRule & {
+        return issueRule_[std::size_t(c)];
+    };
+    rule(InstClass::IntAlu) = {aluB, aluE, 1, latAlu};
+    rule(InstClass::Other) = {aluB, aluE, 1, latAlu};
+    rule(InstClass::IntMul) = {cpxB, cpxE, 1, latMul};
+    rule(InstClass::IntDiv) = {cpxB, cpxE, latDiv, latDiv}; // unpipelined
+    rule(InstClass::FpAlu) = {fpB, fpE, 1, latFp};
+    rule(InstClass::FpMul) = {fpB, fpE, 1, latFp};
+    rule(InstClass::FpDiv) = {fpB, fpE, latFpDiv, latFpDiv};
+    rule(InstClass::Load) = {memB, memE, 1, 0};
+    rule(InstClass::Store) = {memB, memE, 1, 0};
+    rule(InstClass::Branch) = {aluB, aluE, 1, latBranch};
+    rule(InstClass::Jump) = {aluB, aluE, 1, latBranch};
     iqRing_.assign(iqSize_, 0);
 
     // Concurrent translator threads modeled for the overlap (the
     // async pipeline's virtual-time schedule uses the same knob).
     vthreads_ = u32(conf::getUint(cfg, "tol.async.vthreads"));
-    if (vthreads_ == 0)
-        vthreads_ = 1;
 
     cCycles_ = &stats.counter("core.cycles");
     cInsts_ = &stats.counter("core.instructions");
@@ -94,146 +110,126 @@ InOrderCore::recordConcurrent(u64 host_insts)
     cCycles_->set(cycles());
 }
 
-Cycle
-InOrderCore::reserveFu(std::vector<Cycle> &pool, Cycle when, Cycle busy)
-{
-    // Earliest-available unit; in-order issue waits for it.
-    std::size_t best = 0;
-    for (std::size_t u = 1; u < pool.size(); ++u) {
-        if (pool[u] < pool[best])
-            best = u;
-    }
-    Cycle start = std::max(when, pool[best]);
-    pool[best] = start + busy;
-    return start;
-}
-
 void
-InOrderCore::record(const InstRecord &rec)
+InOrderCore::recordBlock(const InstRecord *recs, std::size_t n)
 {
-    ++instructions_;
-    cInsts_->inc();
+    // Pipeline state, in locals for the block.
+    Cycle fetchCycle = fetchCycle_;
+    u32 fetched = fetchedThisCycle_;
+    u64 lastLine = lastFetchLine_;
+    Cycle lineReady = lineReady_;
+    u32 iqHead = iqHead_;
+    Cycle issueCycle = issueCycle_;
+    u32 issued = issuedThisCycle_;
+    Cycle lastRetire = lastRetire_;
+    Cycle *const iq = iqRing_.data();
+    Cycle *const regReady = regReady_.data();
+    Cycle *const units = units_.data();
+    // Block totals, added to the counters at the end.
+    Cycle fetchStalls = 0;
+    std::array<u64, numClasses> perClass{};
 
-    // ---- front end -----------------------------------------------------
-    u64 line = rec.pc >> fetchLineShift_;
-    if (line != lastFetchLine_) {
-        lastFetchLine_ = line;
-        Cycle lat = itlb_->access(rec.pc) + l1i_->access(rec.pc, false);
-        Cycle ready = fetchCycle_ + lat;
-        if (lat > 1)
-            cFetchStallCycles_->inc(lat - 1);
-        lineReady_ = std::max(lineReady_, ready);
-    }
-    if (fetchedThisCycle_ >= fetchWidth_) {
-        fetchCycle_ += 1;
-        fetchedThisCycle_ = 0;
-    }
-    fetchCycle_ = std::max(fetchCycle_, lineReady_);
-    ++fetchedThisCycle_;
+    for (const InstRecord *r = recs, *end = recs + n; r != end; ++r) {
+        const InstRecord &rec = *r;
 
-    // Enter the instruction queue (decode pipeline), bounded by IQ
-    // occupancy: the slot of the instruction iq_size back must have
-    // issued before we can enter.
-    Cycle enter = fetchCycle_ + frontendDepth_;
-    enter = std::max(enter, iqRing_[iqHead_]);
-
-    // ---- back end: in-order issue --------------------------------------
-    Cycle ready = enter;
-    if (rec.src1 != noReg)
-        ready = std::max(ready, regReady_[rec.src1]);
-    if (rec.src2 != noReg)
-        ready = std::max(ready, regReady_[rec.src2]);
-    // In-order constraint.
-    ready = std::max(ready, issueCycle_);
-
-    Cycle lat = latAlu_;
-    Cycle issue = ready;
-    switch (rec.cls) {
-      case InstClass::IntMul:
-        issue = reserveFu(complexPool_, ready, 1);
-        lat = latMul_;
-        cMulOps_->inc();
-        break;
-      case InstClass::IntDiv:
-        issue = reserveFu(complexPool_, ready, latDiv_); // unpipelined
-        lat = latDiv_;
-        cDivOps_->inc();
-        break;
-      case InstClass::FpAlu:
-      case InstClass::FpMul:
-        issue = reserveFu(fpPool_, ready, 1);
-        lat = latFp_;
-        cFpOps_->inc();
-        break;
-      case InstClass::FpDiv:
-        issue = reserveFu(fpPool_, ready, latFpDiv_);
-        lat = latFpDiv_;
-        cFpOps_->inc();
-        break;
-      case InstClass::Load:
-      case InstClass::Store: {
-        issue = reserveFu(memPool_, ready, 1);
-        Cycle mlat = dtlb_->access(rec.memAddr) +
-                     l1d_->access(rec.memAddr,
-                                  rec.cls == InstClass::Store);
-        prefetcher_->observe(rec.pc, rec.memAddr);
-        lat = mlat;
-        cMemOps_->inc();
-        break;
-      }
-      case InstClass::Branch:
-      case InstClass::Jump: {
-        issue = reserveFu(aluPool_, ready, 1);
-        lat = latBranch_;
-        cBranches_->inc();
-        bool mispredict = false;
-        if (rec.cls == InstClass::Branch) {
-            mispredict = gshare_->update(rec.pc, rec.taken);
+        // ---- front end -------------------------------------------------
+        u64 line = rec.pc >> fetchLineShift_;
+        if (line != lastLine) {
+            lastLine = line;
+            Cycle lat = itlb_->access(rec.pc) + l1i_->access(rec.pc, false);
+            if (lat > 1)
+                fetchStalls += lat - 1;
+            lineReady = std::max(lineReady, fetchCycle + lat);
         }
-        if (rec.taken) {
-            u32 predicted;
-            bool btb_hit = btb_->lookup(rec.pc, predicted);
-            if (!btb_hit || predicted != rec.nextPc)
-                mispredict = true;
-            btb_->update(rec.pc, rec.nextPc);
+        const bool fetchFull = fetched >= fetchWidth_;
+        fetchCycle += fetchFull;
+        fetched = fetchFull ? 1 : fetched + 1;
+        fetchCycle = std::max(fetchCycle, lineReady);
+
+        // Enter the instruction queue (decode pipeline), bounded by IQ
+        // occupancy: the slot of the instruction iq_size back must
+        // have issued before we can enter.
+        Cycle ready = std::max(fetchCycle + frontendDepth_, iq[iqHead]);
+
+        // ---- back end: in-order issue ----------------------------------
+        ready = std::max(ready, regReady[rec.src1]);
+        ready = std::max(ready, regReady[rec.src2]);
+        ready = std::max(ready, issueCycle); // in-order constraint
+
+        // The earliest-free unit of the class's pool; in-order issue
+        // waits for it.
+        const std::size_t cls = std::size_t(rec.cls);
+        const IssueRule &how = issueRule_[cls];
+        ++perClass[cls];
+        Cycle *unit = units + how.begin;
+        for (u32 u = how.begin + 1; u < how.end; ++u)
+            unit = units[u] < *unit ? units + u : unit;
+        Cycle issue = std::max(ready, *unit);
+        *unit = issue + how.busy;
+
+        Cycle lat = how.lat;
+        if (rec.cls == InstClass::Load || rec.cls == InstClass::Store) {
+            lat = dtlb_->access(rec.memAddr) +
+                  l1d_->access(rec.memAddr, rec.cls == InstClass::Store);
+            prefetcher_->observe(rec.pc, rec.memAddr);
+        } else if (rec.cls == InstClass::Branch ||
+                   rec.cls == InstClass::Jump) {
+            bool mispredict = rec.cls == InstClass::Branch &&
+                              gshare_->update(rec.pc, rec.taken);
+            if (rec.taken) {
+                u32 predicted;
+                bool btb_hit = btb_->lookup(rec.pc, predicted);
+                if (!btb_hit || predicted != rec.nextPc)
+                    mispredict = true;
+                btb_->update(rec.pc, rec.nextPc);
+            }
+            if (mispredict) {
+                // Redirect: the front end restarts after resolution.
+                fetchCycle = std::max(fetchCycle, issue + lat + 1);
+                fetched = 0;
+                lineReady = fetchCycle;
+                lastLine = ~0ull;
+            }
         }
-        if (mispredict) {
-            // Redirect: the front end restarts after resolution.
-            Cycle resolve = issue + lat;
-            fetchCycle_ = std::max(fetchCycle_, resolve + 1);
-            fetchedThisCycle_ = 0;
-            lineReady_ = fetchCycle_;
-            lastFetchLine_ = ~0ull;
-        }
-        break;
-      }
-      default:
-        issue = reserveFu(aluPool_, ready, 1);
-        lat = latAlu_;
-        cAluOps_->inc();
-        break;
+
+        // Issue-width accounting: a full cycle pushes this one to the
+        // next.
+        const u32 sameCycle = issue == issueCycle ? issued + 1 : 1;
+        const bool widthFull = sameCycle > issueWidth_;
+        issue += widthFull;
+        issued = widthFull ? 1 : sameCycle;
+        issueCycle = issue;
+
+        const Cycle done = issue + lat;
+        regReady[rec.dst] = done;
+        regReady[noReg] = 0;
+        lastRetire = std::max(lastRetire, done);
+
+        // IQ slot recycles at issue.
+        iq[iqHead] = issue;
+        iqHead = iqHead + 1 == iqSize_ ? 0 : iqHead + 1;
     }
 
-    // Issue-width accounting.
-    if (issue == issueCycle_) {
-        if (++issuedThisCycle_ > issueWidth_) {
-            issue += 1;
-            issuedThisCycle_ = 1;
-        }
-    } else {
-        issuedThisCycle_ = 1;
-    }
-    issueCycle_ = issue;
+    fetchCycle_ = fetchCycle;
+    fetchedThisCycle_ = fetched;
+    lastFetchLine_ = lastLine;
+    lineReady_ = lineReady;
+    iqHead_ = iqHead;
+    issueCycle_ = issueCycle;
+    issuedThisCycle_ = issued;
+    lastRetire_ = lastRetire;
 
-    if (rec.dst != noReg)
-        regReady_[rec.dst] = issue + lat;
-    lastRetire_ = std::max(lastRetire_, issue + lat);
-
-    // IQ slot recycles at issue.
-    iqRing_[iqHead_] = issue;
-    if (++iqHead_ == iqSize_)
-        iqHead_ = 0;
-
+    auto count = [&](InstClass c) { return perClass[std::size_t(c)]; };
+    instructions_ += n;
+    cInsts_->inc(n);
+    cAluOps_->inc(count(InstClass::IntAlu) + count(InstClass::Other));
+    cMulOps_->inc(count(InstClass::IntMul));
+    cDivOps_->inc(count(InstClass::IntDiv));
+    cFpOps_->inc(count(InstClass::FpAlu) + count(InstClass::FpMul) +
+                 count(InstClass::FpDiv));
+    cMemOps_->inc(count(InstClass::Load) + count(InstClass::Store));
+    cBranches_->inc(count(InstClass::Branch) + count(InstClass::Jump));
+    cFetchStallCycles_->inc(fetchStalls);
     cCycles_->set(cycles());
 }
 

@@ -14,6 +14,17 @@
  *
  * The model is trace-driven from the co-designed component's dynamic
  * host instruction stream (TraceSink), per the paper's architecture.
+ * It takes the stream a block at a time (recordBlock; record() is a
+ * block of one): the pipeline state lives in locals for the block,
+ * and the instruction, op-class and fetch-stall counters are summed
+ * and added, and core.cycles set, once at its end. Nothing reads the
+ * model inside a block (the trace pipeline delivers whole blocks
+ * before any drain returns), so every reader sees the numbers that
+ * record-by-record updates give. The caches, TLBs and issue logic are
+ * built for this loop: compact cache lines searched without early
+ * exit, hashed TLB levels, a unit pool and latency per class read
+ * from a table, branch-free issue-width accounting, and a scoreboard
+ * slot for noReg that always reads 0.
  *
  * Config keys (defaults):
  *   core.issue_width (2), core.fetch_width (4), core.iq_size (16),
@@ -57,7 +68,11 @@ class InOrderCore : public host::TraceSink
     InOrderCore(const Config &cfg, StatGroup &stats);
 
     // TraceSink
-    void record(const host::InstRecord &rec) override;
+    void record(const host::InstRecord &rec) override
+    {
+        recordBlock(&rec, 1);
+    }
+    void recordBlock(const host::InstRecord *recs, std::size_t n) override;
     void recordConcurrent(u64 host_insts) override;
 
     /**
@@ -78,14 +93,24 @@ class InOrderCore : public host::TraceSink
     StatGroup &stats() { return stats_; }
 
   private:
-    /** Reserve the earliest unit of a pool at or after `when`. */
-    Cycle reserveFu(std::vector<Cycle> &pool, Cycle when, Cycle busy);
+    static constexpr std::size_t numClasses =
+        std::size_t(host::InstClass::Other) + 1;
+
+    /** How an instruction class issues: to the earliest-free unit of
+     *  units_[begin, end), holding it `busy` cycles; its result is
+     *  ready `lat` cycles after issue (loads and stores: the memory
+     *  access time instead). */
+    struct IssueRule
+    {
+        u32 begin, end;
+        Cycle busy, lat;
+    };
 
     StatGroup &stats_;
 
     // Parameters.
     u32 issueWidth_, fetchWidth_, iqSize_, frontendDepth_;
-    Cycle latAlu_, latMul_, latDiv_, latFp_, latFpDiv_, latBranch_;
+    std::array<IssueRule, numClasses> issueRule_;
 
     // Structures.
     std::unique_ptr<Cache> l2_, l1i_, l1d_;
@@ -109,8 +134,12 @@ class InOrderCore : public host::TraceSink
     // Back-end state.
     Cycle issueCycle_ = 0;
     u32 issuedThisCycle_ = 0;
-    std::array<Cycle, 128> regReady_{};
-    std::vector<Cycle> aluPool_, complexPool_, fpPool_, memPool_;
+    /** Result-ready cycle per register operand; the noReg slot stays
+     *  0, so an absent source reads as ready and needs no test. */
+    std::array<Cycle, 256> regReady_{};
+    /** Free cycle of each unit, pool by pool: ALUs, complex, FP, memory
+     *  ports. */
+    std::vector<Cycle> units_;
     Cycle lastRetire_ = 0;
 
     u64 instructions_ = 0;

@@ -39,7 +39,8 @@ class StridePrefetcher
             e.lastAddr = addr;
             return;
         }
-        s32 stride = s32(addr) - s32(e.lastAddr);
+        // Address arithmetic wraps modulo 2^32, as the hardware's does.
+        s32 stride = s32(addr - e.lastAddr);
         if (stride != 0 && stride == e.stride) {
             if (e.confidence < 3)
                 ++e.confidence;
@@ -50,7 +51,7 @@ class StridePrefetcher
         e.lastAddr = addr;
         if (e.confidence >= 2 && stride != 0 && target_) {
             for (u32 d = 1; d <= degree_; ++d) {
-                target_->prefetch(u32(s32(addr) + stride * s32(d)));
+                target_->prefetch(addr + u32(stride) * d);
                 issued_->inc();
             }
         }

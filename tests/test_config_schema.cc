@@ -164,6 +164,12 @@ TEST(ConfigSchema, RangeAndEnumViolationsAreRejected)
     }
     {
         Config cfg;
+        cfg.parseLine("bpred.history=33"); // wider than the u32 register
+        EXPECT_NE(fatalMessage(cfg).find("outside valid range"),
+                  std::string::npos);
+    }
+    {
+        Config cfg;
         cfg.parseLine("tol.bias_threshold=nan"); // NaN beats < / >
         EXPECT_NE(fatalMessage(cfg).find("outside valid range"),
                   std::string::npos);

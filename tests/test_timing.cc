@@ -1,20 +1,24 @@
 /**
  * @file
  * Timing-simulator tests: cache behaviour (hits/misses/LRU/writeback),
- * TLB levels, seeded differential checks of both against naive
- * reference models, gshare learning, BTB, stride prefetcher, scoreboard
- * dependencies, issue width, and end-to-end IPC sanity; power-model
- * accounting on top.
+ * geometry errors, TLB levels, seeded differential checks of both and
+ * of the block-fed core against naive reference models, gshare
+ * learning, BTB, stride prefetcher, scoreboard dependencies, issue
+ * width, and end-to-end IPC sanity; power-model accounting on top.
  */
 
+#include <algorithm>
 #include <array>
 #include <iterator>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "common/schema.hh"
 #include "power/power.hh"
 #include "timing/core.hh"
 
@@ -22,6 +26,7 @@ using namespace darco;
 using namespace darco::timing;
 using host::InstClass;
 using host::InstRecord;
+using host::noReg;
 
 namespace
 {
@@ -108,6 +113,23 @@ TEST(CacheModel, WritebackOnDirtyEvict)
     EXPECT_EQ(st.value("c.writebacks"), 1u);
 }
 
+TEST(CacheModel, LevelSmallerThanOneSetIsAConfigError)
+{
+    // Each value is valid alone; together the L1D holds less than one
+    // set of 64 ways.
+    Config cfg({"l1d.size=1024", "l1d.assoc=64"});
+    StatGroup st("t");
+    try {
+        InOrderCore core(cfg, st);
+        FAIL() << "a cache smaller than one set was accepted";
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        for (const char *part :
+             {"l1d.size=1024", "l1d.assoc=64", "cache.line=64"})
+            EXPECT_NE(msg.find(part), std::string::npos) << msg;
+    }
+}
+
 TEST(TlbModel, TwoLevelLatencies)
 {
     StatGroup st("t");
@@ -121,11 +143,15 @@ TEST(TlbModel, TwoLevelLatencies)
 
 // --- differential checks against naive reference models -------------
 //
-// The models index sets with shifts and masks and check the TLB's most
-// recently used entry before scanning. These references do neither:
-// sets by division and modulo, and a full linear LRU scan on every
-// access. Each seeded stream must match them access by access, in
-// latency and in every counter.
+// The models index sets with shifts and masks, search every way of a
+// compact line array, and find TLB entries through a hashed index and
+// a recency list behind an MRU check. These references do none of
+// that: sets by division and modulo with a valid bit per way, and a
+// TLB level that is a plain set of pages ordered by last-use tick. The
+// core reference is the record-at-a-time in-order core that predates
+// block delivery, over those references. Each seeded stream must match
+// them access by access (the core: block by block), in latency and in
+// every counter.
 
 namespace
 {
@@ -221,7 +247,10 @@ class RefCache
     u64 tick_ = 0;
 };
 
-/** Reference fully-associative TLB level: a full LRU scan per access. */
+/**
+ * Reference fully-associative TLB level: the resident pages keyed by
+ * their last-use tick; a miss in a full level evicts the lowest tick.
+ */
 class RefTlbLevel
 {
   public:
@@ -230,37 +259,29 @@ class RefTlbLevel
     bool
     access(u32 vpn)
     {
-        for (Entry &e : entries_) {
-            if (e.valid && e.vpn == vpn) {
-                e.lru = ++tick_;
-                ++hits;
-                return true;
+        auto it = tickOf_.find(vpn);
+        bool hit = it != tickOf_.end();
+        if (hit) {
+            ++hits;
+            byTick_.erase(it->second);
+        } else {
+            ++misses;
+            if (tickOf_.size() == entries_) {
+                tickOf_.erase(byTick_.begin()->second);
+                byTick_.erase(byTick_.begin());
             }
         }
-        ++misses;
-        Entry *victim = &entries_[0];
-        for (Entry &e : entries_) {
-            if (!e.valid) {
-                victim = &e;
-                break;
-            }
-            if (e.lru < victim->lru)
-                victim = &e;
-        }
-        *victim = Entry{vpn, true, ++tick_};
-        return false;
+        tickOf_[vpn] = ++tick_;
+        byTick_[tick_] = vpn;
+        return hit;
     }
 
     u64 hits = 0, misses = 0;
 
   private:
-    struct Entry
-    {
-        u32 vpn = 0;
-        bool valid = false;
-        u64 lru = 0;
-    };
-    std::vector<Entry> entries_;
+    std::size_t entries_;
+    std::map<u64, u32> byTick_;
+    std::map<u32, u64> tickOf_;
     u64 tick_ = 0;
 };
 
@@ -312,6 +333,466 @@ class AddrStream
 };
 
 constexpr u64 kDiffAccesses = 100'000;
+
+/** Reference two-level TLB over RefTlbLevel. */
+class RefTlb
+{
+  public:
+    RefTlb(u32 l1_entries, u32 l2_entries, Cycle l2_lat, Cycle walk_lat)
+        : l1(l1_entries), l2(l2_entries), l2Lat_(l2_lat),
+          walkLat_(walk_lat)
+    {}
+
+    Cycle
+    access(u32 addr)
+    {
+        u32 vpn = addr / 4096;
+        if (l1.access(vpn))
+            return 0;
+        return l2.access(vpn) ? l2Lat_ : l2Lat_ + walkLat_;
+    }
+
+    RefTlbLevel l1, l2;
+
+  private:
+    Cycle l2Lat_, walkLat_;
+};
+
+/** Reference stride prefetcher: StridePrefetcher's policy over a
+ *  RefCache. */
+class RefPrefetcher
+{
+  public:
+    RefPrefetcher(u32 entries, u32 degree, RefCache *target,
+                  Counter &issued)
+        : table_(entries), degree_(degree), target_(target),
+          issued_(issued)
+    {}
+
+    void
+    observe(u32 pc, u32 addr)
+    {
+        Entry &e = table_[(pc / 4) % table_.size()];
+        if (e.tag != pc) {
+            e = Entry{pc, addr, 0, 0};
+            return;
+        }
+        s32 stride = s32(addr - e.lastAddr);
+        if (stride != 0 && stride == e.stride) {
+            if (e.confidence < 3)
+                ++e.confidence;
+        } else if (e.confidence > 0) {
+            --e.confidence;
+        }
+        e.stride = stride;
+        e.lastAddr = addr;
+        if (e.confidence >= 2 && stride != 0 && target_) {
+            for (u32 d = 1; d <= degree_; ++d) {
+                target_->prefetch(addr + u32(stride) * d);
+                issued_.inc();
+            }
+        }
+    }
+
+  private:
+    struct Entry
+    {
+        u32 tag = ~0u;
+        u32 lastAddr = 0;
+        s32 stride = 0;
+        u32 confidence = 0;
+    };
+    std::vector<Entry> table_;
+    u32 degree_;
+    RefCache *target_;
+    Counter &issued_;
+};
+
+/**
+ * Reference in-order core: record(), recordConcurrent() and reserveFu()
+ * are the bodies of the model that took the stream one record at a
+ * time, copied verbatim, over RefCache, RefTlb and RefPrefetcher (and
+ * the production Gshare and Btb).
+ */
+class RefCore
+{
+  public:
+    RefCore(const Config &cfg, StatGroup &stats)
+    {
+        auto get = [&](const std::string &key) {
+            return conf::getUint(cfg, key);
+        };
+        issueWidth_ = u32(get("core.issue_width"));
+        fetchWidth_ = u32(get("core.fetch_width"));
+        iqSize_ = u32(get("core.iq_size"));
+        frontendDepth_ = u32(get("core.frontend_depth"));
+        latAlu_ = get("core.lat_alu");
+        latMul_ = get("core.lat_mul");
+        latDiv_ = get("core.lat_div");
+        latFp_ = get("core.lat_fp");
+        latFpDiv_ = get("core.lat_fpdiv");
+        latBranch_ = get("core.lat_branch");
+        u32 line = u32(get("cache.line"));
+        auto cache = [&](const std::string &level, Cycle miss_lat,
+                         RefCache *next) {
+            return std::make_unique<RefCache>(
+                u32(get(level + ".size")), u32(get(level + ".assoc")),
+                line, get(level + ".lat"), miss_lat, next);
+        };
+        l2_ = cache("l2", get("mem.lat"), nullptr);
+        l1i_ = cache("l1i", 0, l2_.get());
+        l1d_ = cache("l1d", 0, l2_.get());
+        fetchLineShift_ = u32(__builtin_ctz(line));
+        auto tlb = [&] {
+            return std::make_unique<RefTlb>(
+                u32(get("tlb.l1_entries")), u32(get("tlb.l2_entries")),
+                get("tlb.l2_lat"), get("tlb.walk_lat"));
+        };
+        itlb_ = tlb();
+        dtlb_ = tlb();
+        gshare_ = std::make_unique<Gshare>(u32(get("bpred.entries")),
+                                           u32(get("bpred.history")),
+                                           stats);
+        btb_ = std::make_unique<Btb>(u32(get("btb.entries")), stats);
+        prefetcher_ = std::make_unique<RefPrefetcher>(
+            u32(get("prefetch.entries")), u32(get("prefetch.degree")),
+            conf::getBool(cfg, "prefetch.enable") ? l1d_.get() : nullptr,
+            stats.counter("prefetch.issued"));
+        aluPool_.assign(get("core.num_alu"), 0);
+        complexPool_.assign(get("core.num_complex"), 0);
+        fpPool_.assign(get("core.num_fp"), 0);
+        memPool_.assign(get("core.num_mem_ports"), 0);
+        iqRing_.assign(iqSize_, 0);
+        vthreads_ = u32(get("tol.async.vthreads"));
+        cCycles_ = &stats.counter("core.cycles");
+        cInsts_ = &stats.counter("core.instructions");
+        cAluOps_ = &stats.counter("core.alu_ops");
+        cMulOps_ = &stats.counter("core.mul_ops");
+        cDivOps_ = &stats.counter("core.div_ops");
+        cFpOps_ = &stats.counter("core.fp_ops");
+        cMemOps_ = &stats.counter("core.mem_ops");
+        cBranches_ = &stats.counter("core.branches");
+        cFetchStallCycles_ = &stats.counter("core.fetch_stall_cycles");
+        cTranslatorInsts_ = &stats.counter("core.translator_insts");
+        stats_ = &stats;
+    }
+
+    void record(const InstRecord &rec);
+    void recordConcurrent(u64 host_insts);
+
+    Cycle cycles() const { return std::max(lastRetire_, translatorCycles_); }
+    u64 instructions() const { return instructions_; }
+
+    /** Every counter, under the names the model's StatGroup uses. */
+    std::map<std::string, u64>
+    counters() const
+    {
+        std::map<std::string, u64> all;
+        for (const auto &[name, c] : stats_->counters())
+            all[name] = c.value();
+        auto cache = [&](const std::string &level, const RefCache &c) {
+            all[level + ".hits"] = c.hits;
+            all[level + ".misses"] = c.misses;
+            all[level + ".writebacks"] = c.writebacks;
+            all[level + ".prefetches"] = c.prefetches;
+        };
+        cache("l1i", *l1i_);
+        cache("l1d", *l1d_);
+        cache("l2", *l2_);
+        auto tlb = [&](const std::string &name, const RefTlb &t) {
+            all[name + ".l1.hits"] = t.l1.hits;
+            all[name + ".l1.misses"] = t.l1.misses;
+            all[name + ".l2.hits"] = t.l2.hits;
+            all[name + ".l2.misses"] = t.l2.misses;
+        };
+        tlb("itlb", *itlb_);
+        tlb("dtlb", *dtlb_);
+        return all;
+    }
+
+  private:
+    Cycle reserveFu(std::vector<Cycle> &pool, Cycle when, Cycle busy);
+
+    const StatGroup *stats_;
+    u32 issueWidth_, fetchWidth_, iqSize_, frontendDepth_;
+    Cycle latAlu_, latMul_, latDiv_, latFp_, latFpDiv_, latBranch_;
+    std::unique_ptr<RefCache> l2_, l1i_, l1d_;
+    std::unique_ptr<RefTlb> itlb_, dtlb_;
+    std::unique_ptr<Gshare> gshare_;
+    std::unique_ptr<Btb> btb_;
+    std::unique_ptr<RefPrefetcher> prefetcher_;
+    u32 fetchLineShift_;
+    Cycle fetchCycle_ = 0;
+    u32 fetchedThisCycle_ = 0;
+    u64 lastFetchLine_ = ~0ull;
+    Cycle lineReady_ = 0;
+    std::vector<Cycle> iqRing_;
+    u32 iqHead_ = 0;
+    Cycle issueCycle_ = 0;
+    u32 issuedThisCycle_ = 0;
+    std::array<Cycle, 128> regReady_{};
+    std::vector<Cycle> aluPool_, complexPool_, fpPool_, memPool_;
+    Cycle lastRetire_ = 0;
+    u64 instructions_ = 0;
+    u64 translatorInsts_ = 0;
+    Cycle translatorCycles_ = 0;
+    u32 vthreads_ = 1;
+    Counter *cCycles_;
+    Counter *cInsts_;
+    Counter *cAluOps_;
+    Counter *cMulOps_;
+    Counter *cDivOps_;
+    Counter *cFpOps_;
+    Counter *cMemOps_;
+    Counter *cBranches_;
+    Counter *cFetchStallCycles_;
+    Counter *cTranslatorInsts_;
+};
+
+void
+RefCore::recordConcurrent(u64 host_insts)
+{
+    translatorInsts_ += host_insts;
+    translatorCycles_ = (translatorInsts_ + vthreads_ - 1) / vthreads_;
+    cTranslatorInsts_->inc(host_insts);
+    cCycles_->set(cycles());
+}
+
+Cycle
+RefCore::reserveFu(std::vector<Cycle> &pool, Cycle when, Cycle busy)
+{
+    // Earliest-available unit; in-order issue waits for it.
+    std::size_t best = 0;
+    for (std::size_t u = 1; u < pool.size(); ++u) {
+        if (pool[u] < pool[best])
+            best = u;
+    }
+    Cycle start = std::max(when, pool[best]);
+    pool[best] = start + busy;
+    return start;
+}
+
+void
+RefCore::record(const InstRecord &rec)
+{
+    ++instructions_;
+    cInsts_->inc();
+
+    // ---- front end -----------------------------------------------------
+    u64 line = rec.pc >> fetchLineShift_;
+    if (line != lastFetchLine_) {
+        lastFetchLine_ = line;
+        Cycle lat = itlb_->access(rec.pc) + l1i_->access(rec.pc, false);
+        Cycle ready = fetchCycle_ + lat;
+        if (lat > 1)
+            cFetchStallCycles_->inc(lat - 1);
+        lineReady_ = std::max(lineReady_, ready);
+    }
+    if (fetchedThisCycle_ >= fetchWidth_) {
+        fetchCycle_ += 1;
+        fetchedThisCycle_ = 0;
+    }
+    fetchCycle_ = std::max(fetchCycle_, lineReady_);
+    ++fetchedThisCycle_;
+
+    // Enter the instruction queue (decode pipeline), bounded by IQ
+    // occupancy: the slot of the instruction iq_size back must have
+    // issued before we can enter.
+    Cycle enter = fetchCycle_ + frontendDepth_;
+    enter = std::max(enter, iqRing_[iqHead_]);
+
+    // ---- back end: in-order issue --------------------------------------
+    Cycle ready = enter;
+    if (rec.src1 != noReg)
+        ready = std::max(ready, regReady_[rec.src1]);
+    if (rec.src2 != noReg)
+        ready = std::max(ready, regReady_[rec.src2]);
+    // In-order constraint.
+    ready = std::max(ready, issueCycle_);
+
+    Cycle lat = latAlu_;
+    Cycle issue = ready;
+    switch (rec.cls) {
+      case InstClass::IntMul:
+        issue = reserveFu(complexPool_, ready, 1);
+        lat = latMul_;
+        cMulOps_->inc();
+        break;
+      case InstClass::IntDiv:
+        issue = reserveFu(complexPool_, ready, latDiv_); // unpipelined
+        lat = latDiv_;
+        cDivOps_->inc();
+        break;
+      case InstClass::FpAlu:
+      case InstClass::FpMul:
+        issue = reserveFu(fpPool_, ready, 1);
+        lat = latFp_;
+        cFpOps_->inc();
+        break;
+      case InstClass::FpDiv:
+        issue = reserveFu(fpPool_, ready, latFpDiv_);
+        lat = latFpDiv_;
+        cFpOps_->inc();
+        break;
+      case InstClass::Load:
+      case InstClass::Store: {
+        issue = reserveFu(memPool_, ready, 1);
+        Cycle mlat = dtlb_->access(rec.memAddr) +
+                     l1d_->access(rec.memAddr,
+                                  rec.cls == InstClass::Store);
+        prefetcher_->observe(rec.pc, rec.memAddr);
+        lat = mlat;
+        cMemOps_->inc();
+        break;
+      }
+      case InstClass::Branch:
+      case InstClass::Jump: {
+        issue = reserveFu(aluPool_, ready, 1);
+        lat = latBranch_;
+        cBranches_->inc();
+        bool mispredict = false;
+        if (rec.cls == InstClass::Branch) {
+            mispredict = gshare_->update(rec.pc, rec.taken);
+        }
+        if (rec.taken) {
+            u32 predicted;
+            bool btb_hit = btb_->lookup(rec.pc, predicted);
+            if (!btb_hit || predicted != rec.nextPc)
+                mispredict = true;
+            btb_->update(rec.pc, rec.nextPc);
+        }
+        if (mispredict) {
+            // Redirect: the front end restarts after resolution.
+            Cycle resolve = issue + lat;
+            fetchCycle_ = std::max(fetchCycle_, resolve + 1);
+            fetchedThisCycle_ = 0;
+            lineReady_ = fetchCycle_;
+            lastFetchLine_ = ~0ull;
+        }
+        break;
+      }
+      default:
+        issue = reserveFu(aluPool_, ready, 1);
+        lat = latAlu_;
+        cAluOps_->inc();
+        break;
+    }
+
+    // Issue-width accounting.
+    if (issue == issueCycle_) {
+        if (++issuedThisCycle_ > issueWidth_) {
+            issue += 1;
+            issuedThisCycle_ = 1;
+        }
+    } else {
+        issuedThisCycle_ = 1;
+    }
+    issueCycle_ = issue;
+
+    if (rec.dst != noReg)
+        regReady_[rec.dst] = issue + lat;
+    lastRetire_ = std::max(lastRetire_, issue + lat);
+
+    // IQ slot recycles at issue.
+    iqRing_[iqHead_] = issue;
+    if (++iqHead_ == iqSize_)
+        iqHead_ = 0;
+
+    cCycles_->set(cycles());
+}
+
+/**
+ * A seeded host stream for the core: a static program of 4096 slots in
+ * four 16 KiB code regions, each slot with a fixed class, operands
+ * (integer, FP and absent) and branch target. Walking it crosses fetch
+ * lines and pages; branches go either way at a per-slot bias, jumps
+ * are mostly taken, and one taken CTI in ten reports a target the BTB
+ * has not seen. Loads and stores either follow a per-slot stride (the
+ * prefetcher arms) or draw from an AddrStream.
+ */
+class CoreStream
+{
+  public:
+    explicit CoreStream(u64 seed) : addrs_(seed, 1 << 20, 256)
+    {
+        Rng &rng = addrs_.rng();
+        for (u32 &b : bases_)
+            b = u32(rng.range(1, 0xffff)) << 16;
+        const double bias[] = {0.03, 0.5, 0.97};
+        const s32 strides[] = {0, 0, 4, 64, 200, -64};
+        for (Slot &s : code_) {
+            s.cls = InstClass(rng.range(0, u64(InstClass::Other)));
+            s.dst = reg();
+            s.src1 = reg();
+            s.src2 = reg();
+            s.target = u32(rng.range(0, kSlots - 1));
+            s.bias = bias[rng.range(0, 2)];
+            s.stride = strides[rng.range(0, std::size(strides) - 1)];
+            s.addr = u32(rng.next());
+        }
+    }
+
+    InstRecord
+    next()
+    {
+        Rng &rng = addrs_.rng();
+        Slot &s = code_[slot_];
+        InstRecord r;
+        r.pc = pcOf(region_, slot_);
+        r.cls = s.cls;
+        r.dst = s.dst;
+        r.src1 = s.src1;
+        r.src2 = s.src2;
+        r.nextPc = r.pc + 4;
+        u32 nextSlot = (slot_ + 1) % kSlots;
+        if (s.cls == InstClass::Load || s.cls == InstClass::Store) {
+            r.memAddr = s.stride ? (s.addr += u32(s.stride)) : addrs_.next();
+        } else if (s.cls == InstClass::Branch || s.cls == InstClass::Jump) {
+            r.taken = rng.chance(s.cls == InstClass::Jump ? 0.9 : s.bias);
+            if (r.taken) {
+                if (rng.chance(0.01))
+                    region_ = u32(rng.range(0, bases_.size() - 1));
+                nextSlot = rng.chance(0.1) ? u32(rng.range(0, kSlots - 1))
+                                           : s.target;
+                r.nextPc = pcOf(region_, nextSlot);
+            }
+        }
+        slot_ = nextSlot;
+        return r;
+    }
+
+  private:
+    static constexpr u32 kSlots = 4096;
+
+    struct Slot
+    {
+        InstClass cls;
+        u8 dst, src1, src2;
+        u32 target;
+        double bias;
+        s32 stride;
+        u32 addr;
+    };
+
+    u8
+    reg()
+    {
+        Rng &rng = addrs_.rng();
+        double p = rng.uniform();
+        if (p < 0.25)
+            return host::noReg;
+        u8 r = u8(rng.range(0, 63));
+        return p < 0.65 ? r : u8(r | host::regFpBit);
+    }
+
+    u32 pcOf(u32 region, u32 slot) const { return bases_[region] + 4 * slot; }
+
+    AddrStream addrs_;
+    std::array<u32, 4> bases_{};
+    std::array<Slot, kSlots> code_{};
+    u32 region_ = 0;
+    u32 slot_ = 0;
+};
 
 } // namespace
 
@@ -383,6 +864,7 @@ TEST(TlbModel, MatchesNaiveReferenceOnSeededStreams)
         {1, 8},    // 1-entry L1: every fill evicts the MRU entry
         {3, 5},
         {2, 64},
+        {64, 65536}, // a large hashed index that evicts
     };
     const Cycle l2Lat = 4, walkLat = 40;
     for (std::size_t g = 0; g < std::size(geoms); ++g) {
@@ -397,9 +879,11 @@ TEST(TlbModel, MatchesNaiveReferenceOnSeededStreams)
         const Counter &m2 = st.counter("tlb.l2.misses");
 
         // Pages from a working set about twice the L2; short steps
-        // keep most accesses on the last page (the MRU path).
+        // keep most accesses on the last page (the MRU path). The
+        // large L2 needs more accesses than it has entries to evict.
         AddrStream addrs(2000 + g, 2 * geo.l2 * 4096, 8192);
-        for (u64 k = 0; k < kDiffAccesses; ++k) {
+        const u64 accesses = std::max<u64>(kDiffAccesses, 8 * geo.l2);
+        for (u64 k = 0; k < accesses; ++k) {
             u32 a = addrs.next();
             u32 vpn = a / 4096;
             Cycle expect = r1.access(vpn)   ? 0
@@ -414,9 +898,87 @@ TEST(TlbModel, MatchesNaiveReferenceOnSeededStreams)
         }
         EXPECT_GT(r1.hits, 0u);
         EXPECT_GT(r1.misses, 0u);
-        EXPECT_GT(r2.misses, 0u);
+        EXPECT_GT(r2.misses, u64(geo.l2)) << "the L2 evicted";
         if (geo.l2 > geo.l1) { // else the L2 only mirrors the L1
             EXPECT_GT(r2.hits, 0u);
+        }
+    }
+}
+
+TEST(CoreModel, MatchesNaiveReferenceOnSeededStreams)
+{
+    const std::vector<std::vector<std::string>> geoms = {
+        {}, // the defaults
+        {"core.num_alu=1", "core.issue_width=1", "core.fetch_width=1",
+         "core.iq_size=1"},
+        {"core.num_alu=3", "core.num_complex=2", "core.num_fp=2",
+         "core.num_mem_ports=2", "core.issue_width=4", "core.iq_size=16",
+         "tol.async.vthreads=3"},
+        {"core.num_alu=2", "core.num_mem_ports=2", "core.issue_width=4",
+         "core.fetch_width=1", "core.iq_size=1", "core.lat_div=1"},
+        // Tiny caches, TLBs and predictors.
+        {"l1i.size=1024", "l1i.assoc=1", "l1d.size=1024", "l1d.assoc=2",
+         "l2.size=4096", "l2.assoc=1", "cache.line=16",
+         "tlb.l1_entries=1", "tlb.l2_entries=2", "bpred.entries=16",
+         "btb.entries=4", "prefetch.degree=4", "core.num_alu=1",
+         "core.num_complex=2", "core.num_fp=2"},
+        // One-set L1s, odd TLB sizes, no prefetcher.
+        {"l1i.size=1024", "l1i.assoc=16", "l1d.size=1024", "l1d.assoc=16",
+         "tlb.l1_entries=3", "tlb.l2_entries=5", "prefetch.enable=false",
+         "core.issue_width=2", "core.fetch_width=4"},
+    };
+    for (std::size_t g = 0; g < geoms.size(); ++g) {
+        SCOPED_TRACE("geometry " + std::to_string(g));
+        Config cfg(geoms[g]);
+        StatGroup ms("model"), rs("ref");
+        InOrderCore model(cfg, ms);
+        RefCore ref(cfg, rs);
+        CoreStream stream(3000 + g);
+        Rng split(4000 + g);
+
+        // Random block splits of 1 to 5000 records, half of them short,
+        // with recordConcurrent at random block boundaries.
+        std::vector<InstRecord> block;
+        u64 fed = 0, blocks = 0;
+        while (fed < kDiffAccesses) {
+            u64 n = 1 + split.range(0, split.chance(0.5) ? 49 : 4999);
+            n = std::min(n, kDiffAccesses - fed);
+            block.clear();
+            for (u64 i = 0; i < n; ++i)
+                block.push_back(stream.next());
+            model.recordBlock(block.data(), block.size());
+            for (const InstRecord &r : block)
+                ref.record(r);
+            while (split.chance(0.3)) {
+                u64 insts = split.range(1, 20'000);
+                model.recordConcurrent(insts);
+                ref.recordConcurrent(insts);
+            }
+            fed += n;
+            ++blocks;
+            ASSERT_EQ(model.cycles(), ref.cycles()) << "block " << blocks;
+            ASSERT_EQ(model.instructions(), ref.instructions())
+                << "block " << blocks;
+            const std::map<std::string, u64> want = ref.counters();
+            ASSERT_EQ(ms.counters().size(), want.size());
+            for (const auto &[name, c] : ms.counters()) {
+                auto it = want.find(name);
+                ASSERT_NE(it, want.end()) << name;
+                ASSERT_EQ(c.value(), it->second)
+                    << name << " after block " << blocks;
+            }
+        }
+        // The stream exercised every class and outcome.
+        const std::map<std::string, u64> got = ref.counters();
+        for (const char *name :
+             {"core.alu_ops", "core.mul_ops", "core.div_ops", "core.fp_ops",
+              "core.mem_ops", "core.branches", "core.fetch_stall_cycles",
+              "l1i.misses", "l1d.hits", "l1d.misses", "l1d.writebacks",
+              "l2.hits", "l2.misses", "itlb.l1.misses", "dtlb.l2.misses",
+              "bpred.mispredicts", "btb.hits", "btb.misses"})
+            EXPECT_GT(got.at(name), 0u) << name;
+        if (conf::getBool(cfg, "prefetch.enable")) {
+            EXPECT_GT(got.at("prefetch.issued"), 0u);
         }
     }
 }
@@ -432,6 +994,23 @@ TEST(BpredModel, GshareLearnsLoopPattern)
     for (int i = 0; i < 100; ++i)
         g.update(0x400, true);
     EXPECT_EQ(st.value("bpred.mispredicts"), before);
+}
+
+TEST(BpredModel, FullHistoryRegisterLearnsLoop)
+{
+    // A loop branch taken 7 times in 8. Every history length up to the
+    // 32-bit register learns it; 32 once masked the history to nothing.
+    auto mispredicts = [](u32 history) {
+        StatGroup st("t");
+        Gshare g(4096, history, st);
+        for (u32 i = 0; i < 80'000; ++i)
+            g.update(0x400, i % 8 != 7);
+        return st.value("bpred.mispredicts");
+    };
+    const u64 at8 = mispredicts(8), at31 = mispredicts(31);
+    EXPECT_LT(at8, 100u);
+    EXPECT_LT(at31, 100u);
+    EXPECT_EQ(mispredicts(32), at31) << "the table sees the low 12 bits";
 }
 
 TEST(BpredModel, BtbRemembersTargets)

@@ -3,9 +3,10 @@
  * Trace-pipeline tests: the timing model consumes the host stream on
  * a library thread, and every reader that follows Tol::run or
  * Tol::quiesce must see exactly what direct calls would have
- * produced — record order, recordConcurrent positions, sink switches,
- * sink exceptions, guest faults with records in flight, and the
- * single-CPU path that starts no thread.
+ * produced — record order, recordConcurrent positions, blocks that
+ * stop at each of them, a block-fed core against one fed record by
+ * record, sink switches, sink exceptions, guest faults with records in
+ * flight, and the single-CPU path that starts no thread.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <sched.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -80,11 +82,14 @@ concEvent(u64 insts)
     return e;
 }
 
-/** Logs every call and the threads that made them. */
+/** Logs every call, the threads that made them, and the span of each
+ *  recordBlock call in the stream. */
 struct RecordingSink : host::TraceSink
 {
     std::vector<Event> events;
     std::vector<std::thread::id> callers;
+    std::vector<std::pair<u64, u64>> blocks; //!< first record, count
+    u64 records = 0;
 
     void
     note(const Event &e)
@@ -94,7 +99,19 @@ struct RecordingSink : host::TraceSink
         if (callers.empty() || callers.back() != me)
             callers.push_back(me);
     }
-    void record(const InstRecord &r) override { note(recordEvent(r)); }
+    void
+    record(const InstRecord &r) override
+    {
+        ++records;
+        note(recordEvent(r));
+    }
+    void
+    recordBlock(const InstRecord *recs, std::size_t n) override
+    {
+        blocks.emplace_back(records, n);
+        for (std::size_t i = 0; i < n; ++i)
+            record(recs[i]);
+    }
     void recordConcurrent(u64 n) override { note(concEvent(n)); }
 };
 
@@ -196,54 +213,48 @@ allowedCpus()
     return CPU_COUNT(&set);
 }
 
-} // namespace
+/**
+ * A seeded stream of 200,000 records: random classes, operands and
+ * addresses at sequential PCs, recordConcurrent positions (before the
+ * first record, after the last, around every block boundary and at
+ * random, sometimes two at one position) and mid-stream drains, each
+ * one a partial block.
+ */
+struct SeededStream
+{
+    std::vector<InstRecord> recs;
+    std::multimap<u64, u64> conc; //!< record position -> insts
+    std::vector<u64> drains;      //!< drain after this many records
+};
 
-TEST(TracePipeline, SeededStreamArrivesInDirectCallOrder)
+SeededStream
+seededStream(u64 seed)
 {
     constexpr u64 n = 200'000;
     constexpr u64 blk = TracePipeline::blockRecords;
-    Rng rng(1607);
-
-    // recordConcurrent positions: before the first record, after the
-    // last, around every block boundary, and at random, sometimes two
-    // at one position.
-    std::multimap<u64, u64> conc;
-    conc.emplace(0, rng.range(1, 1000));
-    conc.emplace(n, rng.range(1, 1000));
+    Rng rng(seed);
+    SeededStream s;
+    s.conc.emplace(0, rng.range(1, 1000));
+    s.conc.emplace(n, rng.range(1, 1000));
     for (u64 b = blk; b < n; b += blk) {
         if (rng.chance(0.5))
-            conc.emplace(b, rng.range(1, 1000));
+            s.conc.emplace(b, rng.range(1, 1000));
         if (rng.chance(0.25))
-            conc.emplace(b - 1, rng.range(1, 1000));
+            s.conc.emplace(b - 1, rng.range(1, 1000));
         if (rng.chance(0.25))
-            conc.emplace(b + 1, rng.range(1, 1000));
+            s.conc.emplace(b + 1, rng.range(1, 1000));
     }
     for (int k = 0; k < 300; ++k) {
         u64 pos = rng.range(0, n);
-        conc.emplace(pos, rng.range(1, 1000));
+        s.conc.emplace(pos, rng.range(1, 1000));
         if (k % 10 == 0)
-            conc.emplace(pos, rng.range(1, 1000));
+            s.conc.emplace(pos, rng.range(1, 1000));
     }
-    // Mid-stream drains, each one a partial block.
-    std::vector<u64> drains;
     for (int k = 0; k < 40; ++k)
-        drains.push_back(rng.range(1, n - 1));
-    drains.push_back(blk);
-    std::sort(drains.begin(), drains.end());
-
-    RecordingSink sink;
-    TracePipeline pipe;
-    pipe.setSink(&sink);
-    std::vector<Event> expected;
-    auto d = drains.begin();
-    auto c = conc.begin();
-    for (u64 i = 0; i <= n; ++i) {
-        for (; c != conc.end() && c->first == i; ++c) {
-            pipe.recordConcurrent(c->second);
-            expected.push_back(concEvent(c->second));
-        }
-        if (i == n)
-            break;
+        s.drains.push_back(rng.range(1, n - 1));
+    s.drains.push_back(blk);
+    std::sort(s.drains.begin(), s.drains.end());
+    for (u64 i = 0; i < n; ++i) {
         InstRecord r;
         r.pc = u32(i * 4);
         r.memAddr = u32(rng.next());
@@ -253,18 +264,92 @@ TEST(TracePipeline, SeededStreamArrivesInDirectCallOrder)
         r.src1 = u8(rng.next());
         r.src2 = u8(rng.next());
         r.taken = rng.chance(0.5);
-        pipe.record(r);
-        expected.push_back(recordEvent(r));
-        for (; d != drains.end() && *d == i + 1; ++d) {
+        s.recs.push_back(r);
+    }
+    return s;
+}
+
+/** The calls a sink attached directly receives for `s`. */
+std::vector<Event>
+directEvents(const SeededStream &s)
+{
+    std::vector<Event> events;
+    auto c = s.conc.begin();
+    for (u64 i = 0; i <= s.recs.size(); ++i) {
+        for (; c != s.conc.end() && c->first == i; ++c)
+            events.push_back(concEvent(c->second));
+        if (i < s.recs.size())
+            events.push_back(recordEvent(s.recs[i]));
+    }
+    return events;
+}
+
+/**
+ * Feed `s` through `pipe`, and the same calls one at a time to
+ * `direct` when given. Drain at each of s.drains, then call `drained`
+ * with the records fed so far; drain again at the end.
+ */
+template <typename OnDrain>
+void
+feedSeeded(TracePipeline &pipe, const SeededStream &s,
+           host::TraceSink *direct, OnDrain drained)
+{
+    auto d = s.drains.begin();
+    auto c = s.conc.begin();
+    for (u64 i = 0; i <= s.recs.size(); ++i) {
+        for (; c != s.conc.end() && c->first == i; ++c) {
+            pipe.recordConcurrent(c->second);
+            if (direct)
+                direct->recordConcurrent(c->second);
+        }
+        if (i == s.recs.size())
+            break;
+        pipe.record(s.recs[i]);
+        if (direct)
+            direct->record(s.recs[i]);
+        for (; d != s.drains.end() && *d == i + 1; ++d) {
             pipe.drain();
-            ASSERT_EQ(sink.events.size(), expected.size())
-                << "drain after record " << i;
+            drained(i + 1);
         }
     }
     pipe.drain();
+}
+
+} // namespace
+
+TEST(TracePipeline, SeededStreamArrivesInDirectCallOrder)
+{
+    const SeededStream stream = seededStream(1607);
+    std::vector<Event> expected = directEvents(stream);
+
+    RecordingSink sink;
+    TracePipeline pipe;
+    pipe.setSink(&sink);
+    feedSeeded(pipe, stream, nullptr, [&](u64 recs) {
+        // The records so far and the recordConcurrent calls before them.
+        auto concs = std::distance(stream.conc.begin(),
+                                   stream.conc.lower_bound(recs));
+        ASSERT_EQ(sink.events.size(), recs + u64(concs))
+            << "drain after record " << recs;
+    });
     ASSERT_EQ(sink.events.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i)
         ASSERT_TRUE(sink.events[i] == expected[i]) << "event " << i;
+
+    // Every record came in a recordBlock call, and no call spans a
+    // recordConcurrent position.
+    u64 covered = 0;
+    for (const auto &[first, n] : sink.blocks) {
+        ASSERT_GT(n, 0u);
+        ASSERT_LE(n, TracePipeline::blockRecords);
+        ASSERT_EQ(first, covered) << "blocks are in stream order";
+        auto c = stream.conc.upper_bound(first);
+        ASSERT_TRUE(c == stream.conc.end() || c->first >= first + n)
+            << "block [" << first << ", " << first + n
+            << ") spans a recordConcurrent at " << c->first;
+        covered += n;
+    }
+    EXPECT_EQ(covered, stream.recs.size());
 
     // One writer: the consumer thread, once it started (drains before
     // the first full block deliver on this thread).
@@ -273,6 +358,28 @@ TEST(TracePipeline, SeededStreamArrivesInDirectCallOrder)
         EXPECT_LE(sink.callers.size(), 2u);
         EXPECT_NE(sink.callers.back(), std::this_thread::get_id());
     }
+}
+
+TEST(TracePipeline, CoreThroughPipelineMatchesRecordByRecord)
+{
+    // The core takes each delivered run as one block; the direct core
+    // gets record() and recordConcurrent() calls one at a time. After
+    // every drain both must agree in cycles and every counter.
+    const SeededStream stream = seededStream(3319);
+    Config cfg = timedCfg({"tol.async.vthreads=3"});
+    Timed piped(cfg), direct(cfg);
+    TracePipeline pipe;
+    pipe.setSink(&piped.core);
+    feedSeeded(pipe, stream, &direct.core, [&](u64 recs) {
+        expectSameTiming(piped, direct,
+                         "drain after record " + std::to_string(recs));
+    });
+    expectSameTiming(piped, direct, "end of stream");
+    EXPECT_EQ(pipe.threaded(), allowedCpus() >= 2);
+    EXPECT_EQ(direct.core.instructions(), stream.recs.size());
+    EXPECT_GT(direct.stats.value("core.translator_insts"), 0u);
+    EXPECT_GT(direct.stats.value("bpred.mispredicts"), 0u);
+    EXPECT_GT(direct.stats.value("l1d.misses"), 0u);
 }
 
 TEST(TracePipeline, BudgetSlicesMatchDirectFeed)
