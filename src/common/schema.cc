@@ -769,6 +769,19 @@ ConfigSchema::checkValue(const ParamSpec &spec,
     }
 }
 
+std::string
+cacheGeometryError(const std::string &level, u64 size, u64 assoc,
+                   u64 line)
+{
+    if (assoc * line <= size)
+        return "";
+    std::ostringstream os;
+    os << "cache level " << level << " holds less than one set: " << level
+       << ".size=" << size << " < " << level << ".assoc=" << assoc
+       << " x cache.line=" << line;
+    return os.str();
+}
+
 std::vector<std::string>
 ConfigSchema::validationErrors(const Config &cfg) const
 {
@@ -784,6 +797,24 @@ ConfigSchema::validationErrors(const Config &cfg) const
             continue;
         }
         std::string bad = checkValue(*spec, value);
+        if (!bad.empty())
+            errs.push_back(std::move(bad));
+    }
+    if (!errs.empty())
+        return errs;
+
+    // Cross-key rules, over values each known to be well formed.
+    auto uintValue = [&](const std::string &key) {
+        u64 v = get(key).defUint;
+        auto it = cfg.entries().find(key);
+        if (it != cfg.entries().end())
+            parseU64(it->second, v);
+        return v;
+    };
+    for (const std::string level : {"l1i", "l1d", "l2"}) {
+        std::string bad = cacheGeometryError(
+            level, uintValue(level + ".size"), uintValue(level + ".assoc"),
+            uintValue("cache.line"));
         if (!bad.empty())
             errs.push_back(std::move(bad));
     }

@@ -157,7 +157,8 @@ class ConfigSchema
 
     /**
      * Every problem in `cfg`: unknown keys (with suggestion) and bad
-     * values. Empty when valid.
+     * values; once each value passes, a cache level (l1i, l1d, l2)
+     * smaller than one set (cacheGeometryError). Empty when valid.
      */
     std::vector<std::string> validationErrors(const Config &cfg) const;
 
@@ -224,6 +225,15 @@ class ConfigSchema
 
 /** The process-wide schema (all parameters declared). */
 const ConfigSchema &schema();
+
+/**
+ * "" when a cache level of `size` bytes holds at least one set of
+ * `assoc` lines of `line` bytes; otherwise the error, which names the
+ * level's keys. Config validation checks l1i, l1d and l2 with it, and
+ * timing::Cache its own geometry.
+ */
+std::string cacheGeometryError(const std::string &level, u64 size,
+                               u64 assoc, u64 line);
 
 /**
  * Schema-bound typed accessors: the one way components read their

@@ -64,10 +64,33 @@ struct GuestFault : std::runtime_error
  * Execute one decoded instruction against architectural state.
  *
  * Updates st.pc for every status except Syscall/Halt/Fault (pc stays
- * at the current instruction so the caller can handle it).
+ * at the current instruction so the caller can handle it). A Fault
+ * changes no state.
  * May throw PageMiss if mem uses MissPolicy::Signal.
  */
 ExecOut execInst(const GInst &inst, CpuState &st, PagedMemory &mem);
+
+class DecodeCache;
+
+/** Why retireBlock() stopped. */
+enum class BlockEnd : u8
+{
+    Cti,     //!< a CTI retired
+    Limit,   //!< the instruction count reached the limit
+    Blocked, //!< before a SYSCALL, an HLT or an instruction that faults
+};
+
+/**
+ * Retire instructions, fetched through `dc`, until a CTI retires,
+ * `insts` reaches `limit`, or the next instruction is a SYSCALL, an
+ * HLT or one that faults (its state is left unchanged for the caller
+ * to execute it). Each retired instruction counts in `insts`, and a
+ * retired CTI in `bbs` too, as it retires, so both stay exact when a
+ * PageMiss or a GuestFault from decode propagates. A REP string op
+ * runs its chunks to completion and counts once.
+ */
+BlockEnd retireBlock(DecodeCache &dc, CpuState &st, PagedMemory &mem,
+                     u64 &insts, u64 &bbs, u64 limit);
 
 /**
  * Fetch and decode the instruction at pc.

@@ -125,13 +125,18 @@ class CodeCache
 
     u32 word(u32 idx) const { return words_[idx]; }
 
-    /** The predecoded form of word(idx). */
-    const HInst &inst(u32 idx) const { return insts_[idx]; }
-
-    /** The trace class and operands of word(idx). */
-    const TraceTemplate &traceTemplate(u32 idx) const
+    /**
+     * The predecoded forms of the words, and their trace classes and
+     * operands, indexed like word(). The host emulator reads them
+     * through these pointers for a whole run: only alloc() resizes
+     * the arrays, and nothing installs code during a run, since
+     * neither the emulator's retire sink nor its trace sink does.
+     * setWord() writes in place, so its patches show through them.
+     */
+    const HInst *insts() const { return insts_.data(); }
+    const TraceTemplate *traceTemplates() const
     {
-        return templates_[idx];
+        return templates_.data();
     }
 
     /** Overwrite one allocated word (chain and unchain patches). */

@@ -232,16 +232,28 @@ HostEmu::aliasesSpecLoad(GAddr a, unsigned size) const
 ExitInfo
 HostEmu::run(u32 host_pc, u64 max_insts)
 {
+    return sink_ ? runLoop<true>(host_pc, max_insts)
+                 : runLoop<false>(host_pc, max_insts);
+}
+
+template <bool Tracing>
+ExitInfo
+HostEmu::runLoop(u32 host_pc, u64 max_insts)
+{
     ExitInfo exit;
     u64 n = 0;
+    u64 since = sinceMark_;
     u32 pc = host_pc;
     auto &gpr = ctx_.gpr;
     auto &fpr = ctx_.fpr;
+    const HInst *const insts = cache_.insts();
+    const TraceTemplate *const templates = cache_.traceTemplates();
 
     auto finish = [&](ExitKind k) -> ExitInfo & {
         exit.kind = k;
         exit.instsExecuted = n;
         totalInsts_ += n;
+        sinceMark_ = since;
         ctx_.pc = pc;
         return exit;
     };
@@ -256,15 +268,14 @@ HostEmu::run(u32 host_pc, u64 max_insts)
             if (n >= max_insts)
                 return finish(ExitKind::Budget);
 
-            const HInst i = cache_.inst(pc);
+            const HInst i = insts[pc];
             u32 next = pc + 1;
             ++n;
-            ++sinceMark_;
+            ++since;
 
             InstRecord rec;
-            const bool tracing = sink_ != nullptr;
-            if (tracing) {
-                const TraceTemplate &t = cache_.traceTemplate(pc);
+            if constexpr (Tracing) {
+                const TraceTemplate &t = templates[pc];
                 rec.pc = pc * 4;
                 rec.cls = t.cls;
                 rec.dst = t.dst;
@@ -382,42 +393,42 @@ HostEmu::run(u32 host_pc, u64 max_insts)
               // --- guest memory ---
               case HOp::LB: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
-                if (tracing)
+                if constexpr (Tracing)
                     rec.memAddr = a;
                 setReg(i.rd, u32(s32(s8(specRead(a, 1)))));
                 break;
               }
               case HOp::LBU: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
-                if (tracing)
+                if constexpr (Tracing)
                     rec.memAddr = a;
                 setReg(i.rd, u32(specRead(a, 1)));
                 break;
               }
               case HOp::LH: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
-                if (tracing)
+                if constexpr (Tracing)
                     rec.memAddr = a;
                 setReg(i.rd, u32(s32(s16(specRead(a, 2)))));
                 break;
               }
               case HOp::LHU: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
-                if (tracing)
+                if constexpr (Tracing)
                     rec.memAddr = a;
                 setReg(i.rd, u32(specRead(a, 2)));
                 break;
               }
               case HOp::LW: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
-                if (tracing)
+                if constexpr (Tracing)
                     rec.memAddr = a;
                 setReg(i.rd, u32(specRead(a, 4)));
                 break;
               }
               case HOp::LWS: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
-                if (tracing)
+                if constexpr (Tracing)
                     rec.memAddr = a;
                 setReg(i.rd, u32(specRead(a, 4)));
                 if (speculative_)
@@ -426,7 +437,7 @@ HostEmu::run(u32 host_pc, u64 max_insts)
               }
               case HOp::FLD: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
-                if (tracing)
+                if constexpr (Tracing)
                     rec.memAddr = a;
                 u64 b = specRead(a, 8);
                 double d;
@@ -436,7 +447,7 @@ HostEmu::run(u32 host_pc, u64 max_insts)
               }
               case HOp::FLDS: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
-                if (tracing)
+                if constexpr (Tracing)
                     rec.memAddr = a;
                 u64 b = specRead(a, 8);
                 double d;
@@ -460,7 +471,7 @@ HostEmu::run(u32 host_pc, u64 max_insts)
                                      i.op == HOp::SHC ||
                                      i.op == HOp::SWC;
                 GAddr a = gpr[i.rs1] + u32(i.imm);
-                if (tracing)
+                if constexpr (Tracing)
                     rec.memAddr = a;
                 if (checked && speculative_ &&
                     aliasesSpecLoad(a, size)) {
@@ -474,7 +485,7 @@ HostEmu::run(u32 host_pc, u64 max_insts)
               case HOp::FST:
               case HOp::FSTC: {
                 GAddr a = gpr[i.rs1] + u32(i.imm);
-                if (tracing)
+                if constexpr (Tracing)
                     rec.memAddr = a;
                 if (i.op == HOp::FSTC && speculative_ &&
                     aliasesSpecLoad(a, 8)) {
@@ -492,14 +503,14 @@ HostEmu::run(u32 host_pc, u64 max_insts)
               // --- TOL-local memory ---
               case HOp::LWL: {
                 u32 a = gpr[i.rs1] + u32(i.imm);
-                if (tracing)
+                if constexpr (Tracing)
                     rec.memAddr = 0xf800'0000u + a;
                 setReg(i.rd, readLocal32(a));
                 break;
               }
               case HOp::SWL: {
                 u32 a = gpr[i.rs1] + u32(i.imm);
-                if (tracing)
+                if constexpr (Tracing)
                     rec.memAddr = 0xf800'0000u + a;
                 writeLocal32(a, gpr[i.rs2]);
                 break;
@@ -509,7 +520,7 @@ HostEmu::run(u32 host_pc, u64 max_insts)
                 // u64 arithmetic: a + 8 must not wrap near 2^32.
                 darco_assert(u64(a) + 8 <= localMem_.size(),
                              "local mem OOB read");
-                if (tracing)
+                if constexpr (Tracing)
                     rec.memAddr = 0xf800'0000u + a;
                 double d;
                 __builtin_memcpy(&d, localMem_.data() + a, 8);
@@ -520,7 +531,7 @@ HostEmu::run(u32 host_pc, u64 max_insts)
                 u32 a = gpr[i.rs1] + u32(i.imm);
                 darco_assert(u64(a) + 8 <= localMem_.size(),
                              "local mem OOB write");
-                if (tracing)
+                if constexpr (Tracing)
                     rec.memAddr = 0xf800'0000u + a;
                 double d = fpr[i.rs2];
                 __builtin_memcpy(localMem_.data() + a, &d, 8);
@@ -529,7 +540,7 @@ HostEmu::run(u32 host_pc, u64 max_insts)
               case HOp::FLDC:
                 darco_assert(u32(i.imm) < fpPool_.size(),
                              "FLDC pool index OOB");
-                if (tracing)
+                if constexpr (Tracing)
                     rec.memAddr = 0xfc00'0000u + u32(i.imm) * 8;
                 fpr[i.rd] = fpPool_[u32(i.imm)];
                 break;
@@ -598,7 +609,7 @@ HostEmu::run(u32 host_pc, u64 max_insts)
                   case HOp::BLTU: t = gpr[i.rs1] < gpr[i.rs2]; break;
                   default: t = gpr[i.rs1] >= gpr[i.rs2]; break;
                 }
-                if (tracing)
+                if constexpr (Tracing)
                     rec.taken = t;
                 if (t)
                     next = u32(s32(pc) + 1 + i.imm);
@@ -606,7 +617,7 @@ HostEmu::run(u32 host_pc, u64 max_insts)
               }
               case HOp::J:
                 next = u32(i.imm);
-                if (tracing)
+                if constexpr (Tracing)
                     rec.taken = true;
                 break;
 
@@ -650,14 +661,14 @@ HostEmu::run(u32 host_pc, u64 max_insts)
                 // The inlined probe sequence costs more than one
                 // instruction; charge the configured cost.
                 n += ibtcHitCost_ - 1;
-                sinceMark_ += ibtcHitCost_ - 1;
+                since += ibtcHitCost_ - 1;
                 if (ibtc_.lookup(target, host_target)) {
                     next = host_target;
-                    if (tracing)
+                    if constexpr (Tracing)
                         rec.taken = true;
                 } else {
                     exit.guestTarget = target;
-                    if (tracing) {
+                    if constexpr (Tracing) {
                         rec.nextPc = next * 4;
                         sink_->record(rec);
                     }
@@ -668,15 +679,14 @@ HostEmu::run(u32 host_pc, u64 max_insts)
               }
 
               case HOp::RETIRE:
-                if (retireSink_) {
-                    retireSink_->onRetire(u32(i.imm), sinceMark_);
-                }
-                sinceMark_ = 0;
+                if (retireSink_)
+                    retireSink_->onRetire(u32(i.imm), since);
+                since = 0;
                 break;
 
               case HOp::EXITB:
                 exit.exitId = u32(i.imm);
-                if (tracing) {
+                if constexpr (Tracing) {
                     rec.nextPc = next * 4;
                     sink_->record(rec);
                 }
@@ -688,7 +698,7 @@ HostEmu::run(u32 host_pc, u64 max_insts)
                       int(i.op));
             }
 
-            if (tracing) {
+            if constexpr (Tracing) {
                 rec.nextPc = next * 4;
                 sink_->record(rec);
             }

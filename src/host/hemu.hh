@@ -182,6 +182,14 @@ class HostEmu
     void resetMark() { sinceMark_ = 0; }
 
   private:
+    /**
+     * run()'s loop. One source body, compiled with and without the
+     * per-instruction trace record; run() picks one by whether a
+     * trace sink is attached.
+     */
+    template <bool Tracing>
+    ExitInfo runLoop(u32 host_pc, u64 max_insts);
+
     /** Discard speculative state and restore the checkpoint. */
     void rollback();
 
@@ -227,6 +235,8 @@ class HostEmu
     u32 ibtcHitCost_;
     u64 totalInsts_ = 0;
     u64 rollbacks_ = 0;
+    /** instsSinceMark(), kept in a local while a run lasts and
+     *  written back at each of its exits. */
     u64 sinceMark_ = 0;
 };
 

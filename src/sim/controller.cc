@@ -158,7 +158,8 @@ class Controller::RunAhead
         }
     }
 
-    /** Stop the thread where it is and wait until it has. */
+    /** Stop the thread at the end of its current block and wait
+     *  until it has. */
     void
     halt()
     {

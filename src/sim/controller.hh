@@ -26,9 +26,11 @@
  *          instruction), the co-designed side diverged: it catches up
  *          inline, as on the serial path, and raises what that path
  *          raises.
- *     A full-state need at n (a syscall, the end of a run) that finds
- *     the reference already past n is a divergence too, reported with
- *     a message that does not depend on how far it got. The first
+ *     It retires a block per call (guest::retireBlock), so it reads
+ *     the budget and publishes its count once per block. A
+ *     full-state need at n (a syscall, the end of a run) that finds
+ *     the reference already past n is a divergence too, reported
+ *     with a message that does not depend on how far it got. The first
  *     run() claims the thread while a CPU is spare
  *     (host::claimSpareCpu); a process allowed one CPU takes the
  *     serial path, which catches the reference up at each

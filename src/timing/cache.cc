@@ -1,5 +1,7 @@
 #include "timing/cache.hh"
 
+#include "common/schema.hh"
+
 namespace darco::timing
 {
 
@@ -22,10 +24,10 @@ Cache::Cache(const std::string &name, u32 size_bytes, u32 assoc,
       missLatency_(miss_latency),
       next_(next)
 {
-    if (u64(line_bytes) * assoc > size_bytes)
-        fatal("cache level ", name, " holds less than one set: ", name,
-              ".size=", size_bytes, " < ", name, ".assoc=", assoc,
-              " x cache.line=", line_bytes);
+    std::string bad =
+        conf::cacheGeometryError(name, size_bytes, assoc, line_bytes);
+    if (!bad.empty())
+        fatal(bad);
     darco_assert(assoc > 0 && line_bytes >= 8 && isPow2(line_bytes),
                  "cache geometry: ", name);
     numSets_ = size_bytes / (line_bytes * assoc);

@@ -107,24 +107,22 @@ RefComponent::runAhead(const std::atomic<u64> &limit,
                        const PagedMemory &holder)
 {
     mem_.setWriteGuard(&holder);
-    Stop stop;
+    Stop stop = Stop::Blocked;
     try {
-        for (;;) {
-            if (finished_) {
-                stop = Stop::Blocked;
-                break;
-            }
-            if (instCount_ >= limit.load(std::memory_order_relaxed)) {
+        while (!finished_) {
+            // Read once per block: a lower limit (halt()'s 0) takes
+            // effect at the block's end, and the block stops at this
+            // one.
+            const u64 lim = limit.load(std::memory_order_relaxed);
+            if (instCount_ >= lim) {
                 stop = Stop::Limit;
                 break;
             }
-            const GInst &inst = decode_.fetch(mem_, state_.pc);
-            if (inst.op == GOp::SYSCALL || inst.op == GOp::HLT) {
-                stop = Stop::Blocked;
-                break;
-            }
-            retire(inst);
+            const BlockEnd end = retireBlock(decode_, state_, mem_,
+                                             instCount_, bbCount_, lim);
             progress.store(instCount_, std::memory_order_release);
+            if (end == BlockEnd::Blocked)
+                break;
         }
     } catch (const PageMiss &pm) {
         guardPage_ = pm.page;
@@ -139,15 +137,17 @@ RefComponent::runAhead(const std::atomic<u64> &limit,
 void
 RefComponent::runUntilInstCount(u64 n)
 {
-    while (instCount_ < n && !finished_)
-        step();
+    while (instCount_ < n && !finished_) {
+        if (retireBlock(decode_, state_, mem_, instCount_, bbCount_, n) ==
+            BlockEnd::Blocked)
+            step(); // the SYSCALL, the HLT or the fault
+    }
 }
 
 void
 RefComponent::runToCompletion(u64 max_insts)
 {
-    while (!finished_ && instCount_ < max_insts)
-        step();
+    runUntilInstCount(max_insts);
 }
 
 } // namespace darco::xemu

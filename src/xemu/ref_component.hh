@@ -50,7 +50,9 @@ class RefComponent
      */
     bool step();
 
-    /** Run until `n` instructions have completed (or program end). */
+    /** Run until `n` instructions have completed (or program end),
+     *  a block at a time (guest::retireBlock), with step() for each
+     *  SYSCALL, HLT or faulting instruction. */
     void runUntilInstCount(u64 n);
 
     /** Run to program end (HLT or sysExit), bounded by maxInsts. */
@@ -67,17 +69,20 @@ class RefComponent
     };
 
     /**
-     * The run-ahead loop (sim/controller.hh): retire instructions
-     * while instCount() is below `limit`, which another thread may
-     * move at any time, and publish the count to `progress` after
-     * each one. Every write is guarded by `holder`
-     * (PagedMemory::setWriteGuard): a write to a page `holder` lacks
-     * stops the loop before any byte of it changes, with the page in
-     * guardPage(). A REP string op may have completed iterations
-     * before that stop, as after a PageMiss in IM; resuming finishes
-     * it. The loop never executes a SYSCALL or an HLT, and stops
-     * before an instruction that raises: runUntilInstCount() raises
-     * the same exception again.
+     * The run-ahead loop (sim/controller.hh): retire a block at a
+     * time (guest::retireBlock) while instCount() is below `limit`,
+     * and publish the count to `progress` after each block. Another
+     * thread may move `limit` at any time; the loop reads it once per
+     * block and never passes the value it read, so a lower limit
+     * takes effect at the end of the current block. Every write is
+     * guarded by `holder` (PagedMemory::setWriteGuard): a write to a
+     * page `holder` lacks stops the loop before any byte of it
+     * changes, with the page in guardPage(); the count of that block
+     * is not published, but instCount() holds it. A REP string op may
+     * have completed iterations before that stop, as after a PageMiss
+     * in IM; resuming finishes it. The loop never executes a SYSCALL
+     * or an HLT, and stops before an instruction that raises:
+     * runUntilInstCount() raises the same exception again.
      */
     Stop runAhead(const std::atomic<u64> &limit,
                   std::atomic<u64> &progress,

@@ -137,7 +137,8 @@ void
 expectCoherent(const CodeCache &cc, u32 base, u32 n)
 {
     for (u32 i = base; i < base + n; ++i)
-        EXPECT_TRUE(cc.inst(i) == host::hdecode(cc.word(i))) << "word " << i;
+        EXPECT_TRUE(cc.insts()[i] == host::hdecode(cc.word(i)))
+            << "word " << i;
 }
 
 /** `r<rd> = imm; exitb exit_id` as an installed translation. */
@@ -189,7 +190,7 @@ TEST(CodeCache, PredecodeFollowsChainUnchainReuseAndFlush)
 
     // Chain a's exit into b: the EXITB site becomes a J.
     reg.chain(a, 0, b);
-    EXPECT_EQ(cc.inst(a_pc + 1).op, HOp::J);
+    EXPECT_EQ(cc.insts()[a_pc + 1].op, HOp::J);
     expectCoherent(cc, a_pc, 4);
     auto e = emu.run(a_pc);
     ASSERT_EQ(e.kind, host::ExitKind::Exit);
@@ -198,7 +199,7 @@ TEST(CodeCache, PredecodeFollowsChainUnchainReuseAndFlush)
 
     // Invalidating b unchains a: the same site is an EXITB again.
     reg.invalidate(b);
-    EXPECT_EQ(cc.inst(a_pc + 1).op, HOp::EXITB);
+    EXPECT_EQ(cc.insts()[a_pc + 1].op, HOp::EXITB);
     expectCoherent(cc, a_pc, 2);
     emu.ctx().gpr[16] = 0;
     e = emu.run(a_pc);

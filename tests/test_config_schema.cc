@@ -182,6 +182,46 @@ TEST(ConfigSchema, RangeAndEnumViolationsAreRejected)
         std::string msg = fatalMessage(cfg);
         EXPECT_NE(msg.find("2 problems"), std::string::npos) << msg;
     }
+    // A cache level smaller than one set, with each key in range; the
+    // rule reads defaults for the keys left unset.
+    {
+        Config cfg;
+        cfg.parseLine("l1d.size=1024");
+        cfg.parseLine("l1d.assoc=64");
+        std::string msg = fatalMessage(cfg);
+        EXPECT_NE(msg.find("1 problem)"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("cache level l1d holds less than one set: "
+                           "l1d.size=1024 < l1d.assoc=64 x "
+                           "cache.line=64"),
+                  std::string::npos)
+            << msg;
+    }
+    {
+        Config cfg;
+        cfg.parseLine("cache.line=4096");
+        cfg.parseLine("l2.size=16384");
+        std::string msg = fatalMessage(cfg);
+        EXPECT_NE(msg.find("l2.size=16384 < l2.assoc=8 x cache.line=4096"),
+                  std::string::npos)
+            << msg;
+        EXPECT_EQ(msg.find("l1i"), std::string::npos) << msg;
+    }
+    {
+        Config cfg; // exactly one set is a valid cache
+        cfg.parseLine("l1i.size=4096");
+        cfg.parseLine("l1i.assoc=64");
+        EXPECT_EQ(fatalMessage(cfg), "");
+    }
+    {
+        // Checked only once every value is well formed.
+        Config cfg;
+        cfg.parseLine("l1d.size=1024");
+        cfg.parseLine("l1d.assoc=64");
+        cfg.parseLine("cc.policy=bogus");
+        std::string msg = fatalMessage(cfg);
+        EXPECT_NE(msg.find("1 problem)"), std::string::npos) << msg;
+        EXPECT_EQ(msg.find("less than one set"), std::string::npos) << msg;
+    }
 }
 
 TEST(ConfigSchema, ControllerConstructionValidates)

@@ -2,18 +2,28 @@
  * @file
  * Host functional-emulator tests: ALU/memory semantics, speculative
  * regions (CKPT/COMMIT, store gating, rollback), asserts, the alias
- * table, IBTC, EXITB, page-miss handling, guest-state mapping.
+ * table, IBTC, EXITB, page-miss handling, guest-state mapping, and
+ * retirement attribution and whole simulations with and without a
+ * trace sink.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <utility>
+#include <vector>
 
+#include "campaign/campaign.hh"
 #include "common/logging.hh"
+#include "fuzz/diffrun.hh"
+#include "fuzz/generator.hh"
 #include "guest/semantics.hh"
 #include "host/code_cache.hh"
 #include "host/hemu.hh"
+#include "sim/controller.hh"
+#include "tol/tol.hh"
 
 using namespace darco;
 using namespace darco::host;
@@ -25,6 +35,12 @@ namespace
 /** Harness: assemble a snippet, run it, inspect state. */
 struct HostRig
 {
+    explicit HostRig(
+        guest::MissPolicy policy = guest::MissPolicy::AllocateZero)
+        : mem(policy)
+    {
+    }
+
     CodeCache cache{1 << 16};
     guest::PagedMemory mem;
     HostEmu emu{cache, mem};
@@ -617,4 +633,191 @@ TEST(HostEmu, StoreBufferRollbackLeavesMemoryUntouched)
     for (unsigned i = 0; i < numHRegs; ++i)
         EXPECT_EQ(failed.emu.ctx().gpr[i], 0u) << i;
     EXPECT_EQ(failed.emu.rollbacks(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// Retirement attribution, traced and untraced
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Records every RETIRE the emulator reports. */
+struct RetireLog : RetireSink
+{
+    void
+    onRetire(u32 exit_id, u64 host_insts) override
+    {
+        calls.emplace_back(exit_id, host_insts);
+    }
+
+    std::vector<std::pair<u32, u64>> calls;
+};
+
+/** Drops every record. */
+struct NullTraceSink : TraceSink
+{
+    void record(const InstRecord &) override {}
+};
+
+/** What one pass over the retire program reports at each exit. */
+struct MarkTrace
+{
+    std::vector<std::pair<u32, u64>> retires;
+    std::vector<ExitKind> exits;   //!< every exit but Budget
+    std::vector<u64> sinceAtExit;  //!< instsSinceMark() after each
+    u64 executed = 0;
+};
+
+/**
+ * Two RETIREs (the second after an IBTC hit, which costs 6), then a
+ * region that misses page 0x1000; once the page is there, a region
+ * that commits and retires, then one whose assert fails. Runs in
+ * slices of `budget` host instructions, resuming each Budget exit
+ * where it stopped, and never resets the mark, so every count runs
+ * from the last RETIRE across exits and runs.
+ */
+MarkTrace
+runRetireProgram(bool traced, u64 budget)
+{
+    HostRig r(guest::MissPolicy::Signal);
+    RetireLog log;
+    NullTraceSink sink;
+    r.emu.setRetireSink(&log);
+    if (traced)
+        r.emu.setTraceSink(&sink);
+
+    HAsm b;
+    b.emit(HOp::RETIRE, 0, 0, 0, 2);   // b0
+    b.emit(HOp::CKPT);                 // b1
+    b.emit(HOp::ADDI, 15, 0, 0, 4096); // b2
+    b.emit(HOp::LW, 16, 15, 0, 0);     // b3: misses page 0x1000
+    b.emit(HOp::COMMIT);               // b4
+    b.emit(HOp::RETIRE, 0, 0, 0, 3);   // b5
+    b.emit(HOp::CKPT);                 // b6
+    b.emit(HOp::ADDI, 17, 0, 0, 5);    // b7
+    b.emit(HOp::ASSERTNZ, 0, 0, 0, 4); // b8: fails
+    b.emit(HOp::EXITB, 0, 0, 0, 0);
+    HAsm a;
+    a.emit(HOp::ADDI, 15, 0, 0, 1);  // a0
+    a.emit(HOp::RETIRE, 0, 0, 0, 1); // a1
+    a.emit(HOp::ADDI, 16, 0, 0, 2);  // a2
+    a.loadImm(17, 0x1234);           // a3
+    a.emit(HOp::IBTC, 0, 17, 0);     // a4: hits b0
+    const u32 apc = r.install(a);
+    const u32 bpc = r.install(b);
+    r.emu.ibtc().insert(0x1234, bpc);
+
+    MarkTrace t;
+    u32 pc = apc;
+    while (t.exits.size() < 2) {
+        ExitInfo e = r.emu.run(pc, budget);
+        t.executed += e.instsExecuted;
+        pc = r.emu.ctx().pc;
+        if (e.kind == ExitKind::Budget)
+            continue;
+        t.exits.push_back(e.kind);
+        t.sinceAtExit.push_back(r.emu.instsSinceMark());
+        if (e.kind == ExitKind::PageMiss) {
+            std::vector<u8> page(pageSizeBytes, 0);
+            r.mem.installPage(e.missPage, page.data());
+        }
+    }
+    t.retires = log.calls;
+    EXPECT_EQ(r.emu.instsExecuted(), t.executed);
+    return t;
+}
+
+/** Everything a caller can read after a whole simulation. */
+struct SimOutcome
+{
+    std::map<std::string, u64> stats;
+    guest::CpuState state;
+    std::vector<std::pair<GAddr, std::vector<u8>>> memory;
+    u64 hostInsts = 0;
+    u64 rollbacks = 0;
+    u32 exitCode = 0;
+};
+
+SimOutcome
+simulate(const Config &cfg, const guest::Program &prog, bool traced)
+{
+    NullTraceSink sink;
+    sim::Controller ctl(cfg);
+    ctl.load(prog);
+    if (traced)
+        ctl.tol().setTraceSink(&sink);
+    ctl.run();
+    SimOutcome o;
+    for (const auto &[name, c] : ctl.stats().counters())
+        o.stats[name] = c.value();
+    o.state = ctl.tol().state();
+    guest::PagedMemory &mem = ctl.emulatedMemory();
+    for (GAddr p : mem.residentPages()) {
+        const u8 *bytes = mem.page(p);
+        o.memory.emplace_back(
+            p, std::vector<u8>(bytes, bytes + pageSizeBytes));
+    }
+    o.hostInsts = ctl.tol().hostEmu().instsExecuted();
+    o.rollbacks = ctl.tol().hostEmu().rollbacks();
+    o.exitCode = ctl.exitCode();
+    return o;
+}
+
+} // namespace
+
+TEST(HostEmu, RetireMarksSurviveEveryExit)
+{
+    // A RETIRE reports the host instructions since the previous one,
+    // itself included (an IBTC hit counts its cost), and after a
+    // rollback instsSinceMark() counts those since the last RETIRE,
+    // the faulting instruction included.
+    const std::vector<std::pair<u32, u64>> retires = {
+        {1, 2}, {2, 1 + 1 + 6 + 1}, {3, 3 + 5}};
+    const std::vector<ExitKind> exits = {ExitKind::PageMiss,
+                                         ExitKind::AssertFail};
+    const std::vector<u64> since = {3, 3};
+    for (bool traced : {false, true}) {
+        for (u64 budget : {u64(100000), u64(1), u64(2), u64(3)}) {
+            MarkTrace t = runRetireProgram(traced, budget);
+            EXPECT_EQ(t.retires, retires)
+                << "traced " << traced << " budget " << budget;
+            EXPECT_EQ(t.exits, exits) << traced << " " << budget;
+            EXPECT_EQ(t.sinceAtExit, since) << traced << " " << budget;
+            EXPECT_EQ(t.executed, 2u + 1 + 1 + 6 + 4 + 5 + 3)
+                << traced << " " << budget;
+        }
+    }
+}
+
+TEST(HostEmu, TracedAndUntracedSimulationsAgree)
+{
+    u64 rollbacks = 0;
+    for (const char *preset : {"interp", "fullopt", "tinycc", "async"}) {
+        fuzz::DiffConfig cell{preset, campaign::presetOverrides(preset)};
+        for (u64 seed = 1; seed <= 6; ++seed) {
+            fuzz::GenParams p;
+            p.seed = seed;
+            const guest::Program prog = fuzz::generate(p);
+            const Config cfg = fuzz::makeConfig(cell, seed, {});
+            SimOutcome plain = simulate(cfg, prog, false);
+            SimOutcome traced = simulate(cfg, prog, true);
+            const std::string what =
+                std::string(preset) + " seed " + std::to_string(seed);
+            EXPECT_EQ(traced.stats, plain.stats) << what;
+            EXPECT_TRUE(traced.state == plain.state) << what;
+            EXPECT_TRUE(traced.memory == plain.memory) << what;
+            EXPECT_EQ(traced.hostInsts, plain.hostInsts) << what;
+            EXPECT_EQ(traced.exitCode, plain.exitCode) << what;
+            EXPECT_EQ(traced.rollbacks, plain.rollbacks) << what;
+            rollbacks += plain.rollbacks;
+            if (std::string(preset) != "interp") {
+                EXPECT_GT(plain.stats.at("tol.host_app_bbm") +
+                              plain.stats.at("tol.host_app_sbm"),
+                          0u)
+                    << what;
+            }
+        }
+    }
+    EXPECT_GT(rollbacks, 0u) << "no region rolled back";
 }
