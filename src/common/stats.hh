@@ -59,6 +59,19 @@ class StatGroup
 
     Counter &counter(const std::string &name);
 
+    /**
+     * counter(name), looked up only while `slot` is null. A hot path
+     * binds its counter this way on the first event, so the key
+     * enters the map exactly when a lookup per event would add it.
+     */
+    Counter &
+    bind(Counter *&slot, const char *name)
+    {
+        if (!slot)
+            slot = &counter(name);
+        return *slot;
+    }
+
     /** Read a counter without creating it; 0 if absent. */
     u64 value(const std::string &name) const;
 

@@ -18,7 +18,9 @@ op(const char *name, HFmt fmt, bool ld = false, bool st = false,
     return HOpInfo{name, fmt, ld, st, fp, br};
 }
 
-const HOpInfo table[] = {
+} // namespace
+
+const HOpInfo hopTable[] = {
     op("nop", HFmt::N),
     // R ALU
     op("add", HFmt::R), op("sub", HFmt::R), op("mul", HFmt::R),
@@ -89,19 +91,9 @@ const HOpInfo table[] = {
     op("retire", HFmt::J),
 };
 
-static_assert(sizeof(table) / sizeof(table[0]) ==
+static_assert(sizeof(hopTable) / sizeof(hopTable[0]) ==
                   std::size_t(HOp::NumOps),
               "host opcode table out of sync");
-
-} // namespace
-
-const HOpInfo &
-hopInfo(HOp o)
-{
-    auto idx = std::size_t(o);
-    darco_assert(idx < std::size_t(HOp::NumOps), "bad host opcode ", idx);
-    return table[idx];
-}
 
 u32
 hencode(const HInst &i)

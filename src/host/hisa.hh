@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace darco::host
@@ -136,7 +137,16 @@ struct HOpInfo
     bool isBranch;   //!< conditional branch
 };
 
-const HOpInfo &hopInfo(HOp op);
+/** Properties of every opcode, indexed by HOp. */
+extern const HOpInfo hopTable[std::size_t(HOp::NumOps)];
+
+inline const HOpInfo &
+hopInfo(HOp op)
+{
+    darco_assert(std::size_t(op) < std::size_t(HOp::NumOps),
+                 "bad host opcode ", std::size_t(op));
+    return hopTable[std::size_t(op)];
+}
 
 /** A decoded host instruction. */
 struct HInst

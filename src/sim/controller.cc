@@ -272,14 +272,6 @@ Controller::dropTol()
     cPages_ = cSyscalls_ = cValidations_ = nullptr;
 }
 
-Counter &
-Controller::bound(Counter *&slot, const char *name)
-{
-    if (!slot)
-        slot = &stats_.counter(name);
-    return *slot;
-}
-
 void
 Controller::releaseAhead()
 {
@@ -419,7 +411,7 @@ Controller::dataRequest(u32 core, GAddr page, u64 completed_insts)
         ref.runUntilInstCount(n);
     }
     mems_[core]->installPage(page, ref.memory().page(page));
-    bound(cPages_, "sync.pages_transferred").inc();
+    stats_.bind(cPages_, "sync.pages_transferred").inc();
     RunAhead *ra = live();
     if (ra && !ra->running() && ra->stop() == Stop::Guard &&
         ref.guardPage() == page)
@@ -432,7 +424,7 @@ Controller::syscall(u32 core, u64 completed_insts)
     xemu::RefComponent &ref = *refs_[core];
     PagedMemory &mem = *mems_[core];
     reach(core, completed_insts);
-    bound(cSyscalls_, "sync.syscalls").inc();
+    stats_.bind(cSyscalls_, "sync.syscalls").inc();
 
     // The reference must stand at a SYSCALL at this count. Judged
     // before its state is read: a run-ahead reference may have passed
@@ -455,7 +447,7 @@ Controller::syscall(u32 core, u64 completed_insts)
                 std::to_string(core) + ", inst " +
                 std::to_string(completed_insts) + "): " + diff);
         }
-        bound(cValidations_, "sync.validations").inc();
+        stats_.bind(cValidations_, "sync.validations").inc();
     }
 
     // System code executes only in the reference component; its

@@ -238,7 +238,6 @@ class Controller : public tol::Tol::Env
     void resume(u32 core);
     /** Give the run-ahead thread (stopped) and its CPU back. */
     void releaseAhead();
-    Counter &bound(Counter *&slot, const char *name);
 
     Config cfg_;
     StatGroup stats_;

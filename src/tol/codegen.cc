@@ -37,6 +37,16 @@ struct Gen
     HAsm a;
     CodegenResult res;
 
+    /** One pending live-out copy (emitParallelCopies). */
+    struct Copy
+    {
+        u8 dst;
+        bool fp;
+        ValueLoc src;
+    };
+    /** emitParallelCopies' worklist, kept across exit stubs. */
+    std::vector<Copy> copies;
+
     Gen(const Region &reg, const Allocation &al,
         const CodegenOptions &op, const std::function<u32(double)> &pi)
         : r(reg), alloc(al), opts(op), poolIndex(pi)
@@ -413,13 +423,8 @@ struct Gen
     void
     emitParallelCopies(const std::vector<std::pair<u16, s32>> &outs)
     {
-        struct Copy
-        {
-            u8 dst;
-            bool fp;
-            ValueLoc src;
-        };
-        std::vector<Copy> pend;
+        std::vector<Copy> &pend = copies;
+        pend.clear();
         for (auto [l, v] : outs) {
             Copy c;
             c.dst = mappedReg(l);
@@ -486,6 +491,7 @@ struct Gen
     run()
     {
         res.exitSite.assign(r.exits.size(), ~0u);
+        a.words().reserve(2 * r.items.size() + 16 * r.exits.size() + 16);
 
         a.emit(HOp::CKPT);
 

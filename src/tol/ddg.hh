@@ -25,18 +25,25 @@
 namespace darco::tol
 {
 
-/** One dependence edge. */
+/** One dependence edge, kept at one of its ends. */
 struct DDGEdge
 {
-    u32 to;
+    u32 node;       //!< the other end: successor in succs, pred in preds
     u8 latency;
     bool breakable; //!< may-alias store->load, removable by speculation
 };
 
-/** The dependence graph over region items. */
+/**
+ * The dependence graph over region items. Each direction's edges sit
+ * in one flat array grouped by item: item k's successor edges are
+ * succs[succBegin[k]] up to succs[succBegin[k + 1]], and its
+ * predecessor edges are laid out the same way in preds. Every edge
+ * points forward in item order.
+ */
 struct DDG
 {
-    std::vector<std::vector<DDGEdge>> succs;
+    std::vector<DDGEdge> succs, preds;
+    std::vector<u32> succBegin, predBegin; //!< n + 1 offsets each
     std::vector<u32> predCount;      //!< unbreakable preds
     std::vector<u32> breakablePreds; //!< breakable preds
     std::vector<u32> priority;       //!< critical-path height

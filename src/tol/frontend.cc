@@ -517,7 +517,7 @@ struct Builder
         x.bbsRetired = bbsDone + extra_bbs;
         x.liveOuts = collectLiveOuts();
         x.chainable = kind == ExitKind::Direct;
-        r.exits.push_back(x);
+        r.exits.push_back(std::move(x));
         return u32(r.exits.size() - 1);
     }
 
@@ -1005,6 +1005,8 @@ Frontend::build(GAddr entry_pc, RegionMode mode,
 {
     darco_assert(!path.empty(), "empty translation path");
     Builder b(opts_);
+    // Room for a typical expansion, so the item list rarely regrows.
+    b.r.items.reserve(4 * path.size() + 8);
     b.r.entryPc = entry_pc;
     b.r.mode = mode;
     b.curPc = entry_pc;

@@ -1,5 +1,6 @@
 #include "tol/ir.hh"
 
+#include <optional>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -17,7 +18,9 @@ info(const char *name, bool dst, bool fp = false, bool ld = false,
     return IROpInfo{name, dst, fp, ld, st, ms, pure};
 }
 
-const IROpInfo table[] = {
+} // namespace
+
+const IROpInfo irOpTable[] = {
     info("livein", true),  // fpDst depends on loc; see irInfo note
     info("movi", true),
     info("mov", true),
@@ -52,18 +55,9 @@ const IROpInfo table[] = {
     info("assert", false, false, false, false, 0, false),
 };
 
-static_assert(sizeof(table) / sizeof(table[0]) == std::size_t(IROp::NumOps),
+static_assert(sizeof(irOpTable) / sizeof(irOpTable[0]) ==
+                  std::size_t(IROp::NumOps),
               "IR opcode table out of sync");
-
-} // namespace
-
-const IROpInfo &
-irInfo(IROp op)
-{
-    auto i = std::size_t(op);
-    darco_assert(i < std::size_t(IROp::NumOps));
-    return table[i];
-}
 
 std::string
 dumpRegion(const Region &r)
@@ -144,21 +138,28 @@ dumpRegion(const Region &r)
 std::string
 verifyRegion(const Region &r)
 {
-    std::ostringstream err;
+    // The stream is built on the first diagnostic: a valid region,
+    // the common case, pays for none.
+    std::optional<std::ostringstream> errs;
+    auto err = [&]() -> std::ostringstream & {
+        if (!errs)
+            errs.emplace();
+        return *errs;
+    };
     std::vector<s8> defined(r.numValues, 0); // 0 undef, 1 int, 2 fp
     auto checkUse = [&](s32 v, bool want_fp, const char *what,
                         std::size_t k) {
         if (v < 0 || v >= r.numValues) {
-            err << "item " << k << ": " << what << " value " << v
+            err() << "item " << k << ": " << what << " value " << v
                 << " out of range; ";
             return;
         }
         if (!defined[v]) {
-            err << "item " << k << ": use of undefined v" << v << "; ";
+            err() << "item " << k << ": use of undefined v" << v << "; ";
             return;
         }
         if (defined[v] != (want_fp ? 2 : 1)) {
-            err << "item " << k << ": v" << v << " type mismatch ("
+            err() << "item " << k << ": v" << v << " type mismatch ("
                 << what << "); ";
         }
     };
@@ -168,7 +169,7 @@ verifyRegion(const Region &r)
         if (it.kind == IRItem::Kind::CondExit) {
             checkUse(it.cond, false, "cond", k);
             if (it.exitIdx >= r.exits.size())
-                err << "item " << k << ": exit index OOB; ";
+                err() << "item " << k << ": exit index OOB; ";
             continue;
         }
         const IRInst &i = it.inst;
@@ -221,9 +222,9 @@ verifyRegion(const Region &r)
         }
         if (oi.hasDst) {
             if (i.dst < 0 || i.dst >= r.numValues) {
-                err << "item " << k << ": dst out of range; ";
+                err() << "item " << k << ": dst out of range; ";
             } else if (defined[i.dst]) {
-                err << "item " << k << ": v" << i.dst
+                err() << "item " << k << ": v" << i.dst
                     << " defined twice (SSA violation); ";
             } else {
                 defined[i.dst] = fp_dst ? 2 : 1;
@@ -232,19 +233,19 @@ verifyRegion(const Region &r)
     }
 
     if (r.finalExit >= r.exits.size())
-        err << "finalExit OOB; ";
+        err() << "finalExit OOB; ";
     for (std::size_t e = 0; e < r.exits.size(); ++e) {
         const IRExit &x = r.exits[e];
         for (auto [loc, v] : x.liveOuts) {
             if (loc >= numLocs) {
-                err << "exit " << e << ": bad loc; ";
+                err() << "exit " << e << ": bad loc; ";
                 continue;
             }
             if (v < 0 || v >= r.numValues || !defined[v]) {
-                err << "exit " << e << ": liveout v" << v
+                err() << "exit " << e << ": liveout v" << v
                     << " undefined; ";
             } else if ((defined[v] == 2) != locIsFp(loc)) {
-                err << "exit " << e << ": liveout loc" << loc
+                err() << "exit " << e << ": liveout loc" << loc
                     << " type mismatch; ";
             }
         }
@@ -252,11 +253,11 @@ verifyRegion(const Region &r)
             if (x.targetVal < 0 || x.targetVal >= r.numValues ||
                 (x.targetVal < s32(defined.size()) &&
                  defined[x.targetVal] != 1)) {
-                err << "exit " << e << ": bad indirect target; ";
+                err() << "exit " << e << ": bad indirect target; ";
             }
         }
     }
-    return err.str();
+    return errs ? errs->str() : std::string();
 }
 
 } // namespace darco::tol

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace darco::tol
@@ -83,7 +84,15 @@ struct IROpInfo
     bool pure;      //!< freely removable/CSE-able
 };
 
-const IROpInfo &irInfo(IROp op);
+/** Properties of every opcode, indexed by IROp. */
+extern const IROpInfo irOpTable[std::size_t(IROp::NumOps)];
+
+inline const IROpInfo &
+irInfo(IROp op)
+{
+    darco_assert(std::size_t(op) < std::size_t(IROp::NumOps));
+    return irOpTable[std::size_t(op)];
+}
 
 /** One IR instruction. */
 struct IRInst

@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/logging.hh"
@@ -260,7 +259,17 @@ eliminateCommonSubexprs(Region &r)
             return std::size_t(h);
         }
     };
-    std::unordered_map<Key, s32, KeyHash> table;
+    // Open addressing with linear probing, at most half full: a slot
+    // whose value is -1 is empty (a CSE'd value always has a dst).
+    struct Slot
+    {
+        Key key;
+        s32 val = -1;
+    };
+    std::size_t cap = 16;
+    while (cap < 2 * r.items.size())
+        cap <<= 1;
+    std::vector<Slot> table(cap);
 
     for (IRItem &it : r.items) {
         if (it.kind != IRItem::Kind::Inst)
@@ -287,9 +296,14 @@ eliminateCommonSubexprs(Region &r)
             std::memcpy(&fb, &i.fimm, 8);
         key.fbits = fb;
 
-        auto [pos, inserted] = table.emplace(key, i.dst);
-        if (!inserted) {
-            rep[i.dst] = pos->second;
+        std::size_t h = KeyHash{}(key) & (cap - 1);
+        while (table[h].val >= 0 && !(table[h].key == key))
+            h = (h + 1) & (cap - 1);
+        if (table[h].val < 0) {
+            table[h].key = key;
+            table[h].val = i.dst;
+        } else {
+            rep[i.dst] = table[h].val;
             ++changes;
         }
     }
@@ -342,10 +356,9 @@ eliminateDeadCode(Region &r)
         }
     }
 
-    // Sweep.
+    // Sweep, compacting in place.
     u32 removed = 0;
-    std::vector<IRItem> kept;
-    kept.reserve(r.items.size());
+    std::size_t kept = 0;
     for (IRItem &it : r.items) {
         bool drop = false;
         if (it.kind == IRItem::Kind::Inst) {
@@ -367,9 +380,9 @@ eliminateDeadCode(Region &r)
         if (drop)
             ++removed;
         else
-            kept.push_back(it);
+            r.items[kept++] = it;
     }
-    r.items = std::move(kept);
+    r.items.resize(kept);
     return removed;
 }
 

@@ -1,6 +1,7 @@
 #include "tol/regalloc.hh"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/logging.hh"
 #include "host/hisa.hh"
@@ -41,12 +42,11 @@ allocateRegisters(const Region &r)
     Allocation a;
     a.val.resize(r.numValues);
 
-    // Live ranges: def index and last use index. Uses by exits attach
+    // Live ranges run from the def to the last use. Uses by exits attach
     // to the referencing item (CondExit) or the end of the region
     // (final exit and any exit not referenced by a CondExit).
-    std::vector<s32> defAt(r.numValues, -1);
     std::vector<s32> lastUse(r.numValues, -1);
-    std::vector<bool> isFp(r.numValues, false);
+    std::vector<u8> isFp(r.numValues, 0);
 
     auto use = [&](s32 v, s32 at) {
         if (v >= 0)
@@ -70,11 +70,17 @@ allocateRegisters(const Region &r)
         if (!i.src2Imm)
             use(i.src2, s32(k));
         if (i.dst >= 0) {
-            defAt[i.dst] = s32(k);
             isFp[i.dst] = irInfo(i.op).fpDst ||
                           (i.op == IROp::LiveIn && locIsFp(i.loc));
             if (i.op == IROp::Mov && i.src1 >= 0)
                 isFp[i.dst] = isFp[i.src1];
+        }
+        // LiveIn values are pinned to the guest-mapped registers.
+        if (i.op == IROp::LiveIn) {
+            ValueLoc &vl = a.val[i.dst];
+            vl.kind = ValueLoc::Kind::Reg;
+            vl.reg = mappedReg(i.loc);
+            vl.fp = locIsFp(i.loc);
         }
     }
     for (std::size_t e = 0; e < r.exits.size(); ++e) {
@@ -86,18 +92,6 @@ allocateRegisters(const Region &r)
         use(x.targetVal, s32(n));
     }
 
-    // LiveIn values are pinned to the guest-mapped registers.
-    for (std::size_t k = 0; k < n; ++k) {
-        const IRItem &it = r.items[k];
-        if (it.kind == IRItem::Kind::Inst &&
-            it.inst.op == IROp::LiveIn) {
-            ValueLoc &vl = a.val[it.inst.dst];
-            vl.kind = ValueLoc::Kind::Reg;
-            vl.reg = mappedReg(it.inst.loc);
-            vl.fp = locIsFp(it.inst.loc);
-        }
-    }
-
     // Linear scan over the two temp pools.
     struct Active
     {
@@ -105,21 +99,34 @@ allocateRegisters(const Region &r)
         s32 lastUse;
         u8 reg;
     };
+    constexpr std::size_t nInt = intTempHi - intTempLo + 1;
+    constexpr std::size_t nFp = fpTempHi - fpTempLo + 1;
     std::vector<u8> freeInt, freeFp;
+    freeInt.reserve(nInt);
+    freeFp.reserve(nFp);
     for (u8 g = intTempHi; g >= intTempLo; --g)
         freeInt.push_back(g);
     for (u8 f = fpTempHi; f >= fpTempLo; --f)
         freeFp.push_back(f);
     std::vector<Active> activeInt, activeFp;
+    activeInt.reserve(nInt);
+    activeFp.reserve(nFp);
+    // Per pool, a lower bound on the active intervals' last uses:
+    // while it is not below the current item, nothing can expire.
+    s32 minLastInt = INT32_MAX, minLastFp = INT32_MAX;
 
     auto expire = [&](std::vector<Active> &act, std::vector<u8> &pool,
-                      s32 now) {
+                      s32 &minLast, s32 now) {
+        if (minLast >= now)
+            return;
+        minLast = INT32_MAX;
         for (std::size_t j = 0; j < act.size();) {
             if (act[j].lastUse < now) {
                 pool.push_back(act[j].reg);
                 act[j] = act.back();
                 act.pop_back();
             } else {
+                minLast = std::min(minLast, act[j].lastUse);
                 ++j;
             }
         }
@@ -138,7 +145,9 @@ allocateRegisters(const Region &r)
         const bool fp = isFp[i.dst];
         auto &pool = fp ? freeFp : freeInt;
         auto &act = fp ? activeFp : activeInt;
-        expire(act, pool, s32(k));
+        s32 &minLast = fp ? minLastFp : minLastInt;
+        expire(act, pool, minLast, s32(k));
+        minLast = std::min(minLast, lastUse[i.dst]);
 
         ValueLoc &vl = a.val[i.dst];
         vl.fp = fp;

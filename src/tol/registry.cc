@@ -23,7 +23,8 @@ u32
 TranslationRegistry::add(Translation t)
 {
     u32 tid = u32(trans_.size());
-    entryMap_[t.entry] = tid;
+    if (entryMap_.insert_or_assign(t.entry, tid).second)
+        ++present_[bucket(t.entry)];
     hostPcMap_[t.hostPc] = tid;
     t.clockIdx = u32(clock_.size());
     clock_.push_back(tid);
@@ -41,20 +42,28 @@ TranslationRegistry::add(Translation t)
 }
 
 void
+TranslationRegistry::unmap(GAddr entry, u32 tid)
+{
+    auto it = entryMap_.find(entry);
+    if (it != entryMap_.end() && it->second == tid) {
+        entryMap_.erase(it);
+        --present_[bucket(entry)];
+    }
+}
+
+void
 TranslationRegistry::unmapEntry(u32 tid)
 {
-    const Translation &t = trans_[tid];
-    auto it = entryMap_.find(t.entry);
-    if (it != entryMap_.end() && it->second == tid)
-        entryMap_.erase(it);
+    unmap(trans_[tid].entry, tid);
 }
 
 u32
-TranslationRegistry::lookup(GAddr entry) const
+TranslationRegistry::probe(GAddr entry) const
 {
     auto it = entryMap_.find(entry);
     return it == entryMap_.end() ? npos : it->second;
 }
+
 
 u32
 TranslationRegistry::atHostBase(u32 host_pc) const
@@ -86,7 +95,7 @@ TranslationRegistry::chain(u32 from_tid, u32 exit_idx, u32 to_tid)
     d.chainedTo = to_tid;
     to.incoming.push_back(Translation::InChain{
         d.siteWord, from.exitIdBase + exit_idx, from_tid, exit_idx});
-    stats_.counter("tol.chains").inc();
+    stats_.bind(cChains_, "tol.chains").inc();
     if (trace_)
         trace_->instant("cc", "cc.chain", 0,
                         {{"from", from_tid}, {"to", to_tid}});
@@ -101,9 +110,7 @@ TranslationRegistry::invalidate(u32 tid)
     t.valid = false;
     --live_;
 
-    auto it = entryMap_.find(t.entry);
-    if (it != entryMap_.end() && it->second == tid)
-        entryMap_.erase(it);
+    unmap(t.entry, tid);
     hostPcMap_.erase(t.hostPc);
 
     // Unchain everyone who jumps into this region: restore their
@@ -163,8 +170,8 @@ TranslationRegistry::invalidate(u32 tid)
     t.exits.clear();
     t.exits.shrink_to_fit();
 
-    stats_.counter("tol.invalidations").inc();
-    stats_.counter("tol.unchains").inc(unchained);
+    stats_.bind(cInvalidations_, "tol.invalidations").inc();
+    stats_.bind(cUnchains_, "tol.unchains").inc(unchained);
     if (trace_)
         trace_->instant("cc", "cc.invalidate", 0,
                         {{"tid", tid}, {"unchained", unchained}});
@@ -176,9 +183,9 @@ TranslationRegistry::evict(u32 tid)
 {
     u32 words = trans_[tid].words;
     u32 unchained = invalidate(tid);
-    stats_.counter("cc.evictions").inc();
-    stats_.counter("cc.evict_unchains").inc(unchained);
-    stats_.counter("cc.bytes_reclaimed").inc(u64(words) * 4);
+    stats_.bind(cEvictions_, "cc.evictions").inc();
+    stats_.bind(cEvictUnchains_, "cc.evict_unchains").inc(unchained);
+    stats_.bind(cBytesReclaimed_, "cc.bytes_reclaimed").inc(u64(words) * 4);
     if (trace_)
         trace_->instant("cc", "cc.evict", 0,
                         {{"tid", tid},
@@ -192,6 +199,7 @@ TranslationRegistry::clear()
 {
     trans_.clear();
     entryMap_.clear();
+    present_.fill(0);
     hostPcMap_.clear();
     exits_.clear();
     clock_.clear();
@@ -235,6 +243,11 @@ std::string
 TranslationRegistry::checkInvariants() const
 {
     std::ostringstream os;
+    std::array<u32, 1u << filterBits> keys{};
+    for (const auto &[entry, tid] : entryMap_)
+        ++keys[bucket(entry)];
+    if (keys != present_)
+        return "presence filter disagrees with the entry map";
     for (u32 tid = 0; tid < trans_.size(); ++tid) {
         const Translation &t = trans_[tid];
         if (!t.valid) {

@@ -7,7 +7,9 @@
  *  - the Translation table (tids are never reused within a cache
  *    generation; a full flush starts a new generation);
  *  - the guest-entry -> tid and host-base-pc -> tid maps the dispatch
- *    loop and rollback handling use;
+ *    loop and rollback handling use, and a counting presence filter
+ *    over the entry map's keys that answers most lookups of an
+ *    untranslated pc without probing the map;
  *  - the global exit table (EXITB operands -> per-region exit
  *    descriptors);
  *  - chaining: patching EXITB sites into J words, the incoming-chain
@@ -34,6 +36,7 @@
 #ifndef DARCO_TOL_REGISTRY_HH
 #define DARCO_TOL_REGISTRY_HH
 
+#include <array>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -138,7 +141,17 @@ class TranslationRegistry
      */
     void unmapEntry(u32 tid);
 
-    u32 lookup(GAddr entry) const;
+    /**
+     * The tid mapped at a guest entry, or npos. A pc whose filter
+     * bucket holds no mapped entry misses without probing the map:
+     * IM asks this after every interpreted instruction.
+     */
+    u32
+    lookup(GAddr entry) const
+    {
+        return present_[bucket(entry)] ? probe(entry) : npos;
+    }
+
     u32 atHostBase(u32 host_pc) const;
 
     /** References into a growable table: add() may move them. */
@@ -206,19 +219,39 @@ class TranslationRegistry
     /**
      * Structural consistency check for tests: every chained exit's
      * target must be live and point back at the exit's site; every
-     * incoming record's source must be live and marked chained.
+     * incoming record's source must be live and marked chained; the
+     * presence filter counts exactly the entry map's keys.
      * @return empty string when consistent, else a description.
      */
     std::string checkInvariants() const;
 
   private:
+    static constexpr unsigned filterBits = 12;
+
+    static u32
+    bucket(GAddr entry)
+    {
+        return (entry * 0x9e3779b1u) >> (32 - filterBits);
+    }
+
+    u32 probe(GAddr entry) const;
+    /** Drop entry's mapping if it maps tid (unmap and invalidation). */
+    void unmap(GAddr entry, u32 tid);
+
     host::CodeCache &cache_;
     host::IbtcTable &ibtc_;
     StatGroup &stats_;
     obs::Tracer *trace_ = nullptr;
+    /** Bound on first use, so a run without chains or invalidations
+     *  adds none of these keys to the stats map. */
+    Counter *cChains_ = nullptr, *cInvalidations_ = nullptr,
+            *cUnchains_ = nullptr, *cEvictions_ = nullptr,
+            *cEvictUnchains_ = nullptr, *cBytesReclaimed_ = nullptr;
 
     std::vector<Translation> trans_;
     std::unordered_map<GAddr, u32> entryMap_;  //!< entry -> tid
+    /** Keys of entryMap_ per bucket() (keys, not add() calls). */
+    std::array<u32, 1u << filterBits> present_{};
     std::unordered_map<u32, u32> hostPcMap_;   //!< region base -> tid
     std::vector<GlobalExit> exits_;
     std::size_t live_ = 0;

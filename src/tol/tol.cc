@@ -454,9 +454,7 @@ Tol::onRetire(u32 exit_id, u64 host_insts)
 void
 Tol::servicePageMiss(GAddr page)
 {
-    if (!cPageRequests_)
-        cPageRequests_ = &stats_.counter("tol.page_requests");
-    cPageRequests_->inc();
+    stats_.bind(cPageRequests_, "tol.page_requests").inc();
     env_->dataRequest(cur_, page, cur().insts);
     darco_assert(curMem().hasPage(page),
                  "controller failed to install requested page");
@@ -465,9 +463,7 @@ Tol::servicePageMiss(GAddr page)
 void
 Tol::handleSyscall()
 {
-    if (!cSyscalls_)
-        cSyscalls_ = &stats_.counter("tol.syscalls");
-    cSyscalls_->inc();
+    stats_.bind(cSyscalls_, "tol.syscalls").inc();
     CoreCtx &c = cur();
     // The syscall instruction is its own dynamic BB; attribute it
     // before the environment rewrites the core's pc.
@@ -506,17 +502,50 @@ Tol::interpretStep()
             return; // next dispatch enters the fresh translation
     }
 
-    // Interpret one dynamic basic block. Everything retired before
-    // the exit point is attributed to `entry` in the BBV (the syscall
-    // path attributes its own instruction in handleSyscall).
-    u64 bbvBefore = completedInsts_;
+    // Interpret one dynamic basic block: the instructions getBB has
+    // decoded, then, past a REP boundary or the size cap, what
+    // fetchGuest decodes. Everything retired before the exit point is
+    // attributed to `entry` in the BBV (the syscall path attributes
+    // its own instruction in handleSyscall).
+    //
+    // Retirements add up in `done` and settle into the counters, the
+    // core and the cost model before anything reads them: a page
+    // request, a fetch past the block, the BBV and every exit. Every
+    // IM charge is Overhead::Interp and the synthesized stream only
+    // depends on how many instructions were charged, so one charge of
+    // the sum equals a charge per instruction in totals, counters and
+    // records.
+    const u64 bbvBefore = completedInsts_;
+    u64 done = 0;
+    auto settle = [&] {
+        completedInsts_ += done;
+        core.insts += done;
+        core.im += done;
+        cGuestIm_->inc(done);
+        if (done)
+            cost_.chargeInterp(done);
+        done = 0;
+    };
+    auto leave = [&] {
+        settle();
+        recordBbv(entry, completedInsts_ - bbvBefore);
+    };
+    const PathElem *next = bb.elems.data();
+    const PathElem *const blockEnd = next + bb.elems.size();
     for (;;) {
-        const GInst &gi = fetchGuest(core.state.pc);
+        const GInst *gi;
+        if (next != blockEnd) {
+            gi = &(next++)->inst;
+        } else {
+            settle();
+            gi = &fetchGuest(core.state.pc);
+        }
         ExecOut out;
         for (;;) {
             try {
-                out = execInst(gi, core.state, curMem());
+                out = execInst(*gi, core.state, curMem());
             } catch (const PageMiss &pm) {
+                settle();
                 servicePageMiss(pm.page);
                 continue;
             }
@@ -533,39 +562,35 @@ Tol::interpretStep()
           case ExecStatus::Ok:
           case ExecStatus::CtiTaken:
           case ExecStatus::CtiNotTaken:
-            ++completedInsts_;
-            ++core.insts;
-            ++core.im;
-            cGuestIm_->inc();
-            cost_.chargeInterp(1);
+            ++done;
             if (out.status != ExecStatus::Ok) { // a CTI ends the BB
                 ++completedBBs_;
                 ++core.bbs;
                 cBbIm_->inc();
-                recordBbv(entry, completedInsts_ - bbvBefore);
+                leave();
                 return;
             }
             // Hand over early if translated code exists for the next
             // instruction (e.g. the tail after a REP boundary).
             if (registry_.lookup(core.state.pc) !=
                 TranslationRegistry::npos) {
-                recordBbv(entry, completedInsts_ - bbvBefore);
+                leave();
                 return;
             }
             break;
 
           case ExecStatus::Syscall:
-            recordBbv(entry, completedInsts_ - bbvBefore);
+            leave();
             handleSyscall();
             return;
 
           case ExecStatus::Halt:
-            recordBbv(entry, completedInsts_ - bbvBefore);
+            leave();
             core.finished = true;
             return;
 
           case ExecStatus::Fault:
-            recordBbv(entry, completedInsts_ - bbvBefore);
+            leave();
             throw GuestFault{core.state.pc, out.faultMsg};
 
           default:
@@ -821,8 +846,8 @@ Tol::installPrepared(TranslationJob &job, u32 pinned_tid, bool conc)
     // translation charge alike.
     u64 bbvCost0 = bbvOn_ && !inRestore_ ? cost_.totalAll() : 0;
     if (mode == RegionMode::SB && sched_)
-        stats_.counter("tol.spec_loads").inc(job.specLoads);
-    stats_.counter("tol.spills").inc(alloc.spillCount);
+        stats_.bind(cSpecLoads_, "tol.spec_loads").inc(job.specLoads);
+    stats_.bind(cSpills_, "tol.spills").inc(alloc.spillCount);
 
     // Two attempts: when the code cache cannot fit the region even
     // after evictions, a full flush renumbers the global exit-id
@@ -930,8 +955,10 @@ Tol::installPrepared(TranslationJob &job, u32 pinned_tid, bool conc)
                 cost_.chargeSBTranslation(guest_insts, job.passWork,
                                           need);
         }
-        stats_.counter(bb ? "tol.translations_bb" : "tol.translations_sb")
-            .inc();
+        if (bb)
+            stats_.bind(cTransBb_, "tol.translations_bb").inc();
+        else
+            stats_.bind(cTransSb_, "tol.translations_sb").inc();
         if (bbvOn_ && !inRestore_)
             profiler_.recordBbvOverhead(cost_.totalAll() - bbvCost0);
         if (trace_) {
@@ -1215,7 +1242,7 @@ Tol::executeTranslation(u32 host_pc, bool resuming)
                 emu_.ibtc().insert(core.state.pc,
                                    registry_.get(target).hostPc);
                 registry_.touch(target);
-                stats_.counter("tol.ibtc_fills").inc();
+                stats_.bind(cIbtcFills_, "tol.ibtc_fills").inc();
             }
             return;
           }

@@ -442,9 +442,13 @@ class Tol : public host::RetireSink
     Counter *cBbIm_, *cBbBbm_, *cBbSbm_;
     Counter *cHostBbm_, *cHostSbm_;
     Counter *cChainTouches_;
-    /** Bound on first use, so a run without page requests or
-     *  syscalls keeps these keys out of the stats map. */
+    /** Bound on first use, so a run without page requests,
+     *  syscalls, translations or IBTC fills keeps these keys out of
+     *  the stats map. */
     Counter *cPageRequests_ = nullptr, *cSyscalls_ = nullptr;
+    Counter *cSpills_ = nullptr, *cSpecLoads_ = nullptr;
+    Counter *cTransBb_ = nullptr, *cTransSb_ = nullptr;
+    Counter *cIbtcFills_ = nullptr;
 
     // Config snapshot.
     u32 bbThreshold_, sbThreshold_;

@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "fuzz/generator.hh"
 #include "guest/decode_cache.hh"
 #include "guest/semantics.hh"
 
@@ -615,4 +616,56 @@ TEST(DecodeCache, PageMissCachesNothingAndClearForgets)
     EXPECT_EQ(out.imm, 0x01020304);
     dc.clear();
     EXPECT_EQ(dc.fetch(mem, pc).imm, 7);
+}
+
+TEST(DecodeCache, MatchesFetchInstOnSeededPrograms)
+{
+    for (u64 seed = 1; seed <= 16; ++seed) {
+        fuzz::GenParams gp;
+        gp.seed = seed;
+        const Program prog = fuzz::generate(gp);
+        PagedMemory mem;
+        prog.load(mem);
+        const GAddr end = Program::codeAddr(prog.code.size());
+
+        // Every byte offset, in two orders, so pages fill both ways
+        // and a decode lands between earlier ones. Offsets that do not
+        // start an instruction fault, and a fault caches nothing.
+        DecodeCache dc;
+        std::vector<std::pair<GAddr, const GInst *>> held;
+        for (int order = 0; order < 2; ++order) {
+            for (GAddr k = 0; k < end - layout::codeBase; ++k) {
+                const GAddr pc = order == 0 ? layout::codeBase + k
+                                            : end - 1 - k;
+                bool faults = false;
+                GInst want;
+                try {
+                    want = fetchInst(mem, pc);
+                } catch (const GuestFault &) {
+                    faults = true;
+                }
+                if (faults) {
+                    EXPECT_THROW(dc.fetch(mem, pc), GuestFault)
+                        << "seed " << seed << " pc " << pc;
+                    continue;
+                }
+                const GInst &got = dc.fetch(mem, pc);
+                ASSERT_TRUE(got.op == want.op && got.cond == want.cond &&
+                            got.rd == want.rd && got.rs == want.rs &&
+                            got.rep == want.rep &&
+                            got.memMode == want.memMode &&
+                            got.memBase == want.memBase &&
+                            got.memIndex == want.memIndex &&
+                            got.memScale == want.memScale &&
+                            got.disp == want.disp && got.imm == want.imm &&
+                            got.length == want.length)
+                    << "seed " << seed << " pc " << pc;
+                if (order == 0)
+                    held.emplace_back(pc, &got);
+            }
+        }
+        // A reference stays put while later fetches fill its page.
+        for (auto [pc, ref] : held)
+            ASSERT_EQ(&dc.fetch(mem, pc), ref) << "seed " << seed;
+    }
 }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <memory>
 #include <sstream>
 
@@ -635,4 +636,206 @@ TEST(TolPipeline, EvictionStormStaysCorrectWithChainTouches)
     // that chain targets and rollback exits feed the clock.
     Program p = evictionWorkload(7);
     differential(p, {"cc.capacity_words=768", "tol.max_sb_insts=120"});
+}
+
+namespace
+{
+
+/**
+ * Translated code that starts where IM is already interpreting. Most
+ * iterations jump straight to `mid`; every 16th falls into `cold`,
+ * whose block runs on into `mid` but stays below the BB threshold, so
+ * IM interprets it and must hand over at `mid`. Odd iterations jump
+ * to `tail`, making it hot; even ones reach it through a REP op that
+ * only IM runs, and IM must hand over right after the REP.
+ */
+Program
+handOverProgram()
+{
+    Assembler a;
+    std::size_t buf = a.dataZero(64);
+    auto outer = a.newLabel(), mid = a.newLabel(), tail = a.newLabel();
+    a.movri(RDX, 64);
+    a.bind(outer);
+    a.movrr(RAX, RDX);
+    a.andri(RAX, 15);
+    a.jcc(GCond::NE, mid);
+    a.addri(RBX, 3); // cold
+    a.addri(RBX, 5);
+    a.bind(mid);
+    a.addri(RBX, 7);
+    a.movrr(RAX, RDX);
+    a.andri(RAX, 1);
+    a.jcc(GCond::NE, tail);
+    a.movri(RCX, 8);
+    a.movri(RDI, s32(Program::dataAddr(buf)));
+    a.movri(RAX, 0x41);
+    a.stosb(true);
+    a.bind(tail);
+    a.addri(RBX, 13);
+    a.dec(RDX);
+    a.jcc(GCond::NE, outer);
+    a.movrr(RCX, RBX);
+    a.movri(RAX, sysExit);
+    a.syscall();
+    return a.finish("handover");
+}
+
+/** Counts the trace and folds every record into an FNV-1a hash. */
+struct HashingSink : host::TraceSink
+{
+    u64 records = 0;
+    u64 hash = 0xcbf29ce484222325ull;
+
+    void
+    mix(u64 v)
+    {
+        hash = (hash ^ v) * 0x100000001b3ull;
+    }
+
+    void
+    record(const host::InstRecord &r) override
+    {
+        ++records;
+        mix(r.pc);
+        mix(r.memAddr);
+        mix(r.nextPc);
+        mix(u64(r.cls) | u64(r.dst) << 8 | u64(r.src1) << 16 |
+            u64(r.src2) << 24 | u64(r.taken) << 32);
+    }
+};
+
+/** A BBV as one hash over its intervals' (entry, insts) pairs. */
+u64
+bbvHash(Profiler &prof)
+{
+    u64 h = 0xcbf29ce484222325ull;
+    auto mix = [&](u64 v) { h = (h ^ v) * 0x100000001b3ull; };
+    std::vector<Profiler::BbvInterval> all = prof.bbvIntervals();
+    all.push_back(prof.bbvPartial());
+    for (const Profiler::BbvInterval &iv : all) {
+        mix(iv.insts);
+        for (auto [entry, insts] : iv.counts) {
+            mix(entry);
+            mix(insts);
+        }
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(TolPipeline, InterpreterHandsOverWhereTranslatedCodeStarts)
+{
+    // The figures are the ones IM produced when it fetched every
+    // instruction one at a time and counted it as it retired.
+    struct Case
+    {
+        std::vector<std::string> cfg;
+        u64 im, bbm, bbv, records, traceHash;
+    };
+    const Case cases[] = {
+        {{"tol.bb_threshold=6", "tol.enable_sbm=false"},
+         134, 646, 5508056197293485691ull, 52903,
+         17715660773751073651ull},
+        {{"tol.bb_threshold=6"},
+         149, 143, 4753089940902587277ull, 61734,
+         8473039283290782466ull},
+    };
+    for (const Case &c : cases) {
+        std::vector<std::string> cfg = c.cfg;
+        cfg.push_back("tol.bbv_interval=64");
+        differential(handOverProgram(), cfg);
+
+        TolRig rig(cfg);
+        rig.load(handOverProgram());
+        HashingSink sink;
+        rig.tol().setTraceSink(&sink);
+        rig.run();
+        rig.tol().setTraceSink(nullptr);
+        const std::string what = c.cfg.back();
+        EXPECT_EQ(rig.stats().value("tol.guest_im"), c.im) << what;
+        EXPECT_EQ(rig.stats().value("tol.guest_bbm"), c.bbm) << what;
+        EXPECT_EQ(bbvHash(rig.tol().profiler()), c.bbv) << what;
+        EXPECT_EQ(sink.records, c.records) << what;
+        EXPECT_EQ(sink.hash, c.traceHash) << what;
+    }
+}
+
+TEST(TranslationRegistry, PresenceFilterAgreesWithTheEntryMap)
+{
+    // Random add / unmapEntry / invalidate / evict / clear sequences
+    // over more entry pcs than the filter has buckets, so many share
+    // one: after every step, lookup() of each pc must match a model of
+    // the entry map, and checkInvariants() recounts the filter.
+    host::CodeCache cc(1u << 16);
+    host::IbtcTable ibtc(64);
+    StatGroup stats("reg");
+    TranslationRegistry reg(cc, ibtc, stats);
+    std::map<GAddr, u32> model; // entry -> tid
+    std::vector<GAddr> pcs;
+    for (u32 k = 0; k < 6000; ++k)
+        pcs.push_back(0x1000 + k * (k % 3 == 0 ? 4096 : 7));
+
+    u64 rng = 12345;
+    auto next = [&rng](u64 n) {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        return rng % n;
+    };
+    u32 exitId = 0;
+    for (int step = 0; step < 2000; ++step) {
+        const u64 op = next(100);
+        if (op < 55) {
+            const GAddr entry = pcs[next(pcs.size())];
+            u32 base = cc.alloc(2);
+            if (base == host::CodeCache::npos) {
+                cc.flush();
+                reg.clear();
+                model.clear();
+                exitId = 0;
+                continue;
+            }
+            Translation t;
+            t.entry = entry;
+            t.hostPc = base;
+            t.words = 2;
+            t.exitIdBase = exitId;
+            t.exits.push_back(ExitDesc{});
+            const u32 tid = reg.nextTid();
+            reg.addExit(GlobalExit{tid, 0, false, 0});
+            ++exitId;
+            ASSERT_EQ(reg.add(std::move(t)), tid);
+            model[entry] = tid;
+        } else if (op < 92) {
+            if (reg.totalCount() == 0)
+                continue;
+            const u32 tid = u32(next(reg.totalCount()));
+            if (!reg.valid(tid))
+                continue;
+            const GAddr entry = reg.get(tid).entry;
+            if (op < 70)
+                reg.unmapEntry(tid);
+            else if (op < 85)
+                reg.invalidate(tid);
+            else
+                reg.evict(tid);
+            auto it = model.find(entry);
+            if (it != model.end() && it->second == tid)
+                model.erase(it);
+        } else if (op < 94) {
+            cc.flush();
+            reg.clear();
+            model.clear();
+            exitId = 0;
+        }
+        for (GAddr pc : pcs) {
+            auto it = model.find(pc);
+            const u32 want =
+                it == model.end() ? TranslationRegistry::npos : it->second;
+            ASSERT_EQ(reg.lookup(pc), want) << "step " << step;
+        }
+        ASSERT_EQ(reg.checkInvariants(), "") << "step " << step;
+    }
 }
