@@ -22,6 +22,7 @@
 #include "sim/controller.hh"
 #include "snapshot/io.hh"
 #include "timing/core.hh"
+#include "verify/verifier.hh"
 
 namespace darco::campaign
 {
@@ -427,9 +428,10 @@ labelTrace(sim::Controller &ctl, const Job &job)
 }
 
 /**
- * The job's config with both obs.* paths cleared, for its other
- * controllers, so that the traced one alone writes the job's trace
- * and metrics files; both keys are cosmetic, so images are the same.
+ * The job's config with both obs.* paths and tol.verify cleared, for
+ * its other controllers, so that the traced one alone writes the
+ * job's trace and metrics files and proves its translations; all
+ * three keys are cosmetic, so images are the same.
  */
 Config
 untraced(const Job &job)
@@ -437,7 +439,59 @@ untraced(const Job &job)
     Config cfg = job.config;
     cfg.set("obs.trace.path", std::string());
     cfg.set("obs.metrics.path", std::string());
+    cfg.set("tol.verify", false);
     return cfg;
+}
+
+/** Fail the job for `why`, after any error it already has. */
+void
+failJob(JobResult &r, const std::string &why)
+{
+    r.ok = false;
+    r.error += (r.error.empty() ? "" : "\n") + why;
+}
+
+/**
+ * The proof pass of a job's traced controller `ctl` (null when the
+ * job failed before building it), run once the row has been read:
+ * with tol.verify on, Tol::verifyFinal publishes and proves the async
+ * jobs that are due, which the row must not see, and the verdicts go
+ * into `r`. @return why the proofs fail the job, "" when they do not:
+ * an aborted pass, then the summary and every refuted or unknown
+ * proof with its witness.
+ */
+std::string
+proveJob(JobResult &r, sim::Controller *ctl)
+{
+    if (!ctl || !ctl->loaded() || !ctl->tol().verifyEnabled())
+        return "";
+    std::string why;
+    try {
+        ctl->tol().verifyFinal();
+    } catch (const std::exception &e) {
+        why = std::string("proof pass aborted: ") + e.what();
+    }
+    const verify::VerifyReport &rep = ctl->tol().verifyReport();
+    r.proved = rep.proved;
+    r.refuted = rep.refuted;
+    r.unknown = rep.unknown;
+    if (rep.clean())
+        return why;
+    why += (why.empty() ? "proofs: " : "\nproofs: ") + rep.summary();
+    for (const verify::VerifyResult &v : rep.results) {
+        if (v.verdict == verify::Verdict::Proved)
+            continue;
+        char head[64];
+        std::snprintf(head, sizeof(head), "\n%s %s @%08x (tid %u): ",
+                      v.verdict == verify::Verdict::Refuted ? "REFUTED"
+                                                            : "UNKNOWN",
+                      v.mode == tol::RegionMode::BB ? "BB" : "SB",
+                      v.entry, v.tid);
+        why += head + v.detail;
+        if (!v.witness.empty())
+            why += "\n    " + v.witness;
+    }
+    return why;
 }
 
 /**
@@ -522,9 +576,16 @@ runJob(const Job &job, const RunOptions &opts)
     r.effectiveConfig = conf::schema().effective(job.config);
     auto t0 = std::chrono::steady_clock::now();
 
+    // The measured controller is the traced one. It and the detailed
+    // models it delivers to outlive the run, whose proofs are taken
+    // after it even when it throws; the models are declared first,
+    // so the controller never holds a dangling sink.
+    std::unique_ptr<StatGroup> tstats;
+    std::unique_ptr<timing::InOrderCore> core;
+    std::unique_ptr<sim::Controller> ctlp;
     try {
-        // The measured controller is the traced one.
-        sim::Controller ctl(tracedConfig(job, opts));
+        ctlp = std::make_unique<sim::Controller>(tracedConfig(job, opts));
+        sim::Controller &ctl = *ctlp;
         labelTrace(ctl, job);
 
         if (job.skip > 0) {
@@ -554,8 +615,6 @@ runJob(const Job &job, const RunOptions &opts)
         // Detailed models over the measured region (post-prefix).
         // Attaching after the prefix keeps results identical whether
         // the prefix was simulated or restored from the cache.
-        std::unique_ptr<StatGroup> tstats;
-        std::unique_ptr<timing::InOrderCore> core;
         if (opts.timing) {
             tstats = std::make_unique<StatGroup>("timing");
             core = std::make_unique<timing::InOrderCore>(job.config,
@@ -586,9 +645,11 @@ runJob(const Job &job, const RunOptions &opts)
         for (const auto &[name, c] : ctl.stats().counters())
             r.stats[name] = c.value();
     } catch (const std::exception &e) {
-        r.ok = false;
-        r.error = e.what();
+        failJob(r, e.what());
     }
+    std::string proofs = proveJob(r, ctlp.get());
+    if (!proofs.empty())
+        failJob(r, proofs);
 
     auto t1 = std::chrono::steady_clock::now();
     r.wallMs =
@@ -601,8 +662,9 @@ runJob(const Job &job, const RunOptions &opts)
  *
  *  1. a functional BBV-profiling Controller run over the whole
  *     budget (tol.bbv_interval = opts.simpoint.interval) supplies the
- *     job's functional results (insts, bbs, exit code, stats) and
- *     the phase profile; it is the job's traced controller;
+ *     job's functional results (insts, bbs, exit code, stats,
+ *     proofs) and the phase profile; it is the job's traced
+ *     controller;
  *  2. pickSimPoints clusters the profile (seeded, deterministic)
  *     into the job's plan, JobResult::plan;
  *  3. a measurement pass walks the simpoints in ascending order,
@@ -632,6 +694,10 @@ runSampledJob(const Job &job, const RunOptions &opts)
     r.effectiveConfig = conf::schema().effective(job.config);
     auto t0 = std::chrono::steady_clock::now();
 
+    // The profile pass, the job's traced controller: it proves once
+    // its row is read, after a throw too.
+    std::unique_ptr<sim::Controller> prof;
+    std::string proofs;
     try {
         // Sampled mode picks its own measurement regions; a skip
         // prefix would make its rows cover a different region than
@@ -643,23 +709,23 @@ runSampledJob(const Job &job, const RunOptions &opts)
                 "prefix: simpoints cover the whole run");
 
         // --- 1-2: BBV profiling (functional), the plan -------------
-        {
-            Config pcfg = tracedConfig(job, opts);
-            pcfg.set("tol.bbv_interval", s64(opts.simpoint.interval));
-            sim::Controller prof(pcfg);
-            labelTrace(prof, job);
-            prof.load(job.program);
-            prof.run(job.maxInsts);
-            r.finished = prof.finished();
-            r.exitCode = prof.exitCode();
-            r.insts = prof.tol().completedInsts();
-            r.bbs = prof.tol().completedBBs();
-            for (const auto &[name, c] : prof.stats().counters())
-                r.stats[name] = c.value();
-            r.plan = sampling::pickSimPoints(
-                sampling::harvestBbv(prof.tol().profiler()),
-                opts.simpoint);
-        }
+        Config pcfg = tracedConfig(job, opts);
+        pcfg.set("tol.bbv_interval", s64(opts.simpoint.interval));
+        prof = std::make_unique<sim::Controller>(pcfg);
+        labelTrace(*prof, job);
+        prof->load(job.program);
+        prof->run(job.maxInsts);
+        r.finished = prof->finished();
+        r.exitCode = prof->exitCode();
+        r.insts = prof->tol().completedInsts();
+        r.bbs = prof->tol().completedBBs();
+        for (const auto &[name, c] : prof->stats().counters())
+            r.stats[name] = c.value();
+        r.plan = sampling::pickSimPoints(
+            sampling::harvestBbv(prof->tol().profiler()),
+            opts.simpoint);
+        proofs = proveJob(r, prof.get());
+        prof.reset(); // before the measurement pass, which needs none
 
         // --- 3: detailed measurement over each simpoint -------------
         const sampling::SimPointResult &sp = r.plan;
@@ -778,9 +844,12 @@ runSampledJob(const Job &job, const RunOptions &opts)
 
         r.ok = true;
     } catch (const std::exception &e) {
-        r.ok = false;
-        r.error = e.what();
+        failJob(r, e.what());
     }
+    if (prof) // the profile pass threw
+        proofs = proveJob(r, prof.get());
+    if (!proofs.empty())
+        failJob(r, proofs);
 
     auto t1 = std::chrono::steady_clock::now();
     r.wallMs =
@@ -907,6 +976,20 @@ planJson(const JobResult &r)
     return os.str();
 }
 
+/**
+ * A proving row's "proofs" object, or "null" for a job that failed
+ * before any proof.
+ */
+std::string
+proofsJson(const JobResult &r)
+{
+    if (!r.ok && r.proved + r.refuted + r.unknown == 0)
+        return "null";
+    return "{\"proved\": " + std::to_string(r.proved) +
+           ", \"refuted\": " + std::to_string(r.refuted) +
+           ", \"unknown\": " + std::to_string(r.unknown) + '}';
+}
+
 /** The full effective config as one CSV cell ("k=v;k=v;..."). */
 std::string
 effectiveConfigCell(const JobResult &r)
@@ -1025,6 +1108,9 @@ CampaignResult::json() const
         os << "}, \"stats_full\": " << statsJson(r);
         if (r.sampleMode == "simpoint")
             os << ", \"simpoint_plan\": " << planJson(r);
+        auto verify = r.effectiveConfig.find("tol.verify");
+        if (verify != r.effectiveConfig.end() && verify->second == "true")
+            os << ", \"proofs\": " << proofsJson(r);
         os << ", \"error\": \"" << jsonEscape(r.error) << "\"}"
            << (i + 1 < results.size() ? "," : "") << '\n';
     }

@@ -69,7 +69,14 @@
  *         "points": [{"interval_index", "start_inst", "cluster",
  *         "weight"}], "assignment": [cluster per interval]} (null
  *         for a job that failed before its plan). BIC values carry
- *         1 decimal and weights 4.
+ *         1 decimal and weights 4. Rows whose effective config has
+ *         tol.verify=true then carry "proofs": {"proved", "refuted",
+ *         "unknown"} (null for a job that failed before any proof).
+ *
+ * Translation proofs: a job run with tol.verify=true reports the
+ * verdicts of its traced controller (JobResult::proved/refuted/
+ * unknown), taken after the row's other fields. A refuted or unknown
+ * proof fails the job, and its error cell names each such proof.
  *
  * effective_config is the job's full default-resolved configuration
  * (every schema parameter mapped to its canonical value, see
@@ -188,6 +195,15 @@ struct JobResult
      * point count.
      */
     sampling::SimPointResult plan;
+
+    /**
+     * Translation-proof verdicts (tol.verify) of the job's traced
+     * controller: the measured one in full mode, the profile pass in
+     * sampled mode. Zero with proofs off.
+     */
+    u64 proved = 0;
+    u64 refuted = 0;
+    u64 unknown = 0;
 
     /**
      * The job's stats record: every counter of its Controller at the
@@ -340,7 +356,7 @@ expandMatrix(const std::vector<std::pair<std::string,
 
 /**
  * The config preset names, in their one order: interp, noopt,
- * fullopt, tinycc, async. darco_campaign --list, darco_verify and the
+ * fullopt, tinycc, async. darco_campaign's --list and usage and the
  * differential fuzzer's matrix (fuzz::defaultMatrix) all read it.
  */
 const std::vector<std::string> &presetNames();

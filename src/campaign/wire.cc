@@ -197,6 +197,9 @@ writeResult(snapshot::Serializer &s, const JobResult &r)
     s.wstr(r.sampleMode);
     s.w64(r.sampledInsts);
     writePlan(s, r.plan);
+    s.w64(r.proved);
+    s.w64(r.refuted);
+    s.w64(r.unknown);
     s.w64(r.stats.size());
     for (const auto &[k, v] : r.stats) {
         s.wstr(k);
@@ -228,6 +231,9 @@ readResult(snapshot::Deserializer &d)
     r.sampleMode = d.rstr();
     r.sampledInsts = d.r64();
     r.plan = readPlan(d);
+    r.proved = d.r64();
+    r.refuted = d.r64();
+    r.unknown = d.r64();
     u64 nstats = d.r64();
     for (u64 i = 0; i < nstats; ++i) {
         std::string k = d.rstr();

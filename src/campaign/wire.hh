@@ -16,8 +16,8 @@
  *   hello     proto u32, advisory worker id
  *   next      request an assignment
  *   result    job index + full JobResult, a sampled job's plan
- *             included (then awaits the next assignment in the
- *             same reply slot)
+ *             and a proving job's proof counts included (then
+ *             awaits the next assignment in the same reply slot)
  *   ckpt.get  checkpoint-store key (a prefix or per-simpoint image)
  *   ckpt.put  checkpoint-store key + image bytes
  *   ping      heartbeat; no reply
@@ -52,7 +52,7 @@ namespace darco::campaign::wire
 {
 
 /** Bumped on any message-vocabulary or field-layout change. */
-constexpr u32 protoVersion = 3;
+constexpr u32 protoVersion = 4;
 
 /** Message-type section names. */
 namespace msg

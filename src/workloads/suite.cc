@@ -12,6 +12,7 @@ suiteGroupName(SuiteGroup g)
       case SuiteGroup::SpecInt: return "SPECINT2006";
       case SuiteGroup::SpecFp: return "SPECFP2006";
       case SuiteGroup::Physics: return "Physicsbench";
+      case SuiteGroup::Proof: return "proof";
       default: return "?";
     }
 }
@@ -304,6 +305,71 @@ paperSuite(double scale)
         s.push_back(mk(p, "ragdoll", 907, P, scale));
     }
 
+    return s;
+}
+
+std::vector<Benchmark>
+proofSuite(double scale)
+{
+    std::vector<Benchmark> s;
+    auto G = SuiteGroup::Proof;
+    {
+        WorkloadParams p;
+        p.numBlocks = 24;            // plain integer BBs
+        p.outerIters = 250;
+        p.memFrac = 0.0;
+        p.loopFrac = 0.0;
+        p.callFrac = 0.0;
+        p.indirectFrac = 0.0;
+        p.coldFrac = 0.15;
+        s.push_back(mk(p, "int_basic", 11, G, scale));
+    }
+    {
+        WorkloadParams p;
+        p.numBlocks = 20;            // memory speculation
+        p.outerIters = 220;
+        p.memFrac = 0.55;
+        p.coldFrac = 0.10;
+        s.push_back(mk(p, "mem_heavy", 12, G, scale));
+    }
+    {
+        WorkloadParams p;
+        p.numBlocks = 18;            // counted-loop unrolling
+        p.outerIters = 200;
+        p.loopFrac = 0.30;
+        p.loopTripMin = 12;
+        p.loopTripMax = 48;
+        s.push_back(mk(p, "sb_loops", 13, G, scale));
+    }
+    {
+        WorkloadParams p;
+        p.numBlocks = 28;            // biased superblocks, asserts
+        p.outerIters = 260;
+        p.coldFrac = 0.35;
+        p.coldMask = 31;
+        p.memFrac = 0.25;
+        s.push_back(mk(p, "sb_branchy", 14, G, scale));
+    }
+    {
+        WorkloadParams p;
+        p.numBlocks = 16;            // FP and trig
+        p.outerIters = 180;
+        p.fpFrac = 0.6;
+        p.trigFrac = 0.2;
+        p.memFrac = 0.2;
+        s.push_back(mk(p, "fp_trig", 15, G, scale));
+    }
+    {
+        WorkloadParams p;
+        p.numBlocks = 32;            // calls and indirect dispatch
+        p.outerIters = 240;
+        p.fpFrac = 0.2;
+        p.memFrac = 0.3;
+        p.loopFrac = 0.12;
+        p.callFrac = 0.10;
+        p.indirectFrac = 0.05;
+        s.push_back(mk(p, "mixed", 16, G, scale));
+    }
     return s;
 }
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * The named benchmark suite: one synthetic workload per benchmark the
+ * The named benchmark suites: one synthetic workload per benchmark the
  * paper evaluates (SPECINT2006, SPECFP2006, Physicsbench), with
  * parameters calibrated to each benchmark's published structural
- * characteristics (see DESIGN.md substitution table).
+ * characteristics (see DESIGN.md substitution table), and the small
+ * proof suite that translation verification (tol.verify) runs over.
  */
 
 #ifndef DARCO_WORKLOADS_SUITE_HH
@@ -22,6 +23,7 @@ enum class SuiteGroup : u8
     SpecInt,
     SpecFp,
     Physics,
+    Proof, //!< proofSuite, not a paper benchmark
 };
 
 const char *suiteGroupName(SuiteGroup g);
@@ -42,6 +44,16 @@ struct Benchmark
  *        instructions per workload).
  */
 std::vector<Benchmark> paperSuite(double scale = 1.0);
+
+/**
+ * The proof suite: six small, structurally diverse programs that
+ * between them exercise every translation shape (plain BBs, biased
+ * superblocks with asserts, counted-loop unrolling, memory
+ * speculation, FP/trig, calls and indirect dispatch), all in group
+ * Proof. Every translation they produce under every preset proves
+ * (the paper suite's do not all decide). `scale` is paperSuite's.
+ */
+std::vector<Benchmark> proofSuite(double scale = 1.0);
 
 /** Find a suite benchmark by name (nullptr if unknown). */
 const Benchmark *findBenchmark(const std::vector<Benchmark> &suite,

@@ -4,7 +4,9 @@
  * parallel matrix run produces per-job results identical to a serial
  * run, and the fast-forward checkpoint cache is stored on the first
  * invocation and hit on the second without changing any result; a
- * run without a cache measures the same.
+ * run without a cache measures the same. A job run with tol.verify
+ * reports its translation proofs without changing any other cell,
+ * and a refuted proof fails it.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +23,7 @@
 #include "common/logging.hh"
 #include "guest/asm.hh"
 #include "sim/controller.hh"
-#include "workloads/synth.hh"
+#include "workloads/suite.hh"
 
 using namespace darco;
 using namespace darco::campaign;
@@ -78,6 +80,9 @@ expectSameResults(const CampaignResult &a, const CampaignResult &b)
             << x.workload << "/" << x.configName;
         EXPECT_EQ(x.insts, y.insts) << x.workload << "/" << x.configName;
         EXPECT_EQ(x.bbs, y.bbs);
+        EXPECT_EQ(x.proved, y.proved);
+        EXPECT_EQ(x.refuted, y.refuted);
+        EXPECT_EQ(x.unknown, y.unknown);
     }
 }
 
@@ -119,6 +124,38 @@ scratchDir()
                       ti->test_suite_name() + "-" + ti->name();
     std::filesystem::remove_all(dir);
     return dir;
+}
+
+/** Fast promotion, so that every mode runs at smallWorkload's size. */
+const std::vector<std::string> fastPromotion = {
+    "tol.bb_threshold=4", "tol.sb_threshold=12", "tol.min_edge_total=8"};
+
+/** A row's CSV cells through column 22, sync.syscalls. */
+std::string
+cellsThrough22(const JobResult &r)
+{
+    std::string row = csvRow(r);
+    std::size_t end = 0;
+    for (int i = 0; i < 22; ++i)
+        end = row.find(',', end) + 1;
+    return row.substr(0, end - 1);
+}
+
+/**
+ * One proving job over a proof-suite program at scale 1, as
+ * darco_campaign runs it: a 300,000-instruction budget, the preset
+ * and then `extra` on top of tol.verify=true.
+ */
+Job
+proofJob(const std::string &workload, const std::string &preset,
+         std::vector<std::string> extra = {})
+{
+    std::vector<workloads::Benchmark> suite = workloads::proofSuite(1.0);
+    extra.insert(extra.begin(), "tol.verify=true");
+    return expandMatrix(
+        {{workload, workloads::synthesize(
+                        workloads::findBenchmark(suite, workload)->params)}},
+        presetConfigs({preset}, extra), 300'000, 0)[0];
 }
 
 /** Where a DirStore at `dir` keeps the image for `key`. */
@@ -480,4 +517,161 @@ TEST(Campaign, ConcurrentCheckpointWritersNeverTear)
     for (const auto &e : fs::directory_iterator(dir))
         EXPECT_EQ(e.path().string(), path) << e.path();
     fs::remove_all(dir);
+}
+
+// Proving changes no cell of a timed matrix when every proof passes:
+// the row and stats record are read before the proof pass, which may
+// publish the async jobs that are due. The counts cover every
+// translation (interp translates none), and only proving rows carry
+// them in the JSON report.
+TEST(CampaignProofs, ProvingChangesNoCellAndCountsEveryProof)
+{
+    std::vector<std::pair<std::string, guest::Program>> wls = {
+        {"wl-a", smallWorkload("wl-a", 11)},
+        {"wl-b", smallWorkload("wl-b", 12)},
+        {"wl-c", smallWorkload("wl-c", 13)},
+    };
+    std::vector<std::string> extra = fastPromotion;
+    std::vector<Job> plain =
+        expandMatrix(wls, presetConfigs(presetNames(), extra), ~0ull, 0);
+    extra.push_back("tol.verify=true");
+    std::vector<Job> proving =
+        expandMatrix(wls, presetConfigs(presetNames(), extra), ~0ull, 0);
+    ASSERT_EQ(proving.size(), 15u);
+
+    RunOptions opts;
+    opts.jobs = 4;
+    CampaignResult off = runCampaign(plain, opts);
+    CampaignResult on = runCampaign(proving, opts);
+    std::string json = on.json();
+    for (std::size_t i = 0; i < proving.size(); ++i) {
+        const JobResult &x = off.results[i];
+        const JobResult &y = on.results[i];
+        SCOPED_TRACE(y.workload + "/" + y.configName);
+        EXPECT_TRUE(y.ok) << y.error;
+        EXPECT_EQ(x.proved + x.refuted + x.unknown, 0u);
+        EXPECT_EQ(y.refuted + y.unknown, 0u);
+        if (y.configName != "interp") {
+            EXPECT_GT(y.proved, 0u);
+        }
+        EXPECT_EQ(cellsThrough22(x), cellsThrough22(y));
+        EXPECT_EQ(statsJson(x), statsJson(y));
+        EXPECT_NE(json.find("\"stats_full\": " + statsJson(y) +
+                            ", \"proofs\": {\"proved\": " +
+                            std::to_string(y.proved) +
+                            ", \"refuted\": 0, \"unknown\": 0}, "
+                            "\"error\": \"\"}"),
+                  std::string::npos);
+    }
+    EXPECT_EQ(off.json().find("\"proofs\""), std::string::npos);
+}
+
+// A refuted proof fails a run that raised no error (it runs its whole
+// budget): the row is read as usual, and its error names the refuted
+// translation and its witness.
+TEST(CampaignProofs, RefutedProofFailsACompletedRun)
+{
+    RunOptions opts;
+    opts.timing = false;
+    JobResult r =
+        runJob(proofJob("int_basic", "noopt", {"debug.drop_guard=true"}),
+               opts);
+    EXPECT_FALSE(r.ok);
+    EXPECT_GE(r.insts, 300'000u);
+    EXPECT_NE(statsJson(r), "null");
+    EXPECT_GT(r.refuted, 0u);
+    EXPECT_EQ(r.error.rfind("proofs: ", 0), 0u) << r.error;
+    EXPECT_NE(r.error.find("\nREFUTED SB @"), std::string::npos)
+        << r.error;
+    EXPECT_NE(r.error.find("\n    witness: "), std::string::npos)
+        << r.error;
+}
+
+// A run that diverges still reports the proofs of the translations it
+// published: the error carries the divergence, then the proofs. A
+// job that fails before any proof reports none.
+TEST(CampaignProofs, DivergedRunStillReportsItsProofs)
+{
+    RunOptions opts;
+    opts.timing = true;
+    Job bad = proofJob("int_basic", "fullopt");
+    bad.config.parseLine("cc.policy=bogus");
+    CampaignResult res;
+    res.results = {
+        runJob(proofJob("int_basic", "fullopt", {"debug.drop_guard=true"}),
+               opts),
+        runJob(bad, opts)};
+    const JobResult &r = res.results[0];
+    EXPECT_FALSE(r.ok);
+    EXPECT_GT(r.proved, 0u);
+    EXPECT_GT(r.refuted, 0u);
+    EXPECT_EQ(r.error.rfind("syscall sync failed", 0), 0u) << r.error;
+    std::size_t proofs = r.error.find("\nproofs: ");
+    ASSERT_NE(proofs, std::string::npos) << r.error;
+    EXPECT_NE(r.error.find("\nREFUTED ", proofs), std::string::npos);
+
+    EXPECT_FALSE(res.results[1].ok);
+    std::string json = res.json();
+    EXPECT_NE(json.find("\"proofs\": {\"proved\": " +
+                        std::to_string(r.proved) + ", \"refuted\": " +
+                        std::to_string(r.refuted) +
+                        ", \"unknown\": 0}"),
+              std::string::npos);
+    EXPECT_NE(json.find("\"proofs\": null"), std::string::npos);
+}
+
+// A --skip proving job measures (and proves) a controller restored
+// from its prefix image, so its row and counts are the same with no
+// store, a cold store and a warm one.
+TEST(CampaignProofs, SkipJobProvesTheSameWithAnyStore)
+{
+    std::string dir = scratchDir();
+    std::vector<std::string> extra = fastPromotion;
+    extra.push_back("tol.verify=true");
+    std::vector<Job> jobs = expandMatrix(
+        {{"wl-ck", smallWorkload("wl-ck", 21)}},
+        presetConfigs({"fullopt", "tinycc", "async"}, extra), ~0ull,
+        40'000);
+
+    RunOptions opts;
+    opts.jobs = 2;
+    CampaignResult none = runCampaign(jobs, opts);
+    DirStore store(dir);
+    opts.store = &store;
+    CampaignResult cold = runCampaign(jobs, opts);
+    CampaignResult warm = runCampaign(jobs, opts);
+    EXPECT_EQ(cold.checkpointMisses, jobs.size());
+    EXPECT_EQ(warm.checkpointHits, jobs.size());
+    expectSameMeasurement(none, cold);
+    expectSameMeasurement(none, warm);
+    for (const JobResult &r : none.results) {
+        EXPECT_TRUE(r.ok) << r.configName << ": " << r.error;
+        EXPECT_GT(r.proved, 0u) << r.configName;
+    }
+    std::filesystem::remove_all(dir);
+}
+
+// Background translation proves the same translations whatever the
+// number of translator threads.
+TEST(CampaignProofs, CountsMatchAcrossAsyncThreads)
+{
+    RunOptions opts;
+    opts.timing = false;
+    std::vector<JobResult> rows;
+    for (const char *threads : {"1", "2", "4"}) {
+        std::vector<std::string> extra = fastPromotion;
+        extra.push_back("tol.verify=true");
+        extra.push_back(std::string("tol.async.threads=") + threads);
+        rows.push_back(runJob(
+            expandMatrix({{"wl-a", smallWorkload("wl-a", 11)}},
+                         presetConfigs({"async"}, extra), ~0ull, 0)[0],
+            opts));
+        EXPECT_TRUE(rows.back().ok) << rows.back().error;
+    }
+    EXPECT_GT(rows[0].proved, 0u);
+    for (const JobResult &r : rows) {
+        EXPECT_EQ(r.proved, rows[0].proved);
+        EXPECT_EQ(r.refuted + r.unknown, 0u);
+        EXPECT_EQ(cellsThrough22(r), cellsThrough22(rows[0]));
+    }
 }

@@ -157,6 +157,9 @@ expectIdenticalResults(const CampaignResult &local,
         EXPECT_EQ(x.sampleMode, y.sampleMode);
         EXPECT_EQ(x.sampledInsts, y.sampledInsts);
         expectSamePlan(x.plan, y.plan);
+        EXPECT_EQ(x.proved, y.proved);
+        EXPECT_EQ(x.refuted, y.refuted);
+        EXPECT_EQ(x.unknown, y.unknown);
         EXPECT_EQ(x.stats, y.stats);
         EXPECT_EQ(x.effectiveConfig, y.effectiveConfig);
     }
@@ -311,6 +314,46 @@ TEST(ServiceLoopback, TwoWorkersMatchLocalBitForBit)
             << "'" << r.workerId << "'";
         EXPECT_GE(r.wallMs, 0.0);
     }
+}
+
+// A proving cell, passing or refuted, reports over the wire exactly
+// what it reports locally: the counts, and the error that names each
+// refuted proof. The refuted cell has a budget: its wrong translation
+// never reaches the program's exit.
+TEST(ServiceLoopback, ProofCellsMatchLocal)
+{
+    std::vector<std::string> extra = {"tol.bb_threshold=4",
+                                      "tol.sb_threshold=12",
+                                      "tol.min_edge_total=8",
+                                      "tol.verify=true"};
+    std::vector<Job> jobs =
+        expandMatrix({{"wl-a", smallWorkload("wl-a", 11)}},
+                     presetConfigs({"fullopt"}, extra), 300'000, 0);
+    extra.push_back("debug.drop_guard=true");
+    for (Job &j : expandMatrix({{"wl-a", smallWorkload("wl-a", 11)}},
+                               presetConfigs({"noopt"}, extra), 300'000,
+                               0)) {
+        j.configName = "noopt-drop-guard";
+        jobs.push_back(std::move(j));
+    }
+
+    RunOptions local;
+    local.jobs = 1;
+    CampaignResult base = runCampaign(jobs, local);
+    ASSERT_TRUE(base.results[0].ok) << base.results[0].error;
+    EXPECT_GT(base.results[0].proved, 0u);
+    EXPECT_FALSE(base.results[1].ok);
+    EXPECT_GT(base.results[1].refuted, 0u);
+    EXPECT_NE(base.results[1].error.find("REFUTED"), std::string::npos);
+
+    Coordinator coord(jobs, ServiceOptions{});
+    int rc = -1;
+    std::thread w = spawnWorker(coord.port(), "prover", &rc);
+    CampaignResult dist = coord.wait();
+    w.join();
+    EXPECT_EQ(rc, 0);
+    expectIdenticalResults(base, dist);
+    EXPECT_EQ(stripProvenance(base.csv()), stripProvenance(dist.csv()));
 }
 
 TEST(ServiceFault, DeadWorkerJobIsReassigned)
@@ -776,6 +819,9 @@ TEST(Wire, JobAndResultRoundTrip)
     r.plan.bicSweep = {{1, -20.06}, {2, -12.34}};
     r.plan.points = {{0, 1, 0.8, 0}, {2, 0, 0.2, 2000}};
     r.plan.assignment = {1, 1, 0};
+    r.proved = 31;
+    r.refuted = 2;
+    r.unknown = 1;
     {
         std::string payload = wire::encode(
             wire::msg::result, [&](snapshot::Serializer &s) {
@@ -799,5 +845,8 @@ TEST(Wire, JobAndResultRoundTrip)
         EXPECT_EQ(back.effectiveConfig, r.effectiveConfig);
         EXPECT_EQ(back.sampleMode, r.sampleMode);
         expectSamePlan(back.plan, r.plan);
+        EXPECT_EQ(back.proved, r.proved);
+        EXPECT_EQ(back.refuted, r.refuted);
+        EXPECT_EQ(back.unknown, r.unknown);
     }
 }

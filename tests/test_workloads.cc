@@ -93,6 +93,7 @@ TEST(Workloads, PaperSuiteShape)
           case SuiteGroup::SpecInt: ++ints; break;
           case SuiteGroup::SpecFp: ++fps; break;
           case SuiteGroup::Physics: ++phys; break;
+          case SuiteGroup::Proof: ADD_FAILURE() << b.params.name; break;
         }
     }
     EXPECT_EQ(ints, 11);
@@ -126,4 +127,31 @@ TEST(Workloads, ScaleMultipliesIterations)
     const Benchmark *a = findBenchmark(s1, "401.bzip2");
     const Benchmark *b = findBenchmark(s2, "401.bzip2");
     EXPECT_EQ(b->params.outerIters, a->params.outerIters * 2);
+}
+
+// The proof suite is its own group, apart from the paper suite, and
+// scales like it.
+TEST(Workloads, ProofSuiteShape)
+{
+    auto suite = proofSuite(1.0);
+    std::vector<std::string> names;
+    for (const Benchmark &b : suite) {
+        names.push_back(b.params.name);
+        EXPECT_EQ(b.group, SuiteGroup::Proof) << b.params.name;
+        EXPECT_EQ(findBenchmark(paperSuite(1.0), b.params.name), nullptr)
+            << b.params.name;
+    }
+    EXPECT_EQ(names,
+              (std::vector<std::string>{"int_basic", "mem_heavy",
+                                        "sb_loops", "sb_branchy",
+                                        "fp_trig", "mixed"}));
+    EXPECT_STREQ(suiteGroupName(SuiteGroup::Proof), "proof");
+    EXPECT_EQ(paperSuite(1.0).size(), 31u);
+
+    auto half = proofSuite(0.5);
+    ASSERT_EQ(half.size(), suite.size());
+    for (std::size_t i = 0; i < suite.size(); ++i)
+        EXPECT_EQ(half[i].params.outerIters,
+                  suite[i].params.outerIters / 2)
+            << suite[i].params.name;
 }

@@ -2,9 +2,10 @@
  * @file
  * darco_campaign: parallel workload×config experiment runner.
  *
- * Expands a matrix of paper-suite workloads against named config
- * presets, executes every cell on the campaign thread pool (one
- * isolated Controller per job), and writes a CSV/JSON report.
+ * Expands a matrix of workloads (the paper suite and the proof suite,
+ * see --list) against named config presets, executes every cell on
+ * the campaign thread pool (one isolated Controller per job), and
+ * writes a CSV/JSON report.
  *
  *   darco_campaign --jobs 4
  *   darco_campaign --workloads 401.bzip2,429.mcf --configs fullopt,interp
@@ -12,6 +13,10 @@
  *   darco_campaign --sample-mode simpoint --interval 100000 --max-k 8
  *   darco_campaign --workloads 470.lbm --configs fullopt \
  *                  --sample-mode simpoint --no-timing --json plan.json
+ *   darco_campaign --workloads int_basic,mem_heavy,sb_loops,sb_branchy,\
+ *                  fp_trig,mixed --configs interp,noopt,fullopt,tinycc,\
+ *                  async --scale 1 --max-insts 300000 --no-timing \
+ *                  -c tol.verify=true
  *   darco_campaign --list
  *
  * Serve mode expands the same matrix but, instead of running jobs
@@ -52,6 +57,14 @@
  * simpoints and the per-interval cluster assignment), and with
  * --no-timing the run stops after the plan. --trace-out and
  * --stats-json cover a sampled job's profile pass.
+ *
+ * It is also the one proof driver: with -c tol.verify=true every job
+ * proves each translation of its traced controller (the one whose
+ * counters are its stats) equivalent to its guest path. Each JSON
+ * row then carries its "proofs" counts, and a refuted or unknown
+ * proof fails the job, whose error cell names each such proof and
+ * its witness (-c debug.drop_guard=true must refute). The closing
+ * stderr line totals the proofs.
  *
  * Exit code: 0 when every job succeeded, 1 on any job failure, 2 on
  * usage errors. These include a number that is not a whole unsigned
@@ -143,7 +156,8 @@ usage(const char *argv0)
         stderr,
         "usage: %s [options]\n"
         "  --jobs N            worker threads (default: hw cores)\n"
-        "  --workloads a,b,c   paper-suite workload names\n"
+        "  --workloads a,b,c   workload names (paper and proof\n"
+        "                      suites, see --list)\n"
         "  --configs c1,c2     presets: %s\n"
         "  --cores n1,n2       guest core counts; cross-products the\n"
         "                      configs into <config>-c<N> cells "
@@ -440,6 +454,8 @@ main(int argc, char **argv)
 
     std::vector<workloads::Benchmark> suite =
         workloads::paperSuite(o.scale);
+    for (workloads::Benchmark &b : workloads::proofSuite(o.scale))
+        suite.push_back(std::move(b));
 
     if (o.list) {
         std::printf("workloads (at --scale %g):\n", o.scale);
@@ -564,27 +580,41 @@ main(int argc, char **argv)
         }
 
         unsigned failed = 0;
-        for (const auto &r : res.results)
+        u64 proved = 0, refuted = 0, unknown = 0;
+        for (const auto &r : res.results) {
             failed += r.ok ? 0 : 1;
+            proved += r.proved;
+            refuted += r.refuted;
+            unknown += r.unknown;
+        }
+        std::string proofs;
+        if (proved + refuted + unknown > 0)
+            proofs = ", " + std::to_string(proved + refuted + unknown) +
+                     " proofs (" + std::to_string(proved) +
+                     " proved, " + std::to_string(refuted) +
+                     " refuted, " + std::to_string(unknown) +
+                     " unknown)";
         if (coord)
             std::fprintf(stderr,
                          "darco_campaign: %zu jobs in %.0f ms via %llu"
                          " workers (%u failed, %llu reassigned, %llu"
-                         " duplicate results)\n",
+                         " duplicate results)%s\n",
                          res.results.size(), res.wallMs,
                          (unsigned long long)coord->workersSeen(),
                          failed,
                          (unsigned long long)coord->reassignments(),
-                         (unsigned long long)coord->duplicateResults());
+                         (unsigned long long)coord->duplicateResults(),
+                         proofs.c_str());
         else
             std::fprintf(stderr,
                          "darco_campaign: %zu jobs on %u workers in"
                          " %.0f ms (%u failed, checkpoints: %llu hit /"
-                         " %llu stored)\n",
+                         " %llu stored)%s\n",
                          res.results.size(), o.run.jobs, res.wallMs,
                          failed,
                          (unsigned long long)res.checkpointHits,
-                         (unsigned long long)res.checkpointMisses);
+                         (unsigned long long)res.checkpointMisses,
+                         proofs.c_str());
         return failed ? 1 : 0;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "darco_campaign: %s\n", e.what());
